@@ -2,11 +2,11 @@
 # external tools — so every target works in the bare module checkout.
 
 GO ?= go
-SWEEP_BENCH := 'BenchmarkSweep(GPT3|Megatron530B|MoE)$$|BenchmarkEvaluate$$|BenchmarkSolveGPT3$$|BenchmarkSessionEvaluateInferencePoint$$'
+SWEEP_BENCH := 'BenchmarkSweep(GPT3|Megatron530B|MoE)$$|BenchmarkEvaluate$$|BenchmarkSolveGPT3$$|BenchmarkSessionEvaluateInferencePoint$$|Benchmark(Sort|Top)ByTime$$'
 SERVE_BENCH := 'BenchmarkSessionEvaluatePoint(Traced|Roofline)?$$|BenchmarkShardedSweep(ChaosOff)?$$'
 BATCH_BENCH := 'BenchmarkEvaluateBatch|BenchmarkSessionEvaluatePoint$$'
 
-.PHONY: build test verify serve-smoke audit chaos bench bench-sweep bench-serve bench-batch clean
+.PHONY: build test verify serve-smoke bench-check audit chaos bench bench-sweep bench-serve bench-batch clean
 
 build:
 	$(GO) build ./...
@@ -15,13 +15,20 @@ test:
 	$(GO) test ./...
 
 ## verify is the tier-1 gate: compile, vet, full test suite (in a random
-## test order to keep order dependencies out), and the amped-serve
-## end-to-end smoke check.
+## test order to keep order dependencies out), the amped-serve end-to-end
+## smoke check, and the benchmark module's own tests.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -shuffle=on ./...
 	$(MAKE) serve-smoke
+	$(MAKE) bench-check
+
+## bench-check runs the tests of the nested bench/ module — its goldens,
+## reference oracle and smoke runs — which `./...` does not reach. A
+## ranking change that breaks them fails here instead of in a benchmark run.
+bench-check:
+	cd bench && $(GO) test .
 
 ## serve-smoke builds the real amped-serve binary, starts it on an
 ## ephemeral port, probes /healthz, round-trips one /v1/evaluate against

@@ -17,6 +17,7 @@ import (
 	"amped"
 	"amped/internal/chaosnet"
 	"amped/internal/collective"
+	"amped/internal/explore"
 	"amped/internal/hardware"
 	"amped/internal/hetero"
 	"amped/internal/model"
@@ -432,6 +433,63 @@ func BenchmarkSolveGPT3(b *testing.B) {
 	}
 	b.ReportMetric(float64(expanded), "cells_expanded")
 	b.ReportMetric(float64(total), "cells_total")
+}
+
+// rankBenchPoints sweeps the fixed space the ranking benchmarks order:
+// every power-of-two mapping of the Case Study I machine at 106 batch sizes,
+// 30,740 points, the size of a served sweep space.
+func rankBenchPoints(b *testing.B) []amped.SweepPoint {
+	b.Helper()
+	m := amped.Megatron145B()
+	sys := amped.CaseStudy1System()
+	var batches []int
+	for k := 1; k <= 106; k++ {
+		batches = append(batches, 1024*k)
+	}
+	pts, err := amped.Sweep(amped.Scenario{Model: &m, System: &sys}, amped.SweepOptions{
+		Batches:          batches,
+		Enumerate:        amped.EnumerateOptions{PowerOfTwo: true},
+		MicrobatchTarget: 128,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pts
+}
+
+// rankSink keeps the ranking benchmarks' results live.
+var rankSink []amped.SweepPoint
+
+// BenchmarkSortByTime measures the full ranking of a ~3·10⁴-point sweep,
+// the order amped-explore prints; each iteration sorts a fresh copy of the
+// sweep's output order.
+func BenchmarkSortByTime(b *testing.B) {
+	pts := rankBenchPoints(b)
+	work := make([]amped.SweepPoint, len(pts))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(work, pts)
+		b.StartTimer()
+		explore.SortByTime(work)
+	}
+	rankSink = work
+	b.ReportMetric(float64(len(pts)), "design_points")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pts)), "ns/point")
+}
+
+// BenchmarkTopByTime measures the bounded top-20 selection every serving
+// path ranks with, over the same sweep as BenchmarkSortByTime.
+func BenchmarkTopByTime(b *testing.B) {
+	pts := rankBenchPoints(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rankSink = explore.TopByTime(pts, 20)
+	}
+	b.ReportMetric(float64(len(pts)), "design_points")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pts)), "ns/point")
 }
 
 // BenchmarkSweepMegatron530B sweeps the Table II 530B configuration with

@@ -139,10 +139,7 @@ func Tune(req Request) (*Recipe, error) {
 	if err != nil {
 		return nil, err
 	}
-	explore.SortByTime(points)
-	if len(points) > maxCand {
-		points = points[:maxCand]
-	}
+	points = explore.TopByTime(points, maxCand)
 
 	// Stage 2: walk the speed ranking; for each mapping re-tune N_ub and
 	// climb the memory ladder until the worst stage fits.

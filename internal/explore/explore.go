@@ -6,11 +6,13 @@
 package explore
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,7 +134,19 @@ type Point struct {
 
 // String identifies the point.
 func (p Point) String() string {
-	return fmt.Sprintf("%v B=%d m=%d", p.Mapping, p.Batch, p.Microbatches)
+	var buf [96]byte
+	return string(p.appendID(buf[:0]))
+}
+
+// appendID appends the String identity to b: "<mapping> B=<batch>
+// m=<microbatches>", built with strconv so ranking ties compare without
+// allocating.
+func (p *Point) appendID(b []byte) []byte {
+	b = p.Mapping.AppendTo(b)
+	b = append(b, " B="...)
+	b = strconv.AppendInt(b, int64(p.Batch), 10)
+	b = append(b, " m="...)
+	return strconv.AppendInt(b, int64(p.Microbatches), 10)
 }
 
 // MicrobatchFeasible reports whether any microbatch schedule can satisfy
@@ -655,27 +669,136 @@ func evalPoint(p *Point, bd *model.Breakdown, sess *model.Session, sc *Scenario)
 // failure overhead — so a reliability-enabled sweep prefers the mapping that
 // finishes first on a cluster that fails, not the one that would win on
 // perfect hardware. Without a reliability spec the two are identical.
+//
+// Infeasible and failed points order by identity alone; points with equal
+// identities (a duplicated batch size) keep their input order. Each point's
+// key is computed once and an index permutation is sorted, so the points
+// themselves move only once.
 func SortByTime(points []Point) {
-	sort.SliceStable(points, func(i, j int) bool {
-		pi, pj := points[i], points[j]
-		oi, oj := pointOrder(pi), pointOrder(pj)
-		if oi != oj {
-			return oi < oj
+	order := make([]rankEntry, len(points))
+	for i := range points {
+		order[i] = rankEntryOf(points, i)
+	}
+	slices.SortFunc(order, func(a, b rankEntry) int { return compareRank(points, a, b) })
+	// Apply the permutation in place, one cycle at a time: position j
+	// receives the point order[j] names, and a placed slot is marked by
+	// pointing it at itself.
+	for i := range order {
+		if order[i].idx == i {
+			continue
 		}
-		if oi != 0 {
-			return pi.String() < pj.String()
+		held := points[i]
+		j := i
+		for {
+			k := order[j].idx
+			order[j].idx = j
+			if k == i {
+				points[j] = held
+				break
+			}
+			points[j] = points[k]
+			j = k
 		}
-		ti := float64(pi.Breakdown.ExpectedTotalTime())
-		tj := float64(pj.Breakdown.ExpectedTotalTime())
-		if ti != tj {
-			return ti < tj
+	}
+}
+
+// TopByTime returns the first n points of the SortByTime ranking — exactly
+// what SortByTime(points) followed by points[:n] yields — without sorting
+// the whole space: a size-n max-heap on the same key keeps the n best in
+// O(len(points)·log n) and only those survivors are sorted. points is not
+// modified; the result is a fresh slice of min(n, len(points)) points. Every
+// serving path ranks this way, since a response only carries the head.
+func TopByTime(points []Point, n int) []Point {
+	n = min(n, len(points))
+	if n <= 0 {
+		return nil
+	}
+	worse := func(a, b rankEntry) bool { return compareRank(points, a, b) > 0 }
+	// heap[0] is the worst point kept so far.
+	heap := make([]rankEntry, 0, n)
+	for i := range points {
+		e := rankEntryOf(points, i)
+		if len(heap) < n {
+			heap = append(heap, e)
+			for c := len(heap) - 1; c > 0; {
+				p := (c - 1) / 2
+				if !worse(heap[c], heap[p]) {
+					break
+				}
+				heap[c], heap[p] = heap[p], heap[c]
+				c = p
+			}
+			continue
 		}
-		return pi.String() < pj.String()
-	})
+		if !worse(heap[0], e) {
+			continue
+		}
+		heap[0] = e
+		for p := 0; ; {
+			c := 2*p + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && worse(heap[c+1], heap[c]) {
+				c++
+			}
+			if !worse(heap[c], heap[p]) {
+				break
+			}
+			heap[c], heap[p] = heap[p], heap[c]
+			p = c
+		}
+	}
+	slices.SortFunc(heap, func(a, b rankEntry) int { return compareRank(points, a, b) })
+	out := make([]Point, n)
+	for i, e := range heap {
+		out[i] = points[e.idx]
+	}
+	return out
+}
+
+// rankEntry is one point's precomputed ranking key: its bucket (see
+// pointOrder), its rank key — the expected total time for a bucket-0 point,
+// zero otherwise so the other buckets fall through to identity — and its
+// input index, the final tie-break.
+type rankEntry struct {
+	key    float64
+	idx    int
+	bucket int
+}
+
+func rankEntryOf(points []Point, i int) rankEntry {
+	p := &points[i]
+	e := rankEntry{idx: i, bucket: pointOrder(p)}
+	if e.bucket == 0 {
+		e.key = float64(p.Breakdown.ExpectedTotalTime())
+	}
+	return e
+}
+
+// compareRank orders two entries over points the way SortByTime ranks them:
+// bucket, rank key, the points' String identities (rendered only on an
+// exact key tie), then input index. The index makes the order total, so a
+// heap selection and a full sort agree on every input.
+func compareRank(points []Point, a, b rankEntry) int {
+	if a.bucket != b.bucket {
+		return a.bucket - b.bucket
+	}
+	if a.key != b.key {
+		if a.key < b.key {
+			return -1
+		}
+		return 1
+	}
+	var ida, idb [96]byte
+	if c := bytes.Compare(points[a.idx].appendID(ida[:0]), points[b.idx].appendID(idb[:0])); c != 0 {
+		return c
+	}
+	return a.idx - b.idx
 }
 
 // pointOrder buckets points: evaluable+fits, evaluable, failed.
-func pointOrder(p Point) int {
+func pointOrder(p *Point) int {
 	switch {
 	case p.Err != nil:
 		return 2

@@ -111,11 +111,18 @@ func (m Mapping) InterDegree() int {
 
 // String renders the mapping compactly, e.g. "TP8x1 PP1x2 DP1x64". Built
 // with strconv instead of fmt: the sweep engine uses the string as its
-// deterministic ranking tiebreak, so this runs O(n log n) times per sort.
+// deterministic ranking tiebreak.
 func (m Mapping) String() string {
-	n := m.normalize()
 	var buf [64]byte
-	b := append(buf[:0], "TP"...)
+	return string(m.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the String rendering of the mapping to b. The sweep
+// ranking compares identities through it on exact time ties without
+// allocating a string per comparison.
+func (m Mapping) AppendTo(b []byte) []byte {
+	n := m.normalize()
+	b = append(b, "TP"...)
 	b = strconv.AppendInt(b, int64(n.TPIntra), 10)
 	b = append(b, 'x')
 	b = strconv.AppendInt(b, int64(n.TPInter), 10)
@@ -146,7 +153,7 @@ func (m Mapping) String() string {
 	if m.ExpertParallel {
 		b = append(b, " +EP"...)
 	}
-	return string(b)
+	return b
 }
 
 // Validate checks that the mapping is internally consistent and fits the

@@ -491,7 +491,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.sweepPoints.add(uint64(len(points)))
-	explore.SortByTime(points)
 
 	top := req.Sweep.Top
 	if top <= 0 {
@@ -499,9 +498,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	total := len(points)
 	truncated := total > top
-	if truncated {
-		points = points[:top]
-	}
+	points = explore.TopByTime(points, top)
 	out := make([]SweepPoint, len(points))
 	for i, p := range points {
 		out[i] = toSweepPoint(p)

@@ -317,11 +317,8 @@ func (s *Server) localSweep(ctx context.Context, cs *compiledSweep, st *sweepSta
 			if err != nil {
 				return classifyErr(err)
 			}
-			explore.SortByTime(points)
 			n := len(points)
-			if n > cs.top {
-				points = points[:cs.top]
-			}
+			points = explore.TopByTime(points, cs.top)
 			st.collect(ShardChunk{CursorLo: cur, CursorHi: cHi, Completed: n, Points: toShardPoints(points)})
 			if err := st.failed(); err != nil {
 				return err

@@ -21,9 +21,13 @@ import (
 
 // defaultShardChunkCells is the cell count a shard evaluates per streamed
 // NDJSON line. It bounds per-chunk memory (the sweep engine materializes
-// one chunk's points at a time), sets the resume granularity after a peer
-// failure, and is large enough that per-chunk enumeration and HTTP framing
-// overhead stay negligible against evaluation time.
+// one chunk's points at a time) and sets the resume granularity after a
+// peer failure. Every chunk also pays a fixed cost that does not shrink
+// with its size: explore.SweepContext re-enumerates the system's mappings
+// and starts a fresh worker pool, and the line's JSON encoding and flush
+// follow. Its per-cell cost is the evaluation plus a bounded top-N
+// selection, O(cells·log top). Small chunks multiply the fixed part, so
+// the default stays large.
 const defaultShardChunkCells = 32768
 
 // ShardRequest is the /v1/sweep/shard body: a full sweep request plus the
@@ -238,11 +242,8 @@ func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
 			_ = enc.Encode(ShardChunk{CursorLo: cur, CursorHi: hi, Error: err.Error()})
 			return
 		}
-		explore.SortByTime(points)
 		n := len(points)
-		if n > top {
-			points = points[:top]
-		}
+		points = explore.TopByTime(points, top)
 		completed += int64(n)
 		s.met.sweepPoints.add(uint64(n))
 		if err := enc.Encode(ShardChunk{

@@ -1,0 +1,117 @@
+package serve
+
+import (
+	"bufio"
+	"encoding/json"
+	"net/http"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+
+	"amped/internal/config"
+	"amped/internal/explore"
+)
+
+// topnSweepDoc is sweepDoc with a duplicated batch size (equal point
+// identities) and a batch of 4, which DP=8 mappings cannot divide and deep
+// pipelines cannot fill, so keep_invalid puts failed cells in the ranking.
+const topnSweepDoc = `{
+  "model": {"name": "tiny", "layers": 8, "hidden": 1024, "heads": 16, "seq_len": 1024, "vocab": 50000},
+  "system": {
+    "name": "2x4 a100",
+    "accelerator": {"preset": "a100"},
+    "nodes": 2,
+    "accels_per_node": 4,
+    "intra": {"name": "nvlink", "latency_s": 2e-6, "bandwidth_bps": "2.4T"},
+    "inter": {"name": "hdr", "latency_s": 5e-6, "bandwidth_bps": "200G"}
+  },
+  "training": {"global_batch": 64},
+  "sweep": {"batches": [4, 64, 64], "microbatch_target": 16, "power_of_two": true, "keep_invalid": true, "top": TOP}
+}`
+
+// referenceRanking computes a sweep request's whole ranking in-process:
+// explore.Sweep, then the full SortByTime, rendered for the wire.
+func referenceRanking(t *testing.T, body string) []SweepPoint {
+	t.Helper()
+	var req SweepRequest
+	if err := decodeSweepBody([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	doc := config.Document{Model: req.Model, System: req.System, Training: req.Training}
+	comp, err := doc.Components()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := comp.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := explore.Sweep(explore.Scenario{Session: sess}, sweepOptions(req.Sweep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	explore.SortByTime(pts)
+	out := make([]SweepPoint, len(pts))
+	for i, p := range pts {
+		out[i] = toSweepPoint(p)
+	}
+	return out
+}
+
+// TestSweepTopNMatchesFullSort checks the bounded top-N selection on the
+// serving paths against a full SortByTime of the same space, on a space
+// with duplicate identities and failed cells: /v1/sweep with top both
+// above and below the space size, and a one-chunk /v1/sweep/shard stream.
+// The counts (total_points, truncated, a chunk's completed) must still
+// describe the whole space, not the selection.
+func TestSweepTopNMatchesFullSort(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	all := referenceRanking(t, strings.Replace(topnSweepDoc, "TOP", "1", 1))
+	failed := 0
+	for _, p := range all {
+		if p.Err != "" {
+			failed++
+		}
+	}
+	if failed == 0 || failed == len(all) {
+		t.Fatalf("space has %d failed of %d points; want both kinds", failed, len(all))
+	}
+
+	for _, top := range []int{3, len(all) + 10} {
+		doc := strings.Replace(topnSweepDoc, "TOP", strconv.Itoa(top), 1)
+		got := sweepResponse(t, ts.URL, doc)
+		want := all[:min(top, len(all))]
+		if got.TotalPoints != len(all) || got.Truncated != (top < len(all)) || got.Returned != len(want) {
+			t.Errorf("top=%d: total %d truncated %v returned %d, want %d %v %d",
+				top, got.TotalPoints, got.Truncated, got.Returned, len(all), top < len(all), len(want))
+		}
+		if !reflect.DeepEqual(got.Points, want) {
+			t.Errorf("top=%d: ranking diverges from the full sort:\n got %+v\nwant %+v", top, got.Points, want)
+		}
+	}
+
+	shardDoc := strings.TrimSuffix(strings.TrimSpace(strings.Replace(topnSweepDoc, "TOP", "3", 1)), "}") +
+		`, "chunk_cells": 100000}`
+	resp, err := http.Post(ts.URL+"/v1/sweep/shard", "application/json", strings.NewReader(shardDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	if !sc.Scan() {
+		t.Fatalf("empty shard stream: %v", sc.Err())
+	}
+	var chunk ShardChunk
+	if err := json.Unmarshal(sc.Bytes(), &chunk); err != nil {
+		t.Fatal(err)
+	}
+	if chunk.Completed != len(all) || len(chunk.Points) != 3 {
+		t.Fatalf("chunk completed %d with %d points, want %d with 3", chunk.Completed, len(chunk.Points), len(all))
+	}
+	for i, p := range chunk.Points {
+		if p.SweepPoint != all[i] {
+			t.Errorf("chunk point %d = %+v, want %+v", i, p.SweepPoint, all[i])
+		}
+	}
+}
