@@ -6,13 +6,21 @@ SWEEP_BENCH := 'BenchmarkSweep(GPT3|Megatron530B|MoE)$$|BenchmarkEvaluate$$|Benc
 SERVE_BENCH := 'BenchmarkSessionEvaluatePoint(Traced|Roofline)?$$|BenchmarkShardedSweep(ChaosOff)?$$'
 BATCH_BENCH := 'BenchmarkEvaluateBatch|BenchmarkSessionEvaluatePoint$$'
 
-.PHONY: build test verify serve-smoke bench-check audit chaos bench bench-sweep bench-serve bench-batch clean
+.PHONY: build test verify serve-smoke bench-check audit chaos bench bench-sweep bench-serve bench-batch loc clean
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+## loc prints the non-test Go line count of every package under internal/
+## and cmd/, then their total — the size measure a change reports.
+loc:
+	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec dirname {} + | sort -u); do \
+		printf '%7d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
+	done
+	@printf '%7d total\n' $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
 
 ## verify is the tier-1 gate: compile, vet, full test suite (in a random
 ## test order to keep order dependencies out), the amped-serve end-to-end

@@ -6,8 +6,8 @@ import (
 )
 
 // Validate checks the estimator's inputs for structural and mutual
-// consistency (mapping tiles the system, batch divides the mapping, TP does
-// not exceed the head count, PP does not exceed the layer count).
+// consistency: the mapping tiles the system, the batch divides the mapping,
+// and the model splits the way the mapping asks (checkFit).
 func (e *Estimator) Validate() error {
 	if e == nil {
 		return errors.New("model: nil estimator")
@@ -27,29 +27,7 @@ func (e *Estimator) Validate() error {
 	if err := e.Training.Batch.Validate(e.Mapping); err != nil {
 		return err
 	}
-	if tp := e.Mapping.TP(); tp > e.Model.Heads {
-		return errorsf("model: TP degree %d exceeds %d attention heads", tp, e.Model.Heads)
-	}
-	if pp := e.Mapping.PP(); pp > e.Model.Layers {
-		return errorsf("model: PP degree %d exceeds %d layers", pp, e.Model.Layers)
-	}
-	if cp := e.Mapping.CP(); cp > e.Model.SeqLen {
-		return errorsf("model: CP degree %d exceeds sequence length %d", cp, e.Model.SeqLen)
-	}
-	if vpp := e.Mapping.Normalized().VPP; vpp > 1 {
-		if pp := e.Mapping.PP(); pp <= 1 {
-			return errorsf("model: virtual pipeline depth %d requires PP > 1", vpp)
-		} else if pp*vpp > e.Model.Layers {
-			return errorsf("model: PP %d x VPP %d exceeds %d layers", pp, vpp, e.Model.Layers)
-		}
-	}
-	return nil
-}
-
-// errorsf mirrors fmt.Errorf without forcing the fmt import into every
-// file; kept tiny on purpose.
-func errorsf(format string, args ...any) error {
-	return errors.New(sprintf(format, args...))
+	return checkFit(e.Model, e.Mapping)
 }
 
 // Evaluate runs the analytical model and returns the per-batch breakdown.
@@ -70,9 +48,10 @@ func (e *Estimator) Evaluate() (*Breakdown, error) {
 	return s.Evaluate(e.Mapping, e.Training.Batch.Global, e.Training.Batch.Microbatches)
 }
 
-// finite reports whether every duration in the breakdown is a finite number.
-func finite(b *Breakdown) bool {
-	for _, c := range b.Components() {
+// finite reports whether every duration in a breakdown's components is a
+// finite number.
+func finite(cs []Component) bool {
+	for _, c := range cs {
 		if math.IsInf(float64(c.Time), 0) || math.IsNaN(float64(c.Time)) {
 			return false
 		}

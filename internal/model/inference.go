@@ -2,8 +2,7 @@ package model
 
 import (
 	"errors"
-	"math"
-	"sync"
+	"fmt"
 
 	"amped/internal/efficiency"
 	"amped/internal/hardware"
@@ -31,13 +30,13 @@ type Inference struct {
 // sequence length.
 func (inf Inference) Validate(m *transformer.Model) error {
 	if inf.PromptLen < 1 {
-		return errorsf("model: prompt length %d must be at least 1", inf.PromptLen)
+		return fmt.Errorf("model: prompt length %d must be at least 1", inf.PromptLen)
 	}
 	if inf.GenTokens < 1 {
-		return errorsf("model: generated token count %d must be at least 1", inf.GenTokens)
+		return fmt.Errorf("model: generated token count %d must be at least 1", inf.GenTokens)
 	}
 	if ctx := inf.PromptLen + inf.GenTokens; ctx > m.SeqLen {
-		return errorsf("model: context %d (prompt %d + generate %d) exceeds sequence length %d",
+		return fmt.Errorf("model: context %d (prompt %d + generate %d) exceeds sequence length %d",
 			ctx, inf.PromptLen, inf.GenTokens, m.SeqLen)
 	}
 	return nil
@@ -50,7 +49,7 @@ func (inf Inference) Validate(m *transformer.Model) error {
 // cached per-batch aggregates, same roofline pricing — while the decode
 // phase keeps its own aggregate table built from the per-token decode op
 // counts at the mean cache depth, with the KV-cache reads folded into the
-// attention class's streamed activation bytes so rooflineUF prices them
+// attention class's streamed activation bytes so fwdCompute prices them
 // against memory bandwidth unchanged. EvaluateInferencePoint runs in O(1)
 // with zero heap allocations for Prepared batches.
 //
@@ -74,11 +73,9 @@ type InferenceSession struct {
 	// unwindowed attention).
 	kmean int
 
-	// dec caches the decode-step operation aggregates by global batch;
-	// read-only after Prepare. decDyn memoizes batches that were never
-	// Prepared, concurrent-safe, exactly like Session.dyn.
-	dec    map[int]batchAgg
-	decDyn sync.Map
+	// dec caches the decode-step operation aggregates by global batch,
+	// exactly like the training aggregates.
+	dec aggMemo
 }
 
 // CompileInference validates a serving scenario once and returns the
@@ -99,13 +96,14 @@ func CompileInference(m *transformer.Model, sys *hardware.System, tr Training, e
 	if err != nil {
 		return nil, err
 	}
-	return &InferenceSession{
+	s := &InferenceSession{
 		pre:   pre,
 		full:  m,
 		inf:   inf,
 		kmean: inf.PromptLen + (inf.GenTokens+1)/2,
-		dec:   make(map[int]batchAgg),
-	}, nil
+	}
+	s.dec.init(s.computeDecodeAgg)
+	return s, nil
 }
 
 // Model returns the compiled transformer architecture (the original model,
@@ -137,73 +135,30 @@ func (s *InferenceSession) Key() string {
 // them. Not safe to call concurrently with EvaluateInferencePoint.
 func (s *InferenceSession) Prepare(batches ...int) *InferenceSession {
 	s.pre.Prepare(batches...)
-	for _, b := range batches {
-		if _, ok := s.dec[b]; !ok {
-			s.dec[b] = s.computeDecodeAgg(b)
-		}
-	}
+	s.dec.prepare(batches)
 	return s
 }
 
 // computeDecodeAgg builds the decode-step aggregate for one global batch:
 // per-layer decode op counts at the mean cache depth, bucketed by roofline
 // class exactly like the training aggregate. The KV-cache reads land in the
-// attention class's activation elements — they are streamed bytes at the
-// activation width, and folding them here lets rooflineUF price the decode
-// step's bandwidth bound without a special case (in pure-FLOP mode they are
-// free, as all memory traffic is).
+// attention class's activation elements, which lets fwdCompute price the
+// decode step's bandwidth bound without a special case (in pure-FLOP mode
+// they are free, as all memory traffic is).
 func (s *InferenceSession) computeDecodeAgg(batch int) batchAgg {
 	var a batchAgg
 	m := s.full
 	for l := 0; l < m.Layers; l++ {
 		macs, nonlin := m.DecodeOpSums(l, batch, s.kmean)
-		a.macSum += float64(macs)
-		a.nonlinSum += float64(nonlin)
-		for _, op := range m.DecodeLayerOps(l, batch, s.kmean) {
-			var k int
-			switch op.Sublayer {
-			case transformer.Attention:
-				k = clsAttn
-			case transformer.MLP:
-				k = clsMLPDense
-				if m.IsMoELayer(l) {
-					k = clsMLPMoE
-				}
-			default:
-				k = clsNorms
-			}
-			c := &a.cls[k]
-			c.mac += float64(op.MACs)
-			c.nonlin += float64(op.Nonlin)
-			c.act += float64(op.ActElems) + float64(op.KVElems)
-			c.weight += float64(op.WeightElems)
-		}
+		a.addLayer(macs, nonlin, m.DecodeLayerOps(l, batch, s.kmean), m.IsMoELayer(l))
 	}
 	if s.pre.tr.IncludeEmbedding {
-		a.macSum += float64(m.DecodeEmbeddingMACs(batch))
-		eAct, eWeight := m.DecodeEmbeddingStreamElems(batch)
-		e := &a.cls[clsEmbed]
-		e.mac = float64(m.DecodeEmbeddingMACs(batch))
-		e.act = float64(eAct)
-		e.weight = float64(eWeight)
+		act, weight := m.DecodeEmbeddingStreamElems(batch)
+		a.addEmbedding(m.DecodeEmbeddingMACs(batch), act, weight)
 	}
 	// Useful work per decode step: forward MACs only (2 FLOPs each) — no
 	// backward, no weight update.
 	a.flops = units.FLOPs(a.macSum * units.FLOPsPerMAC)
-	return a
-}
-
-// decodeAgg returns the cached decode aggregate for a batch, memoizing
-// un-Prepared batches on the side table.
-func (s *InferenceSession) decodeAgg(batch int) batchAgg {
-	if a, ok := s.dec[batch]; ok {
-		return a
-	}
-	if v, ok := s.decDyn.Load(batch); ok {
-		return v.(batchAgg)
-	}
-	a := s.computeDecodeAgg(batch)
-	s.decDyn.Store(batch, a)
 	return a
 }
 
@@ -319,18 +274,8 @@ func (b *InferenceBreakdown) Components() []Component {
 
 // String summarizes the breakdown.
 func (b *InferenceBreakdown) String() string {
-	return sprintf("TTFT %v, %v/token, %.1f tok/s (batch %d, eff %.1f%%)",
+	return fmt.Sprintf("TTFT %v, %v/token, %.1f tok/s (batch %d, eff %.1f%%)",
 		b.TTFT(), b.PerToken(), b.TokensPerSecond(), b.GlobalBatch, b.Efficiency*100)
-}
-
-// finiteInf reports whether every duration in the breakdown is finite.
-func finiteInf(b *InferenceBreakdown) bool {
-	for _, c := range b.Components() {
-		if math.IsInf(float64(c.Time), 0) || math.IsNaN(float64(c.Time)) {
-			return false
-		}
-	}
-	return true
 }
 
 // EvaluateInferencePoint evaluates one serving design point — a parallelism
@@ -372,144 +317,58 @@ func (s *InferenceSession) Evaluate(mp parallel.Mapping, batch int) (*InferenceB
 }
 
 // evaluateInf is the shared body behind EvaluateInferencePoint and
-// LowerBound. Both phases reuse the prefill session's hoists; the decode
-// phase re-runs the forward communication formulas with the sequence
-// collapsed to the single new token. With relaxed set the MoE terms are
-// kept at exactly 0.0, relaxing the point into the admissible bound.
+// LowerBound: the prefill session's mapping run, then the kernel's compute
+// and forward-communication pieces once per phase. With relaxed set the MoE
+// terms are kept at exactly 0.0, relaxing the point into the admissible
+// bound.
 func (s *InferenceSession) evaluateInf(mp parallel.Mapping, batch int, out *InferenceBreakdown, relaxed bool) error {
 	p := s.pre
-	if err := mp.Validate(p.sys); err != nil {
-		return err
+	run := p.prepareRun(mp)
+	if run.err != nil {
+		return run.err
 	}
-	mpn := mp.Normalized()
-	dp := mpn.DP()
 	if batch <= 0 {
-		return errorsf("model: global batch %d must be positive", batch)
+		return fmt.Errorf("model: global batch %d must be positive", batch)
 	}
-	if batch%dp != 0 {
-		return errorsf("model: global batch %d not divisible by %d data-parallel replicas", batch, dp)
-	}
-	if tp := mpn.TP(); tp > p.model.Heads {
-		return errorsf("model: TP degree %d exceeds %d attention heads", tp, p.model.Heads)
-	}
-	if pp := mpn.PP(); pp > p.model.Layers {
-		return errorsf("model: PP degree %d exceeds %d layers", pp, p.model.Layers)
+	if batch%run.dp != 0 {
+		return fmt.Errorf("model: global batch %d not divisible by %d data-parallel replicas", batch, run.dp)
 	}
 	// The prefill model's SeqLen is the prompt length: context parallelism
 	// shards prompt tokens, so its degree is bounded by the prompt.
-	if cp := mpn.CP(); cp > p.model.SeqLen {
-		return errorsf("model: CP degree %d exceeds prompt length %d", cp, p.model.SeqLen)
-	}
-	if vpp := mpn.VPP; vpp > 1 {
-		if pp := mpn.PP(); pp <= 1 {
-			return errorsf("model: virtual pipeline depth %d requires PP > 1", vpp)
-		} else if pp*vpp > p.model.Layers {
-			return errorsf("model: PP %d x VPP %d exceeds %d layers", pp, vpp, p.model.Layers)
-		}
+	if run.fitErr != nil {
+		return run.fitErr
 	}
 
-	workers := float64(mpn.Workers())
-	ppF := float64(mpn.PP())
-	cpF := float64(mpn.CP())
-	vppF := float64(mpn.VPP)
-	tpF := float64(mpn.TP())
-	br := float64(batch / dp)
+	br := float64(batch / run.dp)
 	eff := p.eff.Eff(br)
 	cMAC := 1 / (p.peakMAC * eff)
 	exposed := 1 - p.tr.CommOverlap
 
-	// Prefill: the training forward pass at the prompt length, priced by the
-	// inner session's aggregate (roofline or pure-FLOP, identically).
+	// Prefill: the training forward pass at the prompt length. The first
+	// token crosses every stage boundary; interleaving does not shorten a
+	// single pass's traversal.
 	aggP := p.agg(batch)
-	var ufPre float64
-	if p.roofline {
-		ufPre = p.rooflineUF(&aggP, cMAC, tpF, mpn.SequenceParallel)
-	} else {
-		ufPre = aggP.macSum*cMAC*p.macScale + aggP.nonlinSum*p.cNonlin*p.nonlinScale
-	}
+	ufPre := p.fwdCompute(&aggP, cMAC, &run)
+	tpIntraPre, tpInterPre, ppHopPre, cpPre, moePre := p.fwdComm(&run, br, p.seqHidden, relaxed)
+	ppPre := ppHopPre * float64(run.pp-1)
 
-	nActTP := 2 * br * p.seqHidden / cpF
-	tpIntraPre := p.layersF * allReduceTime(p.arKind, mpn.TPIntra, nActTP, p.actBits, p.intra)
-	tpInterPre := p.layersF * allReduceTime(p.arKind, mpn.TPInter, nActTP, p.actBits, p.inter)
-
-	var ppPre float64
-	if mpn.PP() > 1 {
-		nActPP := br * p.seqHidden / cpF
-		var ppI, ppE float64
-		if mpn.PPIntra > 1 {
-			ppI = float64(p.intra.Latency) + nActPP*p.actBits/float64(p.intra.Bandwidth)
-		}
-		if mpn.PPInter > 1 {
-			ppE = float64(p.inter.Latency) + nActPP*p.actBits/float64(p.inter.Bandwidth)
-		}
-		// The first token crosses every stage boundary; interleaving does not
-		// shorten a single pass's traversal.
-		ppPre = max2(ppI, ppE) * (ppF - 1)
-	}
-
-	var cpPre float64
-	if mpn.CP() > 1 {
-		nActCP := 2 * br * p.seqHidden * p.kvFrac / cpF
-		cpPre = p.layersF * (allReduceTime(p.arKind, mpn.CPIntra, nActCP, p.actBits, p.intra) +
-			allReduceTime(p.arKind, mpn.CPInter, nActCP, p.actBits, p.inter))
-	}
-
-	var moePre float64
-	if !relaxed && p.model.MoE() && mpn.ExpertParallel {
-		moePre = p.moeLayers * (p.moeLatTerm + br*p.seqHidden*p.moeVolCoeff/cpF)
-	}
-
-	// Decode: one token per sequence against the mean-depth cache. The
-	// communication formulas are the prefill ones with s·h collapsed to h.
-	aggD := s.decodeAgg(batch)
-	var ufDec float64
-	if p.roofline {
-		ufDec = p.rooflineUF(&aggD, cMAC, tpF, mpn.SequenceParallel)
-	} else {
-		ufDec = aggD.macSum*cMAC*p.macScale + aggD.nonlinSum*p.cNonlin*p.nonlinScale
-	}
-
-	hid := float64(s.full.Hidden)
-	nActTPd := 2 * br * hid / cpF
-	tpIntraDec := p.layersF * allReduceTime(p.arKind, mpn.TPIntra, nActTPd, p.actBits, p.intra)
-	tpInterDec := p.layersF * allReduceTime(p.arKind, mpn.TPInter, nActTPd, p.actBits, p.inter)
-
-	var ppDec float64
-	if mpn.PP() > 1 {
-		nActPPd := br * hid / cpF
-		var ppI, ppE float64
-		if mpn.PPIntra > 1 {
-			ppI = float64(p.intra.Latency) + nActPPd*p.actBits/float64(p.intra.Bandwidth)
-		}
-		if mpn.PPInter > 1 {
-			ppE = float64(p.inter.Latency) + nActPPd*p.actBits/float64(p.inter.Bandwidth)
-		}
-		// Steady-state view, mirroring Eq. 7: concurrent decode waves keep
-		// the stages busy, so each step pays one boundary crossing (per
-		// virtual chunk), not the full traversal.
-		ppDec = max2(ppI, ppE) * vppF
-	}
-
-	var cpDec float64
-	if mpn.CP() > 1 {
-		nActCPd := 2 * br * hid * p.kvFrac / cpF
-		cpDec = p.layersF * (allReduceTime(p.arKind, mpn.CPIntra, nActCPd, p.actBits, p.intra) +
-			allReduceTime(p.arKind, mpn.CPInter, nActCPd, p.actBits, p.inter))
-	}
-
-	var moeDec float64
-	if !relaxed && p.model.MoE() && mpn.ExpertParallel {
-		moeDec = p.moeLayers * (p.moeLatTerm + br*hid*p.moeVolCoeff/cpF)
-	}
+	// Decode: one token per sequence against the mean-depth cache, so the
+	// activation width collapses from s·h to h. Steady-state view, mirroring
+	// Eq. 7: concurrent decode waves keep the stages busy, so each step pays
+	// one boundary crossing (per virtual chunk), not the full traversal.
+	aggD := s.dec.get(batch)
+	ufDec := p.fwdCompute(&aggD, cMAC, &run)
+	tpIntraDec, tpInterDec, ppHopDec, cpDec, moeDec := p.fwdComm(&run, br, float64(s.full.Hidden), relaxed)
+	ppDec := ppHopDec * run.vppF
 
 	*out = InferenceBreakdown{
-		PrefillCompute:     units.Seconds(ppF * ufPre / workers),
+		PrefillCompute:     units.Seconds(float64(run.pp) * ufPre / run.workers),
 		PrefillTPIntraComm: units.Seconds(exposed * tpIntraPre),
 		PrefillTPInterComm: units.Seconds(exposed * tpInterPre),
 		PrefillPPComm:      units.Seconds(exposed * ppPre),
 		PrefillCPComm:      units.Seconds(exposed * cpPre),
 		PrefillMoEComm:     units.Seconds(exposed * moePre),
-		DecodeCompute:      units.Seconds(ufDec / workers),
+		DecodeCompute:      units.Seconds(ufDec / run.workers),
 		DecodeTPIntraComm:  units.Seconds(exposed * tpIntraDec),
 		DecodeTPInterComm:  units.Seconds(exposed * tpInterDec),
 		DecodePPComm:       units.Seconds(exposed * ppDec),
@@ -518,15 +377,15 @@ func (s *InferenceSession) evaluateInf(mp parallel.Mapping, batch int, out *Infe
 		GlobalBatch:        batch,
 		BatchPerReplica:    br,
 		Efficiency:         eff,
-		Workers:            mpn.Workers(),
+		Workers:            run.workersInt,
 		PromptLen:          s.inf.PromptLen,
 		GenTokens:          s.inf.GenTokens,
 		PrefillFLOPs:       units.FLOPs(aggP.macSum * units.FLOPsPerMAC),
 		DecodeFLOPs:        aggD.flops,
-		KVBytesPerSeq: memkit.KVCacheBytesPerSeq(s.full, mpn,
+		KVBytesPerSeq: memkit.KVCacheBytesPerSeq(s.full, run.mpn,
 			s.inf.PromptLen+s.inf.GenTokens, p.tr.Operands),
 	}
-	if !finiteInf(out) {
+	if !finite(out.Components()) {
 		return errNonFinite
 	}
 	return nil

@@ -1,10 +1,6 @@
 package model
 
-import (
-	"amped/internal/efficiency"
-	"amped/internal/transformer"
-	"amped/internal/units"
-)
+import "amped/internal/units"
 
 // LayerProfile is one transformer block's share of the per-batch time.
 type LayerProfile struct {
@@ -15,118 +11,77 @@ type LayerProfile struct {
 	// Compute is the block's forward+backward+update compute time on the
 	// critical path (already divided by the worker count).
 	Compute units.Seconds
-	// Comm is the block's communication time (TP + PP share + MoE,
-	// forward and backward).
+	// Comm is the block's exposed communication time: its TP, PP, CP and
+	// MoE shares plus the ZeRO overhead on them, forward and backward.
 	Comm units.Seconds
-	// GradAR is the block's gradient all-reduce time.
+	// GradAR is the block's share of the exposed gradient all-reduce.
 	GradAR units.Seconds
 }
 
 // Total sums the profile's components.
 func (p LayerProfile) Total() units.Seconds { return p.Compute + p.Comm + p.GradAR }
 
-// ProfileLayers evaluates the model layer by layer, returning each block's
-// contribution to the per-batch time — the view that locates *which* layers
-// (dense vs MoE, attention-heavy vs MLP-heavy) dominate a configuration.
-// The profile sums to the breakdown's totals minus the pipeline bubble
-// (bubbles are a schedule property, not a layer's).
+// ProfileLayers splits the per-batch breakdown by transformer block — the
+// view that locates which layers (dense vs MoE, attention- vs MLP-heavy)
+// dominate a configuration. It prices the point through the same kernel as
+// Evaluate and apportions the result: compute by each block's own Eq. 2–4
+// aggregate, the layer-uniform TP/PP/CP communication evenly, the MoE
+// all-to-all over the MoE blocks, the ZeRO overhead with the communication
+// it scales, and the exposed gradient all-reduce by each block's Eq. 10–11
+// cost. The profile sums to the breakdown minus what no block owns: the
+// pipeline bubble (a schedule property) and, under IncludeEmbedding, the
+// logit projection's compute and gradient all-reduce.
 func (e *Estimator) ProfileLayers() ([]LayerProfile, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
-	tr := e.Training.withDefaults()
-	effModel := e.Eff
-	if effModel == nil {
-		effModel = efficiency.Default()
+	s, err := Compile(e.Model, e.System, e.Training, e.Eff)
+	if err != nil {
+		return nil, err
 	}
-	m := e.Model
-	sys := e.System
-	mp := e.Mapping.Normalized()
-	B := tr.Batch.Global
-	workers := float64(mp.Workers())
-
-	ub := tr.Batch.Microbatch(mp)
-	eff := effModel.Eff(ub)
-	cMAC := 1 / float64(sys.Accel.MACRate(eff))
-	cNonlin := 1 / float64(sys.Accel.NonlinRate())
-	macScale := float64(tr.Operands.MACScale(sys.Accel.MACPrecision))
-	nonlinScale := float64(tr.Operands.NonlinScale(sys.Accel.NonlinPrecision))
-	bf := tr.BackwardCommFactor
-
-	// Roofline pricing per sublayer, from the same shared derivations the
-	// session hoists. Within a layer the per-sublayer max matches the
-	// session's class-level max exactly, because every member of a class is
-	// an identical layer.
-	roofline := tr.Roofline && sys.Accel.MemBW > 0
-	var invMemBW float64
-	if roofline {
-		invMemBW = 1 / sys.Accel.MemBWBytes()
+	batch := e.Training.Batch.Global
+	run := s.prepareRun(e.Mapping)
+	var bd Breakdown
+	if _, err := s.priceCell(&run, batch, e.Training.Batch.Microbatches, nil, false, &bd); err != nil {
+		return nil, err
 	}
-	actBytesF := tr.Operands.ActBytesF()
-	paramBytesF := tr.Operands.ParamBytesF()
-	tpF := float64(mp.TP())
 
-	// Reuse the communication machinery per layer by evaluating a
-	// single-layer view of each distinct layer kind; PP's 1/L spreading
-	// already makes forward() per-layer additive.
-	comm := e.commState(tr)
-	full := comm.forward(m, mp, sys)
-	L := float64(m.Layers)
-	moeLayers := m.MoELayers()
-
-	// Distribute the layer-uniform components evenly and the MoE
-	// component over MoE layers only.
-	perLayerBase := (full.tpIntra + full.tpInter + full.pp + full.cp) / L
+	m := s.model
+	cMAC := 1 / (s.peakMAC * bd.Efficiency)
+	uniform := float64(bd.TPIntraComm+bd.TPInterComm+bd.PPComm+bd.CPComm) / s.layersF
 	var perMoE float64
-	if moeLayers > 0 {
-		perMoE = full.moe / float64(moeLayers)
+	if s.moeLayers > 0 {
+		perMoE = float64(bd.MoEComm) / s.moeLayers
 	}
-	// Per-layer gradient all-reduce, with the expert-parallel sharding
-	// exactly as commState.gradient applies it.
-	shard := 1 / float64(mp.TP()*mp.PP())
-	gradBits := float64(tr.Operands.Grad.Bits())
-	inter := sys.InterLinkEffective()
-	gradFor := func(l int) float64 {
-		if mp.DP() <= 1 {
-			return 0
-		}
-		ng := m.LayerParams(l) * shard
-		if mp.ExpertParallel && m.IsMoELayer(l) {
-			sharedP := m.AttentionNormParams() * shard
-			ng = sharedP + (m.LayerParams(l)-m.AttentionNormParams())*shard/float64(m.Experts)
-		}
-		return allReduceTime(tr.Topology.AllReduce, mp.DPIntra, ng, gradBits, sys.Intra) +
-			allReduceTime(tr.Topology.AllReduce, mp.DPInter, ng, gradBits, inter)
+	zero := 1 + s.tr.ZeROOverhead
+	var gradScale float64
+	if raw := run.gradIntra + run.gradInter; raw > 0 {
+		gradScale = float64(bd.GradIntraComm+bd.GradInterComm) / raw
 	}
+	shard := 1 / float64(run.mpn.TP()*run.pp)
+	dpIntra, dpInter := s.allReduce(run.mpn.DPIntra, s.intra), s.allReduce(run.mpn.DPInter, s.inter)
 
 	out := make([]LayerProfile, m.Layers)
-	for l := 0; l < m.Layers; l++ {
-		var uf float64
-		for _, op := range m.LayerOps(l, B) {
-			t := float64(op.MACs)*cMAC*macScale + float64(op.Nonlin)*cNonlin*nonlinScale
-			if roofline {
-				actBytes := float64(op.ActElems) * actBytesF
-				if op.Sublayer == transformer.Norms && !mp.SequenceParallel {
-					actBytes *= tpF
-				}
-				if mem := (actBytes + float64(op.WeightElems)*paramBytesF) * invMemBW; mem > t {
-					t = mem
-				}
-			}
-			uf += t
+	for l := range out {
+		moe := m.IsMoELayer(l)
+		var a batchAgg
+		macs, nonlin := m.OpSums(l, batch)
+		a.addLayer(macs, nonlin, m.LayerOps(l, batch), moe)
+		uf := s.fwdCompute(&a, cMAC, &run)
+		uw := m.LayerParams(l) * cMAC * s.macScale
+		comm := uniform
+		if moe {
+			comm += perMoE
 		}
-		uw := m.LayerParams(l) * cMAC * macScale
-		p := LayerProfile{
+		ng := gradParams(m, l, run.moeActive) * shard
+		grad := dpIntra.time(1, ng, s.gradBits) + dpInter.time(1, ng, s.gradBits)
+		out[l] = LayerProfile{
 			Layer:   l,
-			MoE:     m.IsMoELayer(l),
-			Compute: units.Seconds(((1 + tr.BackwardComputeFactor) * uf / workers) + uw/workers),
-			Comm:    units.Seconds((1 + bf) * perLayerBase),
-			GradAR:  units.Seconds(gradFor(l)),
+			MoE:     moe,
+			Compute: units.Seconds((uf + s.tr.BackwardComputeFactor*uf + uw) / run.workers),
+			Comm:    units.Seconds(zero * comm),
+			GradAR:  units.Seconds(gradScale * grad),
 		}
-		if p.MoE {
-			p.Comm += units.Seconds((1 + bf) * perMoE)
-		}
-		out[l] = p
 	}
 	return out, nil
 }

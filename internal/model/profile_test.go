@@ -10,38 +10,68 @@ import (
 	"amped/internal/transformer"
 )
 
+// TestProfileSumsToBreakdown pins the per-layer profile to the breakdown it
+// splits: over every case the layer sums must reproduce the breakdown's
+// compute, its exposed forward/backward communication (ZeRO included) and
+// its exposed gradient all-reduce. The cases cover the terms a separately
+// priced profile used to drift on: the GQA-narrowed CP K/V exchange, the
+// bucketed gradient overlap, CommOverlap and the ZeRO overhead.
 func TestProfileSumsToBreakdown(t *testing.T) {
-	// Layer profiles must add up to the breakdown's compute + comm + grad
-	// components (the bubble is a schedule property and excluded).
-	e := cs1Estimator(parallel.Mapping{TPIntra: 8, PPInter: 2, DPInter: 64}, 8192)
-	bd, err := e.Evaluate()
-	if err != nil {
-		t.Fatal(err)
+	llama := transformer.Llama70B()
+	cs1 := hardware.CaseStudy1System()
+	llamaCP := func(tr Training) *Estimator {
+		tr.Batch = parallel.Batch{Global: 1024}
+		return &Estimator{
+			Model: &llama, System: &cs1, Training: tr,
+			Mapping: parallel.Mapping{TPIntra: 8, CPInter: 2, DPInter: 64},
+		}
 	}
-	profiles, err := e.ProfileLayers()
-	if err != nil {
-		t.Fatal(err)
+	withTraining := func(e *Estimator, tr Training) *Estimator {
+		tr.Batch = e.Training.Batch
+		e.Training = tr
+		return e
 	}
-	if len(profiles) != 80 {
-		t.Fatalf("profiles = %d", len(profiles))
+	cases := []struct {
+		name string
+		e    *Estimator
+	}{
+		{"megatron-tp8-pp2", cs1Estimator(parallel.Mapping{TPIntra: 8, PPInter: 2, DPInter: 64}, 8192)},
+		{"llama70b-tp8-cp2", llamaCP(Training{})},
+		{"grad-overlap", llamaCP(Training{GradOverlap: 1})},
+		{"comm-overlap", withTraining(cs1Estimator(parallel.Mapping{TPIntra: 8, PPInter: 2, DPInter: 64}, 8192),
+			Training{CommOverlap: 0.7})},
+		{"zero", withTraining(cs1Estimator(parallel.Mapping{TPIntra: 8, PPInter: 2, DPInter: 64}, 8192),
+			Training{ZeROOverhead: 0.5})},
 	}
-	var compute, comm, grad float64
-	for _, p := range profiles {
-		compute += float64(p.Compute)
-		comm += float64(p.Comm)
-		grad += float64(p.GradAR)
-	}
-	wantCompute := float64(bd.ComputeTime())
-	if math.Abs(compute-wantCompute) > 1e-9*wantCompute {
-		t.Errorf("profile compute %v != breakdown %v", compute, wantCompute)
-	}
-	wantComm := float64(bd.TPIntraComm + bd.TPInterComm + bd.PPComm + bd.MoEComm)
-	if math.Abs(comm-wantComm) > 1e-9*wantComm {
-		t.Errorf("profile comm %v != breakdown %v", comm, wantComm)
-	}
-	wantGrad := float64(bd.GradIntraComm + bd.GradInterComm)
-	if math.Abs(grad-wantGrad) > 1e-9*wantGrad {
-		t.Errorf("profile grad %v != breakdown %v", grad, wantGrad)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bd, err := tc.e.Evaluate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			profiles, err := tc.e.ProfileLayers()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(profiles) != tc.e.Model.Layers {
+				t.Fatalf("profiles = %d, want %d", len(profiles), tc.e.Model.Layers)
+			}
+			var compute, comm, grad float64
+			for _, p := range profiles {
+				compute += float64(p.Compute)
+				comm += float64(p.Comm)
+				grad += float64(p.GradAR)
+			}
+			check := func(what string, got, want float64) {
+				t.Helper()
+				if math.Abs(got-want) > 1e-12*math.Abs(want) {
+					t.Errorf("profile %s %.17g != breakdown %.17g", what, got, want)
+				}
+			}
+			check("compute", compute, float64(bd.ComputeTime()))
+			check("comm", comm, float64(bd.TPIntraComm+bd.TPInterComm+bd.PPComm+bd.CPComm+bd.MoEComm+bd.ZeROComm))
+			check("grad", grad, float64(bd.GradIntraComm+bd.GradInterComm))
+		})
 	}
 }
 

@@ -87,15 +87,48 @@ type Session struct {
 	accelsPerNode  int
 	nicsPerNode    int
 
-	// batches caches the Eq. 2 per-batch operation aggregates, keyed by the
-	// global batch size. Read-only after Prepare.
-	batches map[int]batchAgg
-	// dyn memoizes aggregates for batches that were never Prepared, so
-	// long-lived shared sessions (the serving layer's cache hands one
-	// session to many concurrent requests without a Prepare window)
-	// converge to O(1) per point anyway. Concurrent-safe by construction;
-	// stores are idempotent.
-	dyn sync.Map
+	// aggs caches the Eq. 2 per-batch operation aggregates.
+	aggs aggMemo
+}
+
+// aggMemo caches one phase's per-batch operation aggregates, keyed by the
+// global batch size. prepared holds what Prepare computed and is read-only
+// afterwards; dyn memoizes every other batch on first touch, so long-lived
+// shared sessions (the serving layer's cache hands one session to many
+// concurrent requests without a Prepare window) converge to O(1) per point
+// anyway. Concurrent-safe after Prepare; dyn stores are idempotent.
+type aggMemo struct {
+	compute  func(batch int) batchAgg
+	prepared map[int]batchAgg
+	dyn      sync.Map
+}
+
+func (m *aggMemo) init(compute func(batch int) batchAgg) {
+	m.compute = compute
+	m.prepared = make(map[int]batchAgg)
+}
+
+func (m *aggMemo) prepare(batches []int) {
+	for _, b := range batches {
+		if _, ok := m.prepared[b]; !ok {
+			m.prepared[b] = m.compute(b)
+		}
+	}
+}
+
+// get returns the aggregate for a batch. Batches never Prepared are
+// computed once and memoized on the side table: the first evaluation of a
+// new batch pays O(L) (and one small allocation), every later one O(1).
+func (m *aggMemo) get(batch int) batchAgg {
+	if a, ok := m.prepared[batch]; ok {
+		return a
+	}
+	if v, ok := m.dyn.Load(batch); ok {
+		return v.(batchAgg)
+	}
+	a := m.compute(batch)
+	m.dyn.Store(batch, a)
+	return a
 }
 
 // Roofline op classes. The per-sublayer roofline t_op = max(work/peak,
@@ -181,9 +214,8 @@ func Compile(m *transformer.Model, sys *hardware.System, tr Training, eff effici
 
 		actBytesF:   tr.Operands.ActBytesF(),
 		paramBytesF: tr.Operands.ParamBytesF(),
-
-		batches: make(map[int]batchAgg),
 	}
+	s.aggs.init(s.computeAgg)
 	if tr.Roofline && sys.Accel.MemBW > 0 {
 		s.roofline = true
 		s.invMemBW = 1 / sys.Accel.MemBWBytes()
@@ -203,16 +235,10 @@ func Compile(m *transformer.Model, sys *hardware.System, tr Training, eff effici
 	// the element count, so the layer sum collapses to one volume term plus
 	// one latency term per layer.
 	for l := 0; l < m.Layers; l++ {
-		lp := m.LayerParams(l)
-		s.updateParams += lp
-		s.gradParamsPlain += lp
-		if m.IsMoELayer(l) {
-			shared := m.AttentionNormParams()
-			s.gradParamsEP += shared + (lp-shared)/float64(m.Experts)
-		} else {
-			s.gradParamsEP += lp
-		}
+		s.gradParamsPlain += gradParams(m, l, false)
+		s.gradParamsEP += gradParams(m, l, true)
 	}
+	s.updateParams = s.gradParamsPlain
 	s.gradLatCount = s.layersF
 	if tr.IncludeEmbedding {
 		s.updateParams += m.EmbeddingParams()
@@ -230,6 +256,19 @@ func Compile(m *transformer.Model, sys *hardware.System, tr Training, eff effici
 		s.nicsPerNode = sys.NICsPerNode
 	}
 	return s, nil
+}
+
+// gradParams is block l's gradient element count N_g(l) before the TP·PP
+// shard. Expert parameters are sharded across the expert-parallel group
+// (GShard-style): with ep set a MoE block all-reduces its dense
+// attention/norm parameters in full and only its 1/E share of the experts.
+func gradParams(m *transformer.Model, l int, ep bool) float64 {
+	lp := m.LayerParams(l)
+	if ep && m.IsMoELayer(l) {
+		shared := m.AttentionNormParams()
+		return shared + (lp-shared)/float64(m.Experts)
+	}
+	return lp
 }
 
 // Model returns the compiled transformer architecture.
@@ -250,81 +289,62 @@ func (s *Session) Eff() efficiency.Model { return s.eff }
 // cost per point. Prepare is not safe to call concurrently with
 // EvaluatePoint; sweeps call it once before fanning out.
 func (s *Session) Prepare(batches ...int) *Session {
-	for _, b := range batches {
-		if _, ok := s.batches[b]; !ok {
-			s.batches[b] = s.computeAgg(b)
-		}
-	}
+	s.aggs.prepare(batches)
 	return s
 }
 
+// addLayer accumulates one block into the aggregate: its op sums (macs,
+// nonlin, in the exact per-layer OpSums order) and its sublayer ops into
+// the roofline class buckets. KV-cache reads — decode ops only, zero for
+// training and prefill — stream at the activation width, so they join the
+// class's activation elements.
+func (a *batchAgg) addLayer(macs, nonlin units.Ops, ops []transformer.Ops, moe bool) {
+	a.macSum += float64(macs)
+	a.nonlinSum += float64(nonlin)
+	for _, op := range ops {
+		k := clsNorms
+		switch op.Sublayer {
+		case transformer.Attention:
+			k = clsAttn
+		case transformer.MLP:
+			k = clsMLPDense
+			if moe {
+				k = clsMLPMoE
+			}
+		}
+		c := &a.cls[k]
+		c.mac += float64(op.MACs)
+		c.nonlin += float64(op.Nonlin)
+		c.act += float64(op.ActElems) + float64(op.KVElems)
+		c.weight += float64(op.WeightElems)
+	}
+}
+
+// addEmbedding accounts the logit projection (IncludeEmbedding) as its own
+// roofline class.
+func (a *batchAgg) addEmbedding(macs, act, weight units.Ops) {
+	a.macSum += float64(macs)
+	e := &a.cls[clsEmbed]
+	e.mac = float64(macs)
+	e.act = float64(act)
+	e.weight = float64(weight)
+}
+
 // computeAgg builds the Eq. 2/12 operation aggregate for one batch size by
-// summing the per-layer op counts in layer order. macSum/nonlinSum keep the
-// exact legacy accumulation (OpSums per layer); the roofline class buckets
-// are filled alongside from the same sublayer counts.
+// summing the per-layer op counts in layer order.
 func (s *Session) computeAgg(batch int) batchAgg {
 	var a batchAgg
 	m := s.model
 	for l := 0; l < m.Layers; l++ {
 		macs, nonlin := m.OpSums(l, batch)
-		a.macSum += float64(macs)
-		a.nonlinSum += float64(nonlin)
-		for _, op := range m.LayerOps(l, batch) {
-			var k int
-			switch op.Sublayer {
-			case transformer.Attention:
-				k = clsAttn
-			case transformer.MLP:
-				k = clsMLPDense
-				if m.IsMoELayer(l) {
-					k = clsMLPMoE
-				}
-			default:
-				k = clsNorms
-			}
-			c := &a.cls[k]
-			c.mac += float64(op.MACs)
-			c.nonlin += float64(op.Nonlin)
-			c.act += float64(op.ActElems)
-			c.weight += float64(op.WeightElems)
-		}
+		a.addLayer(macs, nonlin, m.LayerOps(l, batch), m.IsMoELayer(l))
 	}
 	if s.tr.IncludeEmbedding {
-		a.macSum += float64(m.EmbeddingMACs(batch))
-		eAct, eWeight := m.EmbeddingStreamElems(batch)
-		e := &a.cls[clsEmbed]
-		e.mac = float64(m.EmbeddingMACs(batch))
-		e.act = float64(eAct)
-		e.weight = float64(eWeight)
+		act, weight := m.EmbeddingStreamElems(batch)
+		a.addEmbedding(m.EmbeddingMACs(batch), act, weight)
 	}
 	a.flops = units.FLOPs(a.macSum * 3 * units.FLOPsPerMAC)
 	return a
-}
-
-// rooflineUF prices the forward pass per roofline class: each class costs
-// max(compute, bytes/BW), with compute the same reciprocal-throughput
-// expression the pure-FLOP path uses and bytes the streamed activation and
-// weight traffic at the shared precision-derived element sizes. Without
-// sequence parallelism the norm-class activation traffic is replicated
-// across the tensor-parallel group (every TP rank streams the full b·s·h
-// norm tensors), so it scales by tpF; the tiny 4h-per-layer norm weights are
-// left unscaled. Called identically by the scalar and batched paths so the
-// two stay bit-identical.
-func (s *Session) rooflineUF(agg *batchAgg, cMAC, tpF float64, sequenceParallel bool) float64 {
-	var total float64
-	for k := 0; k < numOpClasses; k++ {
-		c := &agg.cls[k]
-		t := c.mac*cMAC*s.macScale + c.nonlin*s.cNonlin*s.nonlinScale
-		actBytes := c.act * s.actBytesF
-		if k == clsNorms && !sequenceParallel {
-			actBytes *= tpF
-		}
-		if mem := (actBytes + c.weight*s.paramBytesF) * s.invMemBW; mem > t {
-			t = mem
-		}
-		total += t
-	}
-	return total
 }
 
 // gradOverlapScale returns the factor in [0,1] by which the exposed
@@ -349,29 +369,18 @@ func gradOverlapScale(o, total, tb, buckets float64) float64 {
 	return (makespan - tb) / total
 }
 
-// agg returns the cached aggregate for a batch. Batches that were never
-// Prepared are computed once and memoized on the concurrent-safe side
-// table, so the first evaluation of a new batch pays O(L) (and one small
-// allocation) and every later one is O(1) — Prepared batches stay on the
-// allocation-free fast path.
-func (s *Session) agg(batch int) batchAgg {
-	if a, ok := s.batches[batch]; ok {
-		return a
-	}
-	if v, ok := s.dyn.Load(batch); ok {
-		return v.(batchAgg)
-	}
-	a := s.computeAgg(batch)
-	s.dyn.Store(batch, a)
-	return a
-}
+// agg returns the cached Eq. 2 aggregate for a global batch.
+func (s *Session) agg(batch int) batchAgg { return s.aggs.get(batch) }
 
 // EvaluatePoint evaluates one design point of the compiled scenario — a
 // parallelism mapping, a global batch size and a microbatch count
 // (0 derives the N_ub default) — writing the per-batch breakdown into out.
-// The caller owns out; the hot path performs no heap allocations.
+// It is a one-cell run of the batch kernel. The caller owns out; the hot
+// path performs no heap allocations.
 func (s *Session) EvaluatePoint(mp parallel.Mapping, batch, microbatches int, out *Breakdown) error {
-	return s.evaluate(mp, batch, microbatches, out, false)
+	run := s.prepareRun(mp)
+	_, err := s.priceCell(&run, batch, microbatches, nil, false, out)
+	return err
 }
 
 // LowerBound returns an admissible lower bound on the point's expected total
@@ -385,188 +394,12 @@ func (s *Session) EvaluatePoint(mp parallel.Mapping, batch, microbatches int, ou
 // error contract matches EvaluatePoint: a cell that fails validation here
 // fails identically there.
 func (s *Session) LowerBound(mp parallel.Mapping, batch, microbatches int) (float64, error) {
+	run := s.prepareRun(mp)
 	var bd Breakdown
-	if err := s.evaluate(mp, batch, microbatches, &bd, true); err != nil {
+	if _, err := s.priceCell(&run, batch, microbatches, nil, true, &bd); err != nil {
 		return 0, err
 	}
 	return float64(bd.ExpectedTotalTime()), nil
-}
-
-// evaluate is the shared body behind EvaluatePoint and LowerBound. With
-// relaxed set the Eq. 9 MoE all-to-all term is dropped (kept at exactly
-// 0.0), relaxing the point into the admissible compute+non-MoE-comm bound;
-// everything else — validation, association order, reliability inflation —
-// is identical to the production path.
-func (s *Session) evaluate(mp parallel.Mapping, batch, microbatches int, out *Breakdown, relaxed bool) error {
-	if err := mp.Validate(s.sys); err != nil {
-		return err
-	}
-	bt := parallel.Batch{Global: batch, Microbatches: microbatches}
-	if err := bt.Validate(mp); err != nil {
-		return err
-	}
-	if tp := mp.TP(); tp > s.model.Heads {
-		return errorsf("model: TP degree %d exceeds %d attention heads", tp, s.model.Heads)
-	}
-	if pp := mp.PP(); pp > s.model.Layers {
-		return errorsf("model: PP degree %d exceeds %d layers", pp, s.model.Layers)
-	}
-	if cp := mp.CP(); cp > s.model.SeqLen {
-		return errorsf("model: CP degree %d exceeds sequence length %d", cp, s.model.SeqLen)
-	}
-	if vpp := mp.Normalized().VPP; vpp > 1 {
-		if pp := mp.PP(); pp <= 1 {
-			return errorsf("model: virtual pipeline depth %d requires PP > 1", vpp)
-		} else if pp*vpp > s.model.Layers {
-			return errorsf("model: PP %d x VPP %d exceeds %d layers", pp, vpp, s.model.Layers)
-		}
-	}
-
-	tr := s.tr
-	mpn := mp.Normalized()
-	workers := float64(mpn.Workers())
-	cpF := float64(mpn.CP())
-	vppF := float64(mpn.VPP)
-
-	ub := bt.Microbatch(mpn)
-	eff := s.eff.Eff(ub)
-	nub := float64(bt.MicrobatchesOrDefault(mpn))
-
-	// Eq. 2–4: the per-layer, per-sublayer double sum factors into the two
-	// cached aggregates times the point's reciprocal throughputs — or, under
-	// roofline pricing, the per-class max of compute and bandwidth time.
-	cMAC := 1 / (s.peakMAC * eff)
-	agg := s.agg(batch)
-	var ufTotal float64
-	if s.roofline {
-		ufTotal = s.rooflineUF(&agg, cMAC, float64(mpn.TP()), mpn.SequenceParallel)
-	} else {
-		ufTotal = agg.macSum*cMAC*s.macScale + agg.nonlinSum*s.cNonlin*s.nonlinScale
-	}
-	uwTotal := s.updateParams * cMAC * s.macScale
-	ubTotal := tr.BackwardComputeFactor * ufTotal
-
-	// Eq. 5–7, 9: forward communication on the per-point microbatch. With
-	// context parallelism every rank holds s/N_CP tokens, so the activation
-	// volumes shrink by cpF (an exact no-op at the default CP = 1).
-	bEff := ub
-	nActTP := 2 * bEff * s.seqHidden / cpF
-	tpIntra := s.layersF * allReduceTime(s.arKind, mpn.TPIntra, nActTP, s.actBits, s.intra)
-	tpInter := s.layersF * allReduceTime(s.arKind, mpn.TPInter, nActTP, s.actBits, s.inter)
-
-	// Eq. 7: the 1/L spreading cancels against the layer sum, leaving the
-	// boundary cost once; the pipeline runs at its slowest hop. Interleaved
-	// schedules cross the stage boundary VPP times per microbatch.
-	var ppComm float64
-	if mpn.PP() > 1 {
-		nActPP := bEff * s.seqHidden / cpF
-		var ppI, ppE float64
-		if mpn.PPIntra > 1 {
-			ppI = float64(s.intra.Latency) + nActPP*s.actBits/float64(s.intra.Bandwidth)
-		}
-		if mpn.PPInter > 1 {
-			ppE = float64(s.inter.Latency) + nActPP*s.actBits/float64(s.inter.Bandwidth)
-		}
-		ppComm = max2(ppI, ppE) * vppF
-	}
-
-	// Context-parallel K/V exchange: once per layer each rank passes its
-	// 2·ub·(s/N_CP)·kvFrac·h key/value shard around the CP group
-	// (hierarchically, intra then inter, like the TP all-reduce). Under GQA
-	// the K/V tensors are only kvFrac·h wide — pricing them at the full
-	// hidden width would overcount the exchange by Heads/KVHeads. Gradient
-	// synchronization across the CP group is not modeled separately.
-	var cpComm float64
-	if mpn.CP() > 1 {
-		nActCP := 2 * bEff * s.seqHidden * s.kvFrac / cpF
-		cpComm = s.layersF * (allReduceTime(s.arKind, mpn.CPIntra, nActCP, s.actBits, s.intra) +
-			allReduceTime(s.arKind, mpn.CPInter, nActCP, s.actBits, s.inter))
-	}
-
-	var moe float64
-	if !relaxed && s.model.MoE() && mpn.ExpertParallel {
-		moe = s.moeLayers * (s.moeLatTerm + bEff*s.seqHidden*s.moeVolCoeff/cpF)
-	}
-
-	fwdTotal := tpIntra + tpInter + ppComm + cpComm + moe
-	bf := tr.BackwardCommFactor
-	exposed := 1 - tr.CommOverlap
-
-	// Eq. 10–11: the all-reduce is linear in the element count, so the
-	// layer loop collapses to the precomputed parameter aggregate.
-	var gradIntra, gradInter float64
-	if mpn.DP() > 1 {
-		shard := 1 / float64(mpn.TP()*mpn.PP())
-		ngSum := s.gradParamsPlain
-		if mpn.ExpertParallel && s.model.MoE() {
-			ngSum = s.gradParamsEP
-		}
-		ngSum = (ngSum + s.gradEmbParams) * shard
-		gradIntra = s.allReduceSum(mpn.DPIntra, ngSum, s.intra)
-		gradInter = s.allReduceSum(mpn.DPInter, ngSum, s.inter)
-	}
-	if o := tr.GradOverlap; o > 0 {
-		if g := gradIntra + gradInter; g > 0 {
-			scale := gradOverlapScale(o, g, ubTotal/workers, s.gradLatCount)
-			gradIntra *= scale
-			gradInter *= scale
-		}
-	}
-
-	// Eq. 8: pipeline bubbles over the per-microbatch step time; the
-	// interleaved schedule shrinks the bubble by the chunk count.
-	var bubble float64
-	if pp := mpn.PP(); pp > 1 && nub > 0 {
-		step := (ufTotal+ubTotal)/workers + (1+bf)*exposed*fwdTotal
-		bubble = tr.BubbleRatio * float64(pp-1) / nub * step / vppF
-	}
-
-	zeroExtra := tr.ZeROOverhead * (1 + bf) * exposed * fwdTotal
-
-	*out = Breakdown{
-		ComputeForward:  units.Seconds(ufTotal / workers),
-		ComputeBackward: units.Seconds(ubTotal / workers),
-		WeightUpdate:    units.Seconds(uwTotal / workers),
-		TPIntraComm:     units.Seconds((1 + bf) * exposed * tpIntra),
-		TPInterComm:     units.Seconds((1 + bf) * exposed * tpInter),
-		PPComm:          units.Seconds((1 + bf) * exposed * ppComm),
-		CPComm:          units.Seconds((1 + bf) * exposed * cpComm),
-		MoEComm:         units.Seconds((1 + bf) * exposed * moe),
-		ZeROComm:        units.Seconds(zeroExtra),
-		GradIntraComm:   units.Seconds(gradIntra),
-		GradInterComm:   units.Seconds(gradInter),
-		Bubble:          units.Seconds(bubble),
-		Microbatch:      ub,
-		Efficiency:      eff,
-		Workers:         mpn.Workers(),
-		NumBatches:      tr.NumBatches,
-		ModelFLOPs:      agg.flops,
-	}
-	if s.relSpec != nil {
-		w := mpn.Workers()
-		nodes := faults.NodesFor(w, s.accelsPerNode)
-		out.Reliability = s.relSpec.Expect(faults.Cluster{
-			Workers: w,
-			Nodes:   nodes,
-			Links:   nodes * s.nicsPerNode,
-		}, s.ckptStateBytes)
-	}
-	if !finite(out) {
-		return errNonFinite
-	}
-	return nil
-}
-
-// allReduceSum is the layer-summed Eq. 10/11 all-reduce: gradLatCount
-// latency terms plus one volume term over the aggregated element count.
-func (s *Session) allReduceSum(n int, elems float64, link hardware.Link) float64 {
-	if n <= 1 {
-		return 0
-	}
-	steps := float64(topology.Steps(s.arKind, n))
-	factor := topology.Factor(s.arKind, n)
-	return float64(link.Latency)*steps*s.gradLatCount +
-		elems*s.gradBits/float64(link.Bandwidth)*factor
 }
 
 // Evaluate is the one-shot convenience over EvaluatePoint: it allocates a
