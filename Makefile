@@ -3,7 +3,7 @@
 
 GO ?= go
 SWEEP_BENCH := 'BenchmarkSweep(GPT3|Megatron530B|MoE)$$|BenchmarkEvaluate$$|BenchmarkSolveGPT3$$|BenchmarkSessionEvaluateInferencePoint$$|Benchmark(Sort|Top)ByTime$$'
-SERVE_BENCH := 'BenchmarkSessionEvaluatePoint(Traced|Roofline)?$$|BenchmarkShardedSweep(ChaosOff)?$$'
+SERVE_BENCH := 'BenchmarkSessionEvaluatePoint(Traced|Roofline)?$$|BenchmarkShardedSweep(ChaosOff)?$$|BenchmarkShardStreamChunks$$'
 BATCH_BENCH := 'BenchmarkEvaluateBatch|BenchmarkSessionEvaluatePoint$$'
 
 .PHONY: build test verify serve-smoke bench-check audit chaos bench bench-sweep bench-serve bench-batch loc clean
@@ -99,10 +99,12 @@ bench-sweep:
 
 ## bench-serve measures the serving hot path: one compiled single-point
 ## evaluation bare and with a span recorded around it (the observability
-## tax — required <5%, currently ~1-2% thanks to span coalescing), plus the
+## tax — required <5%, currently ~1-2% thanks to span coalescing), the
 ## end-to-end multi-replica sharded sweep (a 3-peer in-process fleet behind
-## one coordinator). The numbers merge into BENCH_sweep.json next to the
-## sweep rows instead of replacing them.
+## one coordinator), and one in-process shard stream at 4096-cell chunks
+## against a single chunk (their ns/cell ratio is the per-chunk overhead).
+## The numbers merge into BENCH_sweep.json next to the sweep rows instead
+## of replacing them.
 bench-serve:
 	$(GO) test -run '^$$' -bench $(SERVE_BENCH) -benchmem -benchtime $(BENCHTIME) . \
 		| tee /dev/stderr \

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -957,7 +958,8 @@ const shardedSweepDoc = `{
 // BenchmarkShardedSweep drives the full distributed path end to end: a
 // coordinator fanning one sweep over three in-process replicas through
 // real HTTP, NDJSON shard streams and the top-N merge. The points/s metric
-// is the aggregate throughput the coordinator reports.
+// is the throughput the client sees: design points over the benchmark's
+// own wall clock per request.
 func BenchmarkShardedSweep(b *testing.B) {
 	var peers []string
 	for i := 0; i < 3; i++ {
@@ -968,9 +970,17 @@ func BenchmarkShardedSweep(b *testing.B) {
 	coord := httptest.NewServer(serve.New(serve.Config{Peers: peers, ShardChunkCells: 64}).Handler())
 	defer coord.Close()
 
-	var rate, points float64
+	benchShardedSweep(b, coord.URL)
+}
+
+// benchShardedSweep posts shardedSweepDoc to the coordinator b.N times and
+// reports the client-side rate: points over b.Elapsed() per request, so
+// HTTP, fan-out and merge costs count against it.
+func benchShardedSweep(b *testing.B, url string) {
+	b.Helper()
+	var points float64
 	for i := 0; i < b.N; i++ {
-		resp, err := http.Post(coord.URL+"/v1/sweep", "application/json", strings.NewReader(shardedSweepDoc))
+		resp, err := http.Post(url+"/v1/sweep", "application/json", strings.NewReader(shardedSweepDoc))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -980,11 +990,10 @@ func BenchmarkShardedSweep(b *testing.B) {
 		if err != nil || resp.StatusCode != http.StatusOK {
 			b.Fatalf("sweep = %d, %v", resp.StatusCode, err)
 		}
-		rate = sr.PointsPerSecond
 		points = float64(sr.TotalPoints)
 	}
 	b.ReportMetric(points, "design_points")
-	b.ReportMetric(rate, "points/s")
+	b.ReportMetric(points*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 }
 
 // BenchmarkShardedSweepChaosOff is BenchmarkShardedSweep with every peer
@@ -1008,21 +1017,58 @@ func BenchmarkShardedSweepChaosOff(b *testing.B) {
 	coord := httptest.NewServer(serve.New(serve.Config{Peers: peers, ShardChunkCells: 64}).Handler())
 	defer coord.Close()
 
-	var rate, points float64
-	for i := 0; i < b.N; i++ {
-		resp, err := http.Post(coord.URL+"/v1/sweep", "application/json", strings.NewReader(shardedSweepDoc))
-		if err != nil {
-			b.Fatal(err)
+	benchShardedSweep(b, coord.URL)
+}
+
+// shardStreamDoc is a 42072-cell space — 3506 mappings of 240x8
+// accelerators, context and virtual-pipeline dimensions included, times
+// twelve batch sizes — so a 4096-cell chunking splits it eleven ways.
+const shardStreamDoc = `{
+  "model": {"name": "bench", "layers": 32, "hidden": 4096, "heads": 32, "seq_len": 2048, "vocab": 50000},
+  "system": {
+    "name": "240x8 a100",
+    "accelerator": {"preset": "a100"},
+    "nodes": 240,
+    "accels_per_node": 8,
+    "intra": {"name": "nvlink", "latency_s": 2e-6, "bandwidth_bps": "2.4T"},
+    "inter": {"name": "hdr", "latency_s": 5e-6, "bandwidth_bps": "200G"}
+  },
+  "training": {"global_batch": 2048},
+  "sweep": {"batches": [480, 960, 1920, 2880, 3840, 5760, 7680, 11520, 15360, 23040, 30720, 46080],
+            "microbatch_target": 16, "max_cp": 2, "max_vpp": 2, "top": 20}
+}`
+
+// BenchmarkShardStreamChunks times one in-process /v1/sweep/shard request
+// (an httptest.ResponseRecorder, no socket) over shardStreamDoc's space,
+// streamed in 4096-cell chunks and as a single chunk. Work a chunk repeats
+// in proportion to the space rather than to the chunk (re-enumerating the
+// mappings, laying out points) shows as chunk4096's ns/cell exceeding
+// whole's.
+func BenchmarkShardStreamChunks(b *testing.B) {
+	h := serve.New(serve.Config{}).Handler()
+	for _, c := range []struct {
+		name  string
+		cells int64
+	}{{"chunk4096", 4096}, {"whole", 1 << 40}} {
+		body := strings.TrimSuffix(shardStreamDoc, "}") + `, "chunk_cells": ` + strconv.FormatInt(c.cells, 10) + "}"
+		shard := func() int64 {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep/shard", strings.NewReader(body)))
+			lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
+			var last serve.ShardChunk
+			if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil || !last.Done {
+				b.Fatalf("shard = %d, last line %q (%v)", rec.Code, lines[len(lines)-1], err)
+			}
+			return last.CursorHi
 		}
-		var sr serve.SweepResponse
-		err = json.NewDecoder(resp.Body).Decode(&sr)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			b.Fatalf("sweep = %d, %v", resp.StatusCode, err)
-		}
-		rate = sr.PointsPerSecond
-		points = float64(sr.TotalPoints)
+		b.Run(c.name, func(b *testing.B) {
+			cells := shard() // compiles and caches the session outside the timer
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				shard()
+			}
+			b.ReportMetric(float64(cells), "design_points")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+		})
 	}
-	b.ReportMetric(points, "design_points")
-	b.ReportMetric(rate, "points/s")
 }

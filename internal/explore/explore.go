@@ -7,15 +7,13 @@ package explore
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strconv"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"amped/internal/efficiency"
 	"amped/internal/hardware"
@@ -220,212 +218,34 @@ func Sweep(sc Scenario, opt Options) ([]Point, error) {
 // partial design space simply treat err != nil as fatal; the non-nil error
 // makes the truncation impossible to miss.
 func SweepContext(ctx context.Context, sc Scenario, opt Options) ([]Point, error) {
-	points, sess, err := Layout(&sc, opt)
+	s, err := NewSpace(sc, opt)
 	if err != nil {
 		return nil, err
 	}
-
-	workers := opt.Concurrency
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	prog := opt.Progress
-	if prog == nil {
-		prog = new(Progress) // keeps the worker loop branch-free
-	}
-	prog.Total.Store(int64(len(points)))
-
-	// Timestamp the moment of cancellation (if any) so the cooperative
-	// cancel latency — cancel to last-worker-stop — is measurable. The
-	// stamped channel lets the post-wait path block until the stamp exists:
-	// once ctx.Err() is non-nil the AfterFunc goroutine is guaranteed to be
-	// scheduled, but not to have run yet.
-	var cancelledAt atomic.Int64
-	stamped := make(chan struct{})
-	stopAfter := context.AfterFunc(ctx, func() {
-		cancelledAt.Store(time.Now().UnixNano())
-		close(stamped)
-	})
-	defer stopAfter()
-
-	// One breakdown slot per point, allocated in a single block; workers
-	// claim chunked index ranges off an atomic cursor instead of receiving
-	// per-index channel sends, cutting synchronization traffic and false
-	// sharing on adjacent cells. Each worker carries reusable SoA columns
-	// and prices its whole chunk through Session.EvaluateBatch, which hoists
-	// config resolution, aggregate lookups and reliability gating out of
-	// the per-point loop.
-	bds := make([]model.Breakdown, len(points))
-	chunk := chunkSize(len(points), workers)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var in model.BatchInput
-			var out model.BatchOutput
-			var idxs []int
-			for {
-				// Cooperative cancellation, checked once per chunk claim:
-				// cheap enough to leave the per-point path untouched, tight
-				// enough that a cancelled sweep stops within one chunk.
-				if ctx.Err() != nil {
-					return
-				}
-				end := int(cursor.Add(int64(chunk)))
-				start := end - chunk
-				if start >= len(points) {
-					return
-				}
-				if end > len(points) {
-					end = len(points)
-				}
-				prog.Claimed.Add(int64(end - start))
-				evalChunk(points[start:end], bds[start:end], sess, &sc, &in, &out, &idxs)
-				failed := 0
-				for i := start; i < end; i++ {
-					if points[i].Err != nil {
-						failed++
-					}
-				}
-				if failed > 0 {
-					prog.Failed.Add(int64(failed))
-				}
-				prog.Completed.Add(int64(end - start))
-			}
-		}()
-	}
-	wg.Wait()
-	cancelled := ctx.Err()
-	if cancelled != nil {
-		<-stamped
-		lat := time.Now().UnixNano() - cancelledAt.Load()
-		if lat < 1 {
-			lat = 1 // a cancel observed faster than the clock tick still counts
-		}
-		prog.CancelLatencyNanos.Store(lat)
-		// Keep only cells that actually finished (evaluated, or decided at
-		// layout time); unclaimed cells are still zero-valued and must not
-		// masquerade as results.
-		done := points[:0]
-		for _, p := range points {
-			if p.Err != nil || p.Breakdown != nil {
-				done = append(done, p)
-			}
-		}
-		points = done
-	}
-
-	if !opt.KeepInvalid {
-		kept := points[:0]
-		for _, p := range points {
-			if p.Err == nil {
-				kept = append(kept, p)
-			}
-		}
-		points = kept
-	}
-	return points, cancelled
+	lo, hi := s.span()
+	return s.Sweep(ctx, lo, hi)
 }
 
 // Layout resolves the scenario (compiling a session when one was not
 // supplied) and lays out the canonical cells [CursorLo, CursorHi) exactly as
-// SweepContext would hand them to its workers: mapping-major, batch-minor
-// over the deterministically ordered mappings × Batches, microbatch
-// schedules chosen (and memoized) up front, pipeline-unfillable cells
-// pre-marked with Err. It is the shared front half of every search over the
-// cell enumeration — the exhaustive sweep and the branch-and-bound planner
-// (internal/plan) both consume it, which is what makes their results
-// cell-for-cell comparable. The scenario is resolved in place so the caller
-// can keep using it with EvaluateCell.
+// a Space hands them to its workers: mapping-major, batch-minor over the
+// deterministically ordered mappings × Batches, microbatch schedules chosen
+// up front, pipeline-unfillable cells pre-marked with Err. It is the shared
+// front half of every search over the cell enumeration — the exhaustive
+// sweep and the branch-and-bound planner (internal/plan) both consume it,
+// which is what makes their results cell-for-cell comparable. The scenario
+// is resolved in place so the caller can keep using it with EvaluateCell.
 func Layout(sc *Scenario, opt Options) ([]Point, *model.Session, error) {
 	sc.resolveSession()
-	mappings, err := resolveMappings(sc, opt)
+	s, err := NewSpace(*sc, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	total := int64(len(mappings)) * int64(len(opt.Batches))
-	lo, hi := opt.CursorLo, opt.CursorHi
-	if lo == 0 && hi == 0 {
-		hi = total
+	pts, err := s.points(s.span())
+	if err != nil {
+		return nil, nil, err
 	}
-	if lo < 0 || hi < lo || hi > total {
-		return nil, nil, fmt.Errorf("explore: shard range [%d, %d) outside cell enumeration of size %d", lo, hi, total)
-	}
-	eff := sc.Eff
-	if eff == nil {
-		eff = efficiency.Default()
-	}
-
-	// Compile the scenario once: invariants validated, Eq. 3–4 constants
-	// hoisted, per-batch op aggregates cached — every worker then evaluates
-	// points in O(1) with zero allocations on the hot path. A supplied
-	// session skips both Compile and Prepare: it may be shared with other
-	// sweeps running right now, and Prepare is single-writer. Unprepared
-	// batches memoize safely through the session's side table.
-	sess := sc.Session
-	if sess == nil {
-		sess, err = model.Compile(sc.Model, sc.System, sc.Training, eff)
-		if err != nil {
-			return nil, nil, err
-		}
-		sess.Prepare(opt.Batches...)
-	}
-
-	// Lay out the cells [lo, hi) and pick each point's microbatch schedule
-	// up front. The (perReplica, pp) → N_ub choice repeats across mappings
-	// sharing degrees, so it is memoized; doing it serially here keeps the
-	// worker pool read-only over shared state. The flat global-index walk
-	// makes a shard range evaluate exactly the cells a whole-space sweep
-	// would lay out at those indices — shard-boundary determinism is a
-	// consequence of sharing this loop, not a separate code path.
-	points := make([]Point, hi-lo)
-	nubMemo := make(map[[2]int]int)
-	nb := int64(len(opt.Batches))
-	lastMi := int64(-1)
-	var dp, pp int
-	for gi := lo; gi < hi; gi++ {
-		mi := gi / nb
-		mp := mappings[mi]
-		if mi != lastMi {
-			dp, pp = mp.DP(), mp.PP()
-			lastMi = mi
-		}
-		b := opt.Batches[gi%nb]
-		idx := int(gi - lo)
-		p := Point{Mapping: mp, Batch: b, Fits: true}
-		nub := sc.Training.Batch.Microbatches
-		// Only dividing cells get a schedule chosen (and memoized):
-		// b/dp truncates otherwise, and the truncated per-replica batch
-		// would pick an N_ub for a cell that does not exist. The
-		// non-dividing cell keeps the scenario's schedule and is
-		// rejected by Batch.Validate during evaluation.
-		if opt.MicrobatchTarget > 0 && b%dp == 0 {
-			per := b / dp
-			if !MicrobatchFeasible(per, pp) {
-				// No divisor of per satisfies N_ub >= pp: the pipeline
-				// can never fill. Pre-mark the cell infeasible instead
-				// of evaluating ChooseMicrobatches' fallback schedule.
-				p.Microbatches = per
-				p.Err = fmt.Errorf(
-					"explore: %v B=%d infeasible: pipeline depth %d exceeds per-replica batch %d, no microbatch count satisfies N_ub >= N_PP",
-					mp, b, pp, per)
-				points[idx] = p
-				continue
-			}
-			key := [2]int{per, pp}
-			var ok bool
-			if nub, ok = nubMemo[key]; !ok {
-				nub = ChooseMicrobatches(per, pp, opt.MicrobatchTarget)
-				nubMemo[key] = nub
-			}
-		}
-		p.Microbatches = parallel.Batch{Global: b, Microbatches: nub}.MicrobatchesOrDefault(mp)
-		p.chosenNub = nub
-		points[idx] = p
-	}
-	return points, sess, nil
+	return pts, s.sess, nil
 }
 
 // EvaluateCell prices one laid-out cell in place against the session: the
@@ -437,7 +257,11 @@ func EvaluateCell(p *Point, bd *model.Breakdown, sess *model.Session, sc *Scenar
 	if p.Err != nil {
 		return
 	}
-	evalPointSafe(p, bd, sess, sc)
+	var fp *memkit.Footprint
+	if sc.Memory != nil {
+		fp = new(memkit.Footprint)
+	}
+	evalPointSafe(p, bd, fp, sess, sc)
 }
 
 // CellLowerBound returns the admissible lower bound on the cell's rank key
@@ -494,7 +318,8 @@ func resolveMappings(sc *Scenario, opt Options) ([]parallel.Mapping, error) {
 // Cells reports the size of the canonical cell enumeration for a scenario
 // and options — the domain of Options.CursorLo/CursorHi — without
 // evaluating anything. Shard coordinators use it to split one sweep into
-// [lo, hi) ranges that tile the space.
+// [lo, hi) ranges that tile the space. Unlike NewSpace it compiles no
+// session, so it also sizes scenarios that would not compile.
 func Cells(sc Scenario, opt Options) (int64, error) {
 	sc.resolveSession()
 	mappings, err := resolveMappings(&sc, opt)
@@ -546,69 +371,11 @@ func chunkSize(n, workers int) int {
 	return c
 }
 
-// evalChunk prices one claimed chunk of cells through the batched SoA path:
-// compact the undecided cells into reusable input columns (cells pre-marked
-// infeasible at layout time are already diagnosed), evaluate the chunk in
-// one EvaluateBatch call, then scatter results back through idxs.
-//
-// The batch call runs panic-isolated: a degenerate user-supplied efficiency
-// model or an eventsim guard trip must not take down the worker pool. When
-// it does panic, the points it finished before dying are still salvaged —
-// EvaluateBatch writes a slot's code last, so an Evaluated() slot is a
-// complete result — and only the remainder falls back to per-point scalar
-// evaluation, which pins the panic to the exact cell that caused it instead
-// of poisoning its chunk-mates.
-func evalChunk(pts []Point, bds []model.Breakdown, sess *model.Session, sc *Scenario,
-	in *model.BatchInput, out *model.BatchOutput, idxs *[]int) {
-	in.Mappings = in.Mappings[:0]
-	in.Batches = in.Batches[:0]
-	in.Microbatches = in.Microbatches[:0]
-	*idxs = (*idxs)[:0]
-	for i := range pts {
-		if pts[i].Err != nil {
-			continue
-		}
-		in.Mappings = append(in.Mappings, pts[i].Mapping)
-		in.Batches = append(in.Batches, pts[i].Batch)
-		in.Microbatches = append(in.Microbatches, pts[i].chosenNub)
-		*idxs = append(*idxs, i)
-	}
-	if len(*idxs) == 0 {
-		return
-	}
-	batched := func() (done bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				done = false
-			}
-		}()
-		return sess.EvaluateBatch(*in, out) == nil
-	}()
-	// On a panic the output columns are only meaningful if the call got as
-	// far as sizing them for this chunk (it always does: nothing before the
-	// resize runs user code — this is pure defense).
-	salvage := batched || len(out.Codes) == len(*idxs)
-	for k, i := range *idxs {
-		p := &pts[i]
-		if !salvage || !out.Codes[k].Evaluated() {
-			evalPointSafe(p, &bds[i], sess, sc)
-			continue
-		}
-		if !out.Codes[k].OK() {
-			p.Err = out.Errs[k]
-			continue
-		}
-		bds[i] = out.Breakdowns[k]
-		p.Breakdown = &bds[i]
-		estimateMemorySafe(p, sc)
-	}
-}
-
 // estimateMemorySafe runs the scenario's optional memory feasibility check
 // for one evaluated point, mirroring the scalar path's semantics — the
 // breakdown stays on an estimation error (the model priced the point; the
 // memory diagnosis rides in Err) — and its panic isolation.
-func estimateMemorySafe(p *Point, sc *Scenario) {
+func estimateMemorySafe(p *Point, fp *memkit.Footprint, sc *Scenario) {
 	if sc.Memory == nil {
 		return
 	}
@@ -618,21 +385,14 @@ func estimateMemorySafe(p *Point, sc *Scenario) {
 				p.Mapping, p.Batch, p.Microbatches, r)
 		}
 	}()
-	batch := parallel.Batch{Global: p.Batch, Microbatches: p.chosenNub}
-	fp, err := memkit.Estimate(sc.Model, p.Mapping, batch, *sc.Memory)
-	if err != nil {
-		p.Err = err
-		return
-	}
-	p.Footprint = &fp
-	p.Fits = memkit.Fits(fp, sc.System.Accel, sc.MemoryReserve)
+	estimateMemory(p, fp, sc)
 }
 
 // evalPointSafe evaluates one sweep cell, converting a panicking evaluation
 // (a degenerate user-supplied efficiency model, an eventsim guard trip) into
 // that point's Err instead of killing the process — one poisoned cell must
 // not take down a long-running sweep service.
-func evalPointSafe(p *Point, bd *model.Breakdown, sess *model.Session, sc *Scenario) {
+func evalPointSafe(p *Point, bd *model.Breakdown, fp *memkit.Footprint, sess *model.Session, sc *Scenario) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.Breakdown = nil
@@ -641,26 +401,34 @@ func evalPointSafe(p *Point, bd *model.Breakdown, sess *model.Session, sc *Scena
 				p.Mapping, p.Batch, p.Microbatches, r)
 		}
 	}()
-	evalPoint(p, bd, sess, sc)
+	evalPoint(p, bd, fp, sess, sc)
 }
 
-// evalPoint evaluates one sweep cell in place against the shared session.
-func evalPoint(p *Point, bd *model.Breakdown, sess *model.Session, sc *Scenario) {
+// evalPoint evaluates one sweep cell in place against the shared session,
+// into the caller's breakdown and footprint slots.
+func evalPoint(p *Point, bd *model.Breakdown, fp *memkit.Footprint, sess *model.Session, sc *Scenario) {
 	if err := sess.EvaluatePoint(p.Mapping, p.Batch, p.chosenNub, bd); err != nil {
 		p.Err = err
 		return
 	}
 	p.Breakdown = bd
 	if sc.Memory != nil {
-		batch := parallel.Batch{Global: p.Batch, Microbatches: p.chosenNub}
-		fp, err := memkit.Estimate(sc.Model, p.Mapping, batch, *sc.Memory)
-		if err != nil {
-			p.Err = err
-			return
-		}
-		p.Footprint = &fp
-		p.Fits = memkit.Fits(fp, sc.System.Accel, sc.MemoryReserve)
+		estimateMemory(p, fp, sc)
 	}
+}
+
+// estimateMemory runs the memory feasibility check for an evaluated point,
+// writing the footprint into fp.
+func estimateMemory(p *Point, fp *memkit.Footprint, sc *Scenario) {
+	batch := parallel.Batch{Global: p.Batch, Microbatches: p.chosenNub}
+	est, err := memkit.Estimate(sc.Model, p.Mapping, batch, *sc.Memory)
+	if err != nil {
+		p.Err = err
+		return
+	}
+	*fp = est
+	p.Footprint = fp
+	p.Fits = memkit.Fits(est, sc.System.Accel, sc.MemoryReserve)
 }
 
 // SortByTime orders points fastest-first (infeasible and failed points
@@ -677,21 +445,21 @@ func evalPoint(p *Point, bd *model.Breakdown, sess *model.Session, sc *Scenario)
 func SortByTime(points []Point) {
 	order := make([]rankEntry, len(points))
 	for i := range points {
-		order[i] = rankEntryOf(points, i)
+		order[i] = rankEntryOf(&points[i], int64(i))
 	}
-	slices.SortFunc(order, func(a, b rankEntry) int { return compareRank(points, a, b) })
+	slices.SortFunc(order, pointRank(points))
 	// Apply the permutation in place, one cycle at a time: position j
 	// receives the point order[j] names, and a placed slot is marked by
 	// pointing it at itself.
 	for i := range order {
-		if order[i].idx == i {
+		if int(order[i].idx) == i {
 			continue
 		}
 		held := points[i]
 		j := i
 		for {
-			k := order[j].idx
-			order[j].idx = j
+			k := int(order[j].idx)
+			order[j].idx = int64(j)
 			if k == i {
 				points[j] = held
 				break
@@ -706,81 +474,101 @@ func SortByTime(points []Point) {
 // what SortByTime(points) followed by points[:n] yields — without sorting
 // the whole space: a size-n max-heap on the same key keeps the n best in
 // O(len(points)·log n) and only those survivors are sorted. points is not
-// modified; the result is a fresh slice of min(n, len(points)) points. Every
-// serving path ranks this way, since a response only carries the head.
+// modified; the result is a fresh slice of min(n, len(points)) points.
+// Space.Top ranks the same way without materializing the points.
 func TopByTime(points []Point, n int) []Point {
 	n = min(n, len(points))
 	if n <= 0 {
 		return nil
 	}
-	worse := func(a, b rankEntry) bool { return compareRank(points, a, b) > 0 }
-	// heap[0] is the worst point kept so far.
-	heap := make([]rankEntry, 0, n)
+	best := bestN[rankEntry]{n: n, cmp: pointRank(points)}
 	for i := range points {
-		e := rankEntryOf(points, i)
-		if len(heap) < n {
-			heap = append(heap, e)
-			for c := len(heap) - 1; c > 0; {
-				p := (c - 1) / 2
-				if !worse(heap[c], heap[p]) {
-					break
-				}
-				heap[c], heap[p] = heap[p], heap[c]
-				c = p
-			}
-			continue
-		}
-		if !worse(heap[0], e) {
-			continue
-		}
-		heap[0] = e
-		for p := 0; ; {
-			c := 2*p + 1
-			if c >= n {
-				break
-			}
-			if c+1 < n && worse(heap[c+1], heap[c]) {
-				c++
-			}
-			if !worse(heap[c], heap[p]) {
-				break
-			}
-			heap[c], heap[p] = heap[p], heap[c]
-			p = c
+		if e := rankEntryOf(&points[i], int64(i)); best.admits(e) {
+			best.push(e)
 		}
 	}
-	slices.SortFunc(heap, func(a, b rankEntry) int { return compareRank(points, a, b) })
+	slices.SortFunc(best.h, best.cmp)
 	out := make([]Point, n)
-	for i, e := range heap {
+	for i, e := range best.h {
 		out[i] = points[e.idx]
 	}
 	return out
 }
 
+// bestN keeps the n best entries offered to it under cmp in a max-heap:
+// h[0] is the worst entry kept.
+type bestN[E any] struct {
+	h   []E
+	n   int
+	cmp func(a, b E) int
+}
+
+// admits reports whether e would be kept: the heap has room, or e ranks
+// before its worst entry.
+func (b *bestN[E]) admits(e E) bool {
+	if len(b.h) < b.n {
+		return true
+	}
+	return len(b.h) > 0 && b.cmp(b.h[0], e) > 0
+}
+
+// push keeps an admitted e, in place of the worst entry when full.
+func (b *bestN[E]) push(e E) {
+	h := b.h
+	if len(h) < b.n {
+		h = append(h, e)
+		for c := len(h) - 1; c > 0; {
+			p := (c - 1) / 2
+			if b.cmp(h[c], h[p]) <= 0 {
+				break
+			}
+			h[c], h[p] = h[p], h[c]
+			c = p
+		}
+		b.h = h
+		return
+	}
+	h[0] = e
+	for p := 0; ; {
+		c := 2*p + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && b.cmp(h[c+1], h[c]) > 0 {
+			c++
+		}
+		if b.cmp(h[c], h[p]) <= 0 {
+			break
+		}
+		h[c], h[p] = h[p], h[c]
+		p = c
+	}
+}
+
 // rankEntry is one point's precomputed ranking key: its bucket (see
 // pointOrder), its rank key — the expected total time for a bucket-0 point,
 // zero otherwise so the other buckets fall through to identity — and its
-// input index, the final tie-break.
+// index, the final tie-break (the input index of a []Point, the cell index
+// of a Space).
 type rankEntry struct {
 	key    float64
-	idx    int
+	idx    int64
 	bucket int
 }
 
-func rankEntryOf(points []Point, i int) rankEntry {
-	p := &points[i]
-	e := rankEntry{idx: i, bucket: pointOrder(p)}
+func rankEntryOf(p *Point, idx int64) rankEntry {
+	e := rankEntry{idx: idx, bucket: pointOrder(p)}
 	if e.bucket == 0 {
 		e.key = float64(p.Breakdown.ExpectedTotalTime())
 	}
 	return e
 }
 
-// compareRank orders two entries over points the way SortByTime ranks them:
-// bucket, rank key, the points' String identities (rendered only on an
-// exact key tie), then input index. The index makes the order total, so a
-// heap selection and a full sort agree on every input.
-func compareRank(points []Point, a, b rankEntry) int {
+// compareRank orders two entries the way SortByTime ranks points: bucket,
+// rank key, String identity (id appends entry idx's identity; it is
+// rendered only on an exact key tie), then index. The index makes the order
+// total, so a heap selection and a full sort agree on every input.
+func compareRank(a, b rankEntry, id func(dst []byte, idx int64) []byte) int {
 	if a.bucket != b.bucket {
 		return a.bucket - b.bucket
 	}
@@ -791,10 +579,16 @@ func compareRank(points []Point, a, b rankEntry) int {
 		return 1
 	}
 	var ida, idb [96]byte
-	if c := bytes.Compare(points[a.idx].appendID(ida[:0]), points[b.idx].appendID(idb[:0])); c != 0 {
+	if c := bytes.Compare(id(ida[:0], a.idx), id(idb[:0], b.idx)); c != 0 {
 		return c
 	}
-	return a.idx - b.idx
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// pointRank is compareRank over entries indexing points.
+func pointRank(points []Point) func(a, b rankEntry) int {
+	id := func(dst []byte, i int64) []byte { return points[i].appendID(dst) }
+	return func(a, b rankEntry) int { return compareRank(a, b, id) }
 }
 
 // pointOrder buckets points: evaluable+fits, evaluable, failed.

@@ -47,7 +47,7 @@ const (
 	PhaseCompile
 	// PhaseEvaluate is a single-point Session.Evaluate.
 	PhaseEvaluate
-	// PhaseSweep is a design-space sweep (explore.SweepContext).
+	// PhaseSweep is a design-space sweep (an explore.Space run).
 	PhaseSweep
 	// PhaseEncode is response serialization and write.
 	PhaseEncode

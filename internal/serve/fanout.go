@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -136,6 +137,9 @@ func (st *sweepState) uncovered(total int64) []shardRange {
 
 // finalize renders the merge into the single-node SweepResponse shape:
 // exactly the ranking an uninterrupted, unsharded sweep would have returned.
+// It keeps only the returned head of the candidates: a finished job stays
+// listed for the life of the process, and its state must not hold every
+// chunk's top-N.
 func (st *sweepState) finalize(top int) (points []SweepPoint, totalCompleted int64, truncated bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -143,7 +147,8 @@ func (st *sweepState) finalize(top int) (points []SweepPoint, totalCompleted int
 	truncated = int64(len(st.candidates)) > int64(top) || st.totalCompleted > int64(len(st.candidates))
 	cands := st.candidates
 	if len(cands) > top {
-		cands = cands[:top]
+		cands = slices.Clone(cands[:top])
+		st.candidates = cands
 	}
 	points = make([]SweepPoint, len(cands))
 	for i := range cands {
@@ -374,13 +379,14 @@ type compiledSweep struct {
 	req    SweepRequest
 	sess   *model.Session
 	status string
-	total  int64
-	top    int
+	// space is the resolved cell enumeration: the fan-out sizes its ranges
+	// from it, and a local job prices every chunk against it.
+	space *explore.Space
+	top   int
 }
 
-// compileSweep decodes a sweep body, compiles (or fetches) the session —
-// only to size the canonical enumeration; evaluation happens on peers — and
-// computes the total cell count. Failures are classified bad_request.
+// compileSweep decodes a sweep body, compiles (or fetches) the session and
+// resolves the cell enumeration once. Failures are classified bad_request.
 func (s *Server) compileSweep(ctx context.Context, body []byte) (*compiledSweep, error) {
 	var req SweepRequest
 	if err := decodeSweepBody(body, &req); err != nil {
@@ -401,7 +407,7 @@ func (s *Server) compileSweep(ctx context.Context, body []byte) (*compiledSweep,
 	if err != nil {
 		return nil, &jobError{errClassBadRequest, err.Error()}
 	}
-	total, err := explore.Cells(explore.Scenario{Session: sess}, sweepOptions(req.Sweep))
+	space, err := explore.NewSpace(explore.Scenario{Session: sess}, sweepOptions(req.Sweep))
 	if err != nil {
 		return nil, &jobError{errClassBadRequest, err.Error()}
 	}
@@ -409,7 +415,7 @@ func (s *Server) compileSweep(ctx context.Context, body []byte) (*compiledSweep,
 	if top <= 0 {
 		top = 20
 	}
-	return &compiledSweep{req: req, sess: sess, status: status, total: total, top: top}, nil
+	return &compiledSweep{req: req, sess: sess, status: status, space: space, top: top}, nil
 }
 
 // handleSweepCoordinator fans one sweep out over the configured peers'
@@ -452,13 +458,13 @@ func (s *Server) handleSweepCoordinator(w http.ResponseWriter, r *http.Request) 
 	st := &sweepState{dups: &s.met.shardDuplicates}
 	start := time.Now()
 	ssp := tr.StartSpan(obs.PhaseSweep)
-	ferr := s.fanout(ctx, cs.req, cs.total, st)
+	ferr := s.fanout(ctx, cs.req, cs.space.Cells(), st)
 	ssp.End()
 	elapsed := time.Since(start)
 
 	if ferr != nil {
 		je := classifyErr(ferr)
-		pending := len(st.uncovered(cs.total))
+		pending := len(st.uncovered(cs.space.Cells()))
 		switch je.class {
 		case errClassTimeout, errClassCancelled:
 			s.error(w, r, statusForContextErr(ctx.Err()),

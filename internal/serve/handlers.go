@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,7 +13,6 @@ import (
 	"amped/internal/memkit"
 	"amped/internal/model"
 	"amped/internal/obs"
-	"amped/internal/parallel"
 )
 
 // session resolves the request's scenario to a compiled session through the
@@ -417,11 +414,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SweepRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeSweepBody(body, &req); err != nil {
 		sp.End()
-		s.error(w, r, http.StatusBadRequest, "sweep request: "+err.Error())
+		s.error(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
 	if len(req.Sweep.Batches) == 0 {
@@ -444,27 +439,24 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
+	top := req.Sweep.Top
+	if top <= 0 {
+		top = 20
+	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 	var prog explore.Progress
+	opt := sweepOptions(req.Sweep)
+	opt.Progress = &prog
 	start := time.Now()
 	ssp := tr.StartSpan(obs.PhaseSweep)
-	points, err := explore.SweepContext(ctx, explore.Scenario{Session: sess}, explore.Options{
-		Batches:          req.Sweep.Batches,
-		MicrobatchTarget: req.Sweep.MicrobatchTarget,
-		Enumerate: parallel.EnumerateOptions{
-			PowerOfTwo:       req.Sweep.PowerOfTwo,
-			ExpertParallel:   req.Sweep.ExpertParallel,
-			SequenceParallel: req.Sweep.SequenceParallel,
-			MaxTP:            req.Sweep.MaxTP,
-			MaxPP:            req.Sweep.MaxPP,
-			MaxCP:            req.Sweep.MaxCP,
-			MaxVPP:           req.Sweep.MaxVPP,
-		},
-		KeepInvalid: req.Sweep.KeepInvalid,
-		Progress:    &prog,
-	})
+	var points []explore.Point
+	total := 0
+	space, err := explore.NewSpace(explore.Scenario{Session: sess}, opt)
+	if err == nil {
+		points, total, err = space.Top(ctx, 0, space.Cells(), top)
+	}
 	ssp.End()
 	elapsed := time.Since(start)
 	if completed := prog.Completed.Load(); completed > 0 && elapsed > 0 {
@@ -475,7 +467,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	partial := false
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		if len(points) == 0 {
+		if total == 0 {
 			s.error(w, r, http.StatusGatewayTimeout,
 				fmt.Sprintf("sweep exceeded the %v request timeout before any point completed", s.cfg.RequestTimeout))
 			return
@@ -490,15 +482,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.met.sweepPoints.add(uint64(len(points)))
+	s.met.sweepPoints.add(uint64(total))
 
-	top := req.Sweep.Top
-	if top <= 0 {
-		top = 20
-	}
-	total := len(points)
 	truncated := total > top
-	points = explore.TopByTime(points, top)
 	out := make([]SweepPoint, len(points))
 	for i, p := range points {
 		out[i] = toSweepPoint(p)

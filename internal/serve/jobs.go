@@ -10,8 +10,6 @@ import (
 	"net/http"
 	"sync"
 	"time"
-
-	"amped/internal/explore"
 )
 
 // The job manager turns sweeps and plans into durable background work: a
@@ -203,7 +201,7 @@ func (m *jobManager) startSweep(body []byte, cs *compiledSweep) (string, error) 
 	id := newJobID()
 	j := &job{
 		id: id, kind: "sweep", created: time.Now(),
-		state: jobRunning, total: cs.total,
+		state: jobRunning, total: cs.space.Cells(),
 		st: &sweepState{dups: &m.s.met.shardDuplicates},
 	}
 	if m.s.cfg.JournalDir != "" {
@@ -252,7 +250,7 @@ func (m *jobManager) runSweep(ctx context.Context, j *job, cs *compiledSweep) {
 	}()
 	var err error
 	if m.s.peers != nil {
-		err = m.s.fanout(ctx, cs.req, cs.total, j.st)
+		err = m.s.fanout(ctx, cs.req, cs.space.Cells(), j.st)
 	} else {
 		err = m.s.localSweep(ctx, cs, j.st)
 	}
@@ -294,15 +292,15 @@ func (m *jobManager) runSweep(ctx context.Context, j *job, cs *compiledSweep) {
 // localSweep runs a sweep in-process with the exact chunk semantics of a
 // /v1/sweep/shard peer — per-chunk top-N into the shared merge — so a local
 // job journals and resumes identically to a sharded one, and its final
-// ranking matches a plain /v1/sweep byte for byte.
+// ranking matches a plain /v1/sweep byte for byte. Every chunk prices
+// against the job's one compiled Space, so a job enumerates its mappings
+// once however many chunks it runs or resumes.
 func (s *Server) localSweep(ctx context.Context, cs *compiledSweep, st *sweepState) error {
-	sc := explore.Scenario{Session: cs.sess}
-	opt := sweepOptions(cs.req.Sweep)
 	chunk := s.cfg.ShardChunkCells
 	if chunk <= 0 {
 		chunk = defaultShardChunkCells
 	}
-	for _, rg := range st.uncovered(cs.total) {
+	for _, rg := range st.uncovered(cs.space.Cells()) {
 		for cur := rg.lo; cur < rg.hi; cur += chunk {
 			if err := ctx.Err(); err != nil {
 				return classifyErr(err)
@@ -311,14 +309,10 @@ func (s *Server) localSweep(ctx context.Context, cs *compiledSweep, st *sweepSta
 			if cHi > rg.hi {
 				cHi = rg.hi
 			}
-			copt := opt
-			copt.CursorLo, copt.CursorHi = cur, cHi
-			points, err := explore.SweepContext(ctx, sc, copt)
+			points, n, err := cs.space.Top(ctx, cur, cHi, cs.top)
 			if err != nil {
 				return classifyErr(err)
 			}
-			n := len(points)
-			points = explore.TopByTime(points, cs.top)
 			st.collect(ShardChunk{CursorLo: cur, CursorHi: cHi, Completed: n, Points: toShardPoints(points)})
 			if err := st.failed(); err != nil {
 				return err
@@ -450,7 +444,7 @@ func (m *jobManager) recoverOne(dir, id string) error {
 			j.finishFail(m.s.log.Printf, classifyErr(cerr))
 			return m.register(j)
 		}
-		j.total = cs.total
+		j.total = cs.space.Cells()
 		j.st = &sweepState{dups: &m.s.met.shardDuplicates}
 		for _, rec := range recs[1:] {
 			if rec.T == "chunk" {

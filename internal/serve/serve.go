@@ -12,9 +12,10 @@
 //   - a FIFO-fair bounded concurrency limiter with a wait queue — excess
 //     load is shed with 429 + a Retry-After derived from observed service
 //     time instead of unbounded goroutine pileup;
-//   - per-request timeouts threaded as context.Context into
-//     explore.SweepContext, which cancels cooperatively at worker-chunk
-//     boundaries and hands back completed points as an explicit 206;
+//   - per-request timeouts threaded as context.Context into the
+//     explore.Space executor, which cancels cooperatively at worker-chunk
+//     boundaries and hands back the completed points' ranking as an
+//     explicit 206;
 //   - panic-isolating middleware (one poisoned request cannot take the
 //     process down) on top of the sweep engine's own per-point recovery;
 //   - request tracing: every request gets an ID (X-Request-Id, log lines,

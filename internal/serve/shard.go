@@ -20,14 +20,12 @@ import (
 )
 
 // defaultShardChunkCells is the cell count a shard evaluates per streamed
-// NDJSON line. It bounds per-chunk memory (the sweep engine materializes
-// one chunk's points at a time) and sets the resume granularity after a
-// peer failure. Every chunk also pays a fixed cost that does not shrink
-// with its size: explore.SweepContext re-enumerates the system's mappings
-// and starts a fresh worker pool, and the line's JSON encoding and flush
-// follow. Its per-cell cost is the evaluation plus a bounded top-N
-// selection, O(cells·log top). Small chunks multiply the fixed part, so
-// the default stays large.
+// NDJSON line: the resume granularity after a peer failure. The request's
+// explore.Space enumerates the mappings once, and each chunk streams
+// through its top-N executor, so memory stays O(workers × worker chunk +
+// top) at any chunk size. A chunk's fixed cost is one worker-pool start
+// plus the line's JSON encoding and flush; its per-cell cost is the
+// evaluation plus a bounded top-N selection, O(cells·log top).
 const defaultShardChunkCells = 32768
 
 // ShardRequest is the /v1/sweep/shard body: a full sweep request plus the
@@ -182,13 +180,12 @@ func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sc := explore.Scenario{Session: sess}
-	opt := sweepOptions(req.Sweep)
-	total, err := explore.Cells(sc, opt)
+	space, err := explore.NewSpace(explore.Scenario{Session: sess}, sweepOptions(req.Sweep))
 	if err != nil {
 		s.error(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
+	total := space.Cells()
 	lo, hi := req.CursorLo, req.CursorHi
 	if lo == 0 && hi == 0 {
 		hi = total
@@ -232,9 +229,7 @@ func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
 		if cHi > hi {
 			cHi = hi
 		}
-		copt := opt
-		copt.CursorLo, copt.CursorHi = cur, cHi
-		points, err := explore.SweepContext(ctx, sc, copt)
+		points, n, err := space.Top(ctx, cur, cHi, top)
 		if err != nil {
 			// Deadline or cancel mid-chunk: the chunk is the atomic unit, so
 			// its partial points are discarded and the stream ends with a
@@ -242,8 +237,6 @@ func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
 			_ = enc.Encode(ShardChunk{CursorLo: cur, CursorHi: hi, Error: err.Error()})
 			return
 		}
-		n := len(points)
-		points = explore.TopByTime(points, top)
 		completed += int64(n)
 		s.met.sweepPoints.add(uint64(n))
 		if err := enc.Encode(ShardChunk{
@@ -563,4 +556,3 @@ func splitRanges(pending []shardRange, n int) [][]shardRange {
 	}
 	return groups
 }
-

@@ -115,3 +115,64 @@ func TestSweepTopNMatchesFullSort(t *testing.T) {
 		}
 	}
 }
+
+// chunkSweepDoc is topnSweepDoc's scenario on 12x8 accelerators with nine
+// batch sizes (one duplicated): 4617 cells, more than one 4096-cell chunk,
+// with failed and pipeline-unfillable cells kept in the ranking.
+const chunkSweepDoc = `{
+  "model": {"name": "tiny", "layers": 8, "hidden": 1024, "heads": 16, "seq_len": 1024, "vocab": 50000},
+  "system": {
+    "name": "12x8 a100",
+    "accelerator": {"preset": "a100"},
+    "nodes": 12,
+    "accels_per_node": 8,
+    "intra": {"name": "nvlink", "latency_s": 2e-6, "bandwidth_bps": "2.4T"},
+    "inter": {"name": "hdr", "latency_s": 5e-6, "bandwidth_bps": "200G"}
+  },
+  "training": {"global_batch": 64},
+  "sweep": {"batches": [8, 48, 96, 96, 192, 384, 768, 1536, 3072], "microbatch_target": 4,
+            "max_cp": 2, "max_vpp": 2, "keep_invalid": true, "top": 20}
+}`
+
+// TestShardStreamChunkInvariance checks that a /v1/sweep/shard stream's
+// chunking changes nothing but its framing: at 1, 7, 4096 and whole-space
+// chunk sizes, the chunks tile the space and their top-N lines merge to the
+// full sort's head with the full space's completed total. The 4096-cell and
+// whole-space chunks each span many worker chunks, so a kept point that
+// aliased a reused output column would be overwritten before it is encoded.
+func TestShardStreamChunkInvariance(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	all := referenceRanking(t, chunkSweepDoc)
+	if len(all) <= 4096 {
+		t.Fatalf("space has %d cells; want more than one 4096-cell chunk", len(all))
+	}
+	for _, chunk := range []int{1, 7, 4096, len(all)} {
+		body := strings.TrimSuffix(chunkSweepDoc, "}") + `, "chunk_cells": ` + strconv.Itoa(chunk) + "}"
+		resp, err := http.Post(ts.URL+"/v1/sweep/shard", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := &sweepState{}
+		res := consumeShardStream(resp.Body, 0, int64(len(all)), func(c ShardChunk) {
+			if c.CursorHi-c.CursorLo > int64(chunk) {
+				t.Errorf("chunk_cells=%d: chunk [%d,%d) is larger", chunk, c.CursorLo, c.CursorHi)
+			}
+			st.collect(c)
+		})
+		resp.Body.Close()
+		if res.outcome != shardDone || res.err != nil {
+			t.Fatalf("chunk_cells=%d: stream ended %v: %v", chunk, res.outcome, res.err)
+		}
+		if got := st.coveredCells(); got != int64(len(all)) {
+			t.Fatalf("chunk_cells=%d: chunks cover %d cells, want %d", chunk, got, len(all))
+		}
+		points, completed, _ := st.finalize(20)
+		if completed != int64(len(all)) {
+			t.Errorf("chunk_cells=%d: completed %d, want %d", chunk, completed, len(all))
+		}
+		if !reflect.DeepEqual(points, all[:20]) {
+			t.Errorf("chunk_cells=%d: merged ranking diverges from the full sort:\n got %+v\nwant %+v",
+				chunk, points, all[:20])
+		}
+	}
+}
