@@ -406,11 +406,11 @@ func BenchmarkSweepGPT3(b *testing.B) {
 	})
 }
 
-// BenchmarkSolveGPT3 runs the branch-and-bound planner over the exact cell
-// space BenchmarkSweepGPT3 sweeps exhaustively: same model, machine,
-// batches and enumeration. The interesting metrics are cells_expanded
-// against cells_total — the planner's claim is reaching the identical
-// optimum while fully evaluating only a fraction of the space.
+// BenchmarkSolveGPT3 runs the planner over the exact cell space
+// BenchmarkSweepGPT3 sweeps: same model, machine, batches and enumeration.
+// The planner is the sweep executor's top-1, so it prices every rankable
+// cell: cells_expanded reports the cells priced against cells_total, and
+// ns/op is what one exhaustive top-1 over the space costs.
 func BenchmarkSolveGPT3(b *testing.B) {
 	m := amped.GPT3175B()
 	sys := amped.CaseStudy1System()

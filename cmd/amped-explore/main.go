@@ -73,7 +73,7 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 		maxCP     = fs.Int("max-cp", 0, "max context-parallel degree (0 or 1 disables the dimension)")
 		maxVPP    = fs.Int("max-vpp", 0, "max virtual-pipeline chunks per stage (0 or 1 disables interleaving)")
 		sp        = fs.Bool("sp", false, "enable sequence parallelism in every mapping")
-		solve     = fs.Bool("solve", false, "run the branch-and-bound planner instead of the exhaustive sweep and print pruning statistics")
+		solve     = fs.Bool("solve", false, "print only the optimal mapping (the sweep's top-1) with cell statistics instead of the ranked table")
 		workload  = fs.String("workload", "training", "workload to rank mappings for (training, inference)")
 		promptLen = fs.Int("prompt", 1024, "inference prompt length in tokens")
 		genTokens = fs.Int("gen", 256, "inference generated tokens per request")
@@ -202,7 +202,7 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("unknown workload %q (want training or inference)", *workload)
 	}
 	if *solve || *heteroStr != "" {
-		return runSolve(out, sc, opt, *heteroStr, *schedStr)
+		return runSolve(ctx, out, sc, opt, *heteroStr, *schedStr)
 	}
 
 	// Progress counters are always wired so an interrupted run can say how
@@ -297,21 +297,21 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 	return nil
 }
 
-// runSolve replaces the exhaustive sweep with the branch-and-bound planner:
-// same cell space, same optimum (bit-identical rank and tie-break), but only
-// a fraction of the cells fully priced. With a -hetero pool list it also
-// searches mixed-fleet deployments, assigning pipeline stages to pools
-// jointly with the mapping.
-func runSolve(out io.Writer, sc explore.Scenario, opt explore.Options, pools, schedule string) error {
-	res, err := plan.Solve(sc, opt)
+// runSolve replaces the ranked table with the planner's answer: the
+// optimal cell of the same space (bit-identical rank and tie-break) and how
+// the space split into priced and infeasible cells. With a -hetero pool
+// list it also runs the branch-and-bound search over mixed-fleet
+// deployments, assigning pipeline stages to pools jointly with the mapping.
+// An interrupt stops the search with an error: a partial search has no
+// optimum to print.
+func runSolve(ctx context.Context, out io.Writer, sc explore.Scenario, opt explore.Options, pools, schedule string) error {
+	res, err := plan.SolveContext(ctx, sc, opt)
 	if err != nil {
 		return err
 	}
 	st := res.Stats
-	fmt.Fprintf(out, "%s: branch-and-bound over %d cells\n", sc.Name, st.CellsTotal)
-	fmt.Fprintf(out, "  expanded   %6d (%.1f%% of the space)\n", st.CellsExpanded, 100*st.ExpandedFraction())
-	fmt.Fprintf(out, "  bounded    %6d cut off by the admissible lower bound\n", st.CellsBounded)
-	fmt.Fprintf(out, "  mem-pruned %6d dominated (TP, PP) prefixes\n", st.CellsPrunedMemory)
+	fmt.Fprintf(out, "%s: optimum over %d cells\n", sc.Name, st.CellsTotal)
+	fmt.Fprintf(out, "  priced     %6d\n", st.CellsExpanded)
 	fmt.Fprintf(out, "  infeasible %6d unrankable (schedule/validation)\n", st.CellsInfeasible)
 	if st.ComputeFloorSeconds > 0 {
 		fmt.Fprintf(out, "  compute floor %.1f days (utilization 1, smallest batch)\n",
@@ -357,12 +357,12 @@ func runSolve(out io.Writer, sc explore.Scenario, opt explore.Options, pools, sc
 	return nil
 }
 
-// runInference ranks serving mappings by tokens/s: the branch-and-bound
-// planner minimizes the per-token step time of the fixed concurrent-sequence
-// count under the session's admissible relaxed-MoE bound, with the KV-aware
-// feasibility gate discarding mappings whose decode state cannot fit. KV
-// reads are priced whenever the accelerator models its memory bandwidth
-// (roofline pricing engages automatically).
+// runInference ranks serving mappings by tokens/s: the planner prices every
+// mapping at the fixed concurrent-sequence count and keeps the minimal
+// per-token step time, with the KV-aware feasibility gate discarding
+// mappings whose decode state cannot fit. KV reads are priced whenever the
+// accelerator models its memory bandwidth (roofline pricing engages
+// automatically).
 func runInference(out io.Writer, sc explore.Scenario, opt explore.Options,
 	inf model.Inference, batch int, occupancy float64) error {
 	tr := sc.Training
@@ -390,8 +390,7 @@ func runInference(out io.Writer, sc explore.Scenario, opt explore.Options,
 	st := res.Stats
 	fmt.Fprintf(out, "%s: serving search over %d mappings (prompt %d, gen %d, %d concurrent seqs)\n",
 		sc.Name, st.CellsTotal, inf.PromptLen, inf.GenTokens, batch)
-	fmt.Fprintf(out, "  expanded   %6d (%.1f%% of the space)\n", st.CellsExpanded, 100*st.ExpandedFraction())
-	fmt.Fprintf(out, "  bounded    %6d cut off by the admissible lower bound\n", st.CellsBounded)
+	fmt.Fprintf(out, "  priced     %6d\n", st.CellsExpanded)
 	fmt.Fprintf(out, "  kv-pruned  %6d over the KV-aware concurrency ceiling\n", st.CellsPrunedMemory)
 	fmt.Fprintf(out, "  infeasible %6d unrankable (validation)\n", st.CellsInfeasible)
 	if res.Best == nil {

@@ -227,14 +227,14 @@ func SweepContext(ctx context.Context, sc Scenario, opt Options) ([]Point, error
 }
 
 // Layout resolves the scenario (compiling a session when one was not
-// supplied) and lays out the canonical cells [CursorLo, CursorHi) exactly as
-// a Space hands them to its workers: mapping-major, batch-minor over the
-// deterministically ordered mappings × Batches, microbatch schedules chosen
-// up front, pipeline-unfillable cells pre-marked with Err. It is the shared
-// front half of every search over the cell enumeration — the exhaustive
-// sweep and the branch-and-bound planner (internal/plan) both consume it,
-// which is what makes their results cell-for-cell comparable. The scenario
-// is resolved in place so the caller can keep using it with EvaluateCell.
+// supplied) and lays out the canonical cells [CursorLo, CursorHi) without
+// pricing them, exactly as a Space hands them to its workers:
+// mapping-major, batch-minor over the deterministically ordered mappings ×
+// Batches, microbatch schedules chosen up front, pipeline-unfillable cells
+// pre-marked with Err. It materializes a Point per cell, so the sweep
+// executor does not use it; it serves callers that price the cells
+// themselves (benchmarks timing one layer at a time). The scenario is
+// resolved in place.
 func Layout(sc *Scenario, opt Options) ([]Point, *model.Session, error) {
 	sc.resolveSession()
 	s, err := NewSpace(*sc, opt)
@@ -248,27 +248,9 @@ func Layout(sc *Scenario, opt Options) ([]Point, *model.Session, error) {
 	return pts, s.sess, nil
 }
 
-// EvaluateCell prices one laid-out cell in place against the session: the
-// full evaluation (breakdown, plus the scenario's optional memory
-// feasibility check), with the sweep workers' panic isolation. Cells
-// pre-marked with Err at layout time are left as-is — their diagnosis is
-// already final.
-func EvaluateCell(p *Point, bd *model.Breakdown, sess *model.Session, sc *Scenario) {
-	if p.Err != nil {
-		return
-	}
-	var fp *memkit.Footprint
-	if sc.Memory != nil {
-		fp = new(memkit.Footprint)
-	}
-	evalPointSafe(p, bd, fp, sess, sc)
-}
-
-// CellLowerBound returns the admissible lower bound on the cell's rank key
-// (see model.Session.LowerBound) using the exact microbatch schedule the
-// layout chose for the cell, so bound and full evaluation price the same
-// schedule. The error contract matches EvaluateCell: a cell whose bound
-// fails validation fails the full evaluation with the identical error.
+// CellLowerBound returns model.Session.LowerBound for a laid-out cell,
+// using the exact microbatch schedule the layout chose, so the bound and
+// the cell's full evaluation price the same schedule.
 func CellLowerBound(p *Point, sess *model.Session) (float64, error) {
 	return sess.LowerBound(p.Mapping, p.Batch, p.chosenNub)
 }

@@ -259,28 +259,6 @@ func Estimate(m *transformer.Model, mp parallel.Mapping, b parallel.Batch, cfg C
 	}, nil
 }
 
-// ParamsFloor returns a lower bound on the per-accelerator footprint of any
-// mapping with the given (TP, PP) degrees: the parameter bytes alone, with
-// the ZeRO-3 division taken at the largest data-parallel degree the search
-// space can reach (maxDP), mirroring Estimate's exact float operations so
-// the bound is never above any cell's Footprint.Total(). Every other
-// component (gradients, optimizer state, activations) is non-negative and
-// only adds, so floor > usable memory proves every (TP, PP) cell in the
-// group infeasible — the dominance test behind the planner's prefix
-// pruning. maxDP < 1 is treated as 1.
-func ParamsFloor(m *transformer.Model, tp, pp, maxDP int, cfg Config) units.Bytes {
-	if maxDP < 1 {
-		maxDP = 1
-	}
-	tpf, ppf, dpf := float64(tp), float64(pp), float64(maxDP)
-	paramsPerWorker := m.TotalParams() / (tpf * ppf)
-	paramBytes := paramsPerWorker * float64(cfg.Operands.Param.Bytes())
-	if cfg.ZeROStage >= 3 {
-		paramBytes /= dpf
-	}
-	return units.Bytes(paramBytes)
-}
-
 // Fits reports whether the footprint fits the accelerator's memory,
 // reserving a fraction for framework overhead (CUDA context, fragmentation);
 // reserve 0 means the full capacity is usable.

@@ -283,45 +283,6 @@ func (b *InferenceBreakdown) String() string {
 // into out. The caller owns out; for Prepared batches the hot path performs
 // no heap allocations.
 func (s *InferenceSession) EvaluateInferencePoint(mp parallel.Mapping, batch int, out *InferenceBreakdown) error {
-	return s.evaluateInf(mp, batch, out, false)
-}
-
-// LowerBound returns an admissible lower bound on the point's per-token
-// decode latency — the exact rank key float64(PerToken()) — for
-// branch-and-bound search over the mapping space (minimizing PerToken at a
-// fixed global batch maximizes tokens/s). It runs the full evaluation with
-// the MoE all-to-all terms forced to exactly zero in the same association
-// order, so the bound is bit-identical to the true rank on every cell whose
-// MoE term is zero and never above it otherwise. The error contract matches
-// EvaluateInferencePoint.
-func (s *InferenceSession) LowerBound(mp parallel.Mapping, batch int) (float64, error) {
-	var bd InferenceBreakdown
-	if err := s.evaluateInf(mp, batch, &bd, true); err != nil {
-		return 0, err
-	}
-	return float64(bd.PerToken()), nil
-}
-
-// Evaluate is the one-shot convenience over EvaluateInferencePoint. On a
-// non-finite result the partial breakdown is returned alongside the error,
-// matching Session.Evaluate.
-func (s *InferenceSession) Evaluate(mp parallel.Mapping, batch int) (*InferenceBreakdown, error) {
-	out := new(InferenceBreakdown)
-	if err := s.EvaluateInferencePoint(mp, batch, out); err != nil {
-		if errors.Is(err, errNonFinite) {
-			return out, err
-		}
-		return nil, err
-	}
-	return out, nil
-}
-
-// evaluateInf is the shared body behind EvaluateInferencePoint and
-// LowerBound: the prefill session's mapping run, then the kernel's compute
-// and forward-communication pieces once per phase. With relaxed set the MoE
-// terms are kept at exactly 0.0, relaxing the point into the admissible
-// bound.
-func (s *InferenceSession) evaluateInf(mp parallel.Mapping, batch int, out *InferenceBreakdown, relaxed bool) error {
 	p := s.pre
 	run := p.prepareRun(mp)
 	if run.err != nil {
@@ -349,7 +310,7 @@ func (s *InferenceSession) evaluateInf(mp parallel.Mapping, batch int, out *Infe
 	// single pass's traversal.
 	aggP := p.agg(batch)
 	ufPre := p.fwdCompute(&aggP, cMAC, &run)
-	tpIntraPre, tpInterPre, ppHopPre, cpPre, moePre := p.fwdComm(&run, br, p.seqHidden, relaxed)
+	tpIntraPre, tpInterPre, ppHopPre, cpPre, moePre := p.fwdComm(&run, br, p.seqHidden, false)
 	ppPre := ppHopPre * float64(run.pp-1)
 
 	// Decode: one token per sequence against the mean-depth cache, so the
@@ -358,7 +319,7 @@ func (s *InferenceSession) evaluateInf(mp parallel.Mapping, batch int, out *Infe
 	// one boundary crossing (per virtual chunk), not the full traversal.
 	aggD := s.dec.get(batch)
 	ufDec := p.fwdCompute(&aggD, cMAC, &run)
-	tpIntraDec, tpInterDec, ppHopDec, cpDec, moeDec := p.fwdComm(&run, br, float64(s.full.Hidden), relaxed)
+	tpIntraDec, tpInterDec, ppHopDec, cpDec, moeDec := p.fwdComm(&run, br, float64(s.full.Hidden), false)
 	ppDec := ppHopDec * run.vppF
 
 	*out = InferenceBreakdown{
@@ -389,4 +350,18 @@ func (s *InferenceSession) evaluateInf(mp parallel.Mapping, batch int, out *Infe
 		return errNonFinite
 	}
 	return nil
+}
+
+// Evaluate is the one-shot convenience over EvaluateInferencePoint. On a
+// non-finite result the partial breakdown is returned alongside the error,
+// matching Session.Evaluate.
+func (s *InferenceSession) Evaluate(mp parallel.Mapping, batch int) (*InferenceBreakdown, error) {
+	out := new(InferenceBreakdown)
+	if err := s.EvaluateInferencePoint(mp, batch, out); err != nil {
+		if errors.Is(err, errNonFinite) {
+			return out, err
+		}
+		return nil, err
+	}
+	return out, nil
 }

@@ -224,7 +224,7 @@ func infScenarios() []infScenario {
 
 // kernelResults prices every golden cell through every public entry point
 // of the pricing kernel: EvaluatePoint, LowerBound and EvaluateBatch for
-// training, EvaluateInferencePoint and LowerBound for serving.
+// training, EvaluateInferencePoint for serving.
 func kernelResults(t *testing.T) map[string]string {
 	t.Helper()
 	got := map[string]string{}
@@ -270,8 +270,6 @@ func kernelResults(t *testing.T) map[string]string {
 			var bd InferenceBreakdown
 			err := sess.EvaluateInferencePoint(c.mp, c.batch, &bd)
 			got[key+"/point"] = kernelRecord(bd, err)
-			lb, err := sess.LowerBound(c.mp, c.batch)
-			got[key+"/lower-bound"] = kernelRecord(lb, err)
 		}
 	}
 	return got

@@ -384,8 +384,9 @@ func (s *Session) EvaluatePoint(mp parallel.Mapping, batch, microbatches int, ou
 }
 
 // LowerBound returns an admissible lower bound on the point's expected total
-// time — the exact rank key float64(Breakdown.ExpectedTotalTime()) — for
-// branch-and-bound search over the mapping space. It runs the full
+// time — the exact rank key float64(Breakdown.ExpectedTotalTime()). It
+// costs one full pricing of the cell, which is why the planner
+// (internal/plan) prices cells instead of bounding them. It runs the full
 // EvaluatePoint arithmetic with the MoE all-to-all term forced to exactly
 // zero, in the same association order, so by the monotonicity of IEEE-754
 // rounded addition and multiplication the result is bit-identical to the

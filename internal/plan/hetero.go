@@ -316,6 +316,35 @@ func (sp *HeteroSpace) bound(c *HeteroCell) (float64, error) {
 	return lb * heteroBoundGuard * float64(sp.numBatches()), nil
 }
 
+// cellRef is one heap entry: a cell's admissible bound and identity.
+type cellRef struct {
+	lb  float64
+	id  string
+	idx int
+}
+
+// cellHeap is a min-heap over (lb, id) — the same lexicographic order the
+// incumbent comparison uses, so the peeked minimum is exactly the first
+// cell that could still improve the result.
+type cellHeap []cellRef
+
+func (h cellHeap) Len() int { return len(h) }
+func (h cellHeap) Less(i, j int) bool {
+	if h[i].lb != h[j].lb {
+		return h[i].lb < h[j].lb
+	}
+	return h[i].id < h[j].id
+}
+func (h cellHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *cellHeap) Push(x any)   { *h = append(*h, x.(cellRef)) }
+func (h *cellHeap) Pop() any {
+	old := *h
+	n := len(old)
+	x := old[n-1]
+	*h = old[:n-1]
+	return x
+}
+
 // SolveHetero runs the best-first branch-and-bound search over the
 // heterogeneous space, returning the identical optimum — exact Value and
 // ID tie-break — that ExhaustiveHetero finds by evaluating every cell.

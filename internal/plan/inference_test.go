@@ -64,12 +64,10 @@ func kvInfeasible(sess *model.InferenceSession, mp parallel.Mapping, batch, ctx 
 
 // TestSolveInferenceMatchesExhaustive is the serving analogue of the
 // training planner's equivalence property: over randomized audit scenarios,
-// the best-first search returns the identical optimum — exact rank float64
-// bits and mapping identity — as brute-force enumeration, while expanding
-// only part of the space on average.
+// the planner returns the identical optimum — exact rank float64 bits and
+// mapping identity — as brute-force enumeration.
 func TestSolveInferenceMatchesExhaustive(t *testing.T) {
 	const seeds = 40
-	var aggTotal, aggExpanded int64
 	ranked := 0
 	for seed := int64(1); seed <= seeds; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -124,17 +122,9 @@ func TestSolveInferenceMatchesExhaustive(t *testing.T) {
 		if got := st.CellsPrunedMemory + st.CellsInfeasible + st.CellsBounded + st.CellsExpanded; got > st.CellsTotal {
 			t.Errorf("seed %d: stats overcount the space: %+v", seed, st)
 		}
-		aggTotal += st.CellsTotal
-		aggExpanded += st.CellsExpanded
 	}
 	if ranked == 0 {
 		t.Fatal("no seed produced a feasible serving space")
-	}
-	// The admissible bound must pay for itself: on aggregate the search
-	// expands well under the whole space (non-MoE spaces expand only the
-	// optimum and its exact ties).
-	if frac := float64(aggExpanded) / float64(aggTotal); frac > 0.6 {
-		t.Errorf("search expanded %.0f%% of the aggregate space", 100*frac)
 	}
 }
 

@@ -1,71 +1,51 @@
-// Package plan is AMPeD's solver-grade mapping planner: a best-first
-// branch-and-bound search over the exact cell enumeration the exhaustive
-// sweep (internal/explore) walks, returning the identical optimum — the
-// exact rank_s key, byte for byte — while fully evaluating only a fraction
-// of the cells.
+// Package plan is AMPeD's mapping planner: it returns the optimal cell of
+// the exact enumeration the exhaustive sweep (internal/explore) walks — the
+// exact rank_s key, byte for byte.
 //
-// Three ingredients make the search sound and cross-checkable:
+// The homogeneous planner is the sweep executor's top-1: AMPeD prices a
+// cell in closed form (Eq. 2–12), so an admissible bound on a cell costs as
+// much as pricing it, and bounding every cell costs at least what pricing
+// every cell through the batched kernel does. Solve is therefore
+// explore.NewSpace plus Space.Top(n = 1) over the options' cursor range,
+// and its result is the front of the sweep's SortByTime ranking by
+// construction. The serving
+// planner (SolveInference) is the same exhaustive scan over the serving
+// mappings.
 //
-//   - Admissible lower bounds. Each cell is bounded by
-//     model.Session.LowerBound — the production evaluation with the Eq. 9
-//     MoE all-to-all term relaxed to exactly zero, in the same association
-//     order, so the bound is bit-identical to the true rank on every
-//     non-MoE cell and never above it otherwise (monotonicity of IEEE-754
-//     rounded arithmetic). The compute-only internal/baseline predictor is
-//     quoted as a root statistic (Stats.ComputeFloorSeconds) but never used
-//     for pruning: its fixed utilization and backward factor are not
-//     admissible against the efficiency-derated analytical model.
-//
-//   - Dominance pruning of memory-infeasible (TP, PP) prefixes. When the
-//     scenario enables the memory model, memkit.ParamsFloor lower-bounds
-//     every cell in a (TP, PP) group by its parameter bytes alone (ZeRO-3
-//     sharding taken at the group's largest DP); a floor above the usable
-//     capacity proves the whole group !Fits and it is pruned without
-//     evaluating a single cell.
-//
-//   - The canonical cell order. Cells come from explore.Layout — the same
-//     mapping-major, batch-minor enumeration, microbatch schedules and
-//     infeasibility pre-marks the sweep uses — so Solve's result is
-//     directly comparable against explore.Sweep cell-for-cell, and the
-//     equivalence is enforced by a randomized property test over the audit
-//     generator's scenario space.
-//
-// Ranking matches the sweep's SortByTime front: feasible cells ordered by
-// the exact float64(Breakdown.ExpectedTotalTime()) rank key, ties broken by
-// the cell's Point.String() identity. Expansion stops as soon as the best
-// unexpanded bound can no longer beat (or tie-and-win against) the
-// incumbent, which on a fully non-MoE space means the optimum plus its
-// exact-tie peers are the only cells ever fully evaluated.
+// The heterogeneous planner (SolveHetero) is the one place a bound earns
+// its code: there pricing a cell runs the pipesim discrete-event simulator
+// while the bound stays closed-form, so its best-first branch-and-bound
+// expands a handful of cells instead of simulating them all.
 package plan
 
 import (
-	"container/heap"
+	"context"
+	"slices"
 
 	"amped/internal/baseline"
 	"amped/internal/explore"
-	"amped/internal/memkit"
 	"amped/internal/model"
 )
 
-// Stats reports how much of the cell space the search actually touched.
+// Stats reports how the planner covered its cell space.
 type Stats struct {
-	// CellsTotal is the size of the laid-out cell enumeration.
+	// CellsTotal is the size of the searched cell range.
 	CellsTotal int64
-	// CellsPrunedMemory counts cells discarded by the (TP, PP) parameter
-	// floor dominance test before bounding.
+	// CellsPrunedMemory counts serving mappings discarded by the KV-aware
+	// concurrency gate before pricing (training plans leave it 0).
 	CellsPrunedMemory int64
 	// CellsInfeasible counts cells whose schedule or validation makes them
-	// unrankable (layout pre-marks, bound-time validation errors) — the
-	// full evaluation would fail identically, so they are never expanded.
+	// unrankable (layout pre-marks, evaluation errors).
 	CellsInfeasible int64
 	// CellsBounded counts cells that received a lower bound but were cut
-	// off by it: the search terminated with them still unexpanded.
+	// off by it. Only the heterogeneous branch-and-bound sets it.
 	CellsBounded int64
-	// CellsExpanded counts cells that were fully evaluated.
+	// CellsExpanded counts cells priced to a rankable result (for the
+	// heterogeneous planner: cells simulated).
 	CellsExpanded int64
 	// ComputeFloorSeconds is the compute-only baseline floor for the
 	// scenario's smallest batch at utilization 1, scaled to the recipe's
-	// batch count — a root-level sanity statistic, not a pruning bound.
+	// batch count — a root-level sanity statistic.
 	ComputeFloorSeconds float64
 }
 
@@ -86,169 +66,66 @@ type Result struct {
 	// RankSeconds is Best's exact rank_s key
 	// (float64(Breakdown.ExpectedTotalTime())); 0 when Best is nil.
 	RankSeconds float64
-	// Stats describes the search effort.
+	// Stats describes the search.
 	Stats Stats
 }
 
-// cellRef is one heap entry: a cell's admissible bound and identity.
-type cellRef struct {
-	lb  float64
-	id  string
-	idx int
-}
-
-// cellHeap is a min-heap over (lb, id) — the same lexicographic order the
-// incumbent comparison uses, so the peeked minimum is exactly the first
-// cell that could still improve the result.
-type cellHeap []cellRef
-
-func (h cellHeap) Len() int { return len(h) }
-func (h cellHeap) Less(i, j int) bool {
-	if h[i].lb != h[j].lb {
-		return h[i].lb < h[j].lb
-	}
-	return h[i].id < h[j].id
-}
-func (h cellHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *cellHeap) Push(x any) { *h = append(*h, x.(cellRef)) }
-func (h *cellHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// Solve runs the branch-and-bound search over the scenario's cell space.
-// The scenario and options mean exactly what they mean to explore.Sweep —
-// including a supplied pre-compiled Session and CursorLo/CursorHi shard
-// ranges — and the returned Best matches the exhaustive sweep's ranking
-// front byte-for-byte (both nil when no cell is feasible).
+// Solve is SolveContext without cancellation.
 func Solve(sc explore.Scenario, opt explore.Options) (*Result, error) {
-	points, sess, err := explore.Layout(&sc, opt)
+	return SolveContext(context.Background(), sc, opt)
+}
+
+// SolveContext returns the optimal cell of the scenario's cell space. The
+// scenario and options mean exactly what they mean to explore.Sweep —
+// including a supplied pre-compiled Session and CursorLo/CursorHi shard
+// ranges — and Best is the exhaustive sweep's ranking front byte-for-byte
+// (both nil when no cell is feasible). A cancelled or expired context
+// returns its error and no result: a partial search is not an optimum.
+func SolveContext(ctx context.Context, sc explore.Scenario, opt explore.Options) (*Result, error) {
+	// Failed cells rank last and never win; dropping them makes Top's
+	// completed count the number of rankable cells.
+	opt.KeepInvalid = false
+	space, err := explore.NewSpace(sc, opt)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{}
-	st := &res.Stats
-	st.CellsTotal = int64(len(points))
-	st.ComputeFloorSeconds = computeFloor(&sc, sess, opt)
-
-	pruned := pruneMemoryPrefixes(points, &sc, st)
-
-	h := make(cellHeap, 0, len(points))
-	for i := range points {
-		if pruned != nil && pruned[i] {
-			continue
-		}
-		p := &points[i]
-		if p.Err != nil {
-			st.CellsInfeasible++
-			continue
-		}
-		lb, err := explore.CellLowerBound(p, sess)
-		if err != nil {
-			// The full evaluation shares the bound's validation prefix and
-			// would fail with the identical error: bucket-2 in the sweep's
-			// ranking, never the optimum.
-			st.CellsInfeasible++
-			continue
-		}
-		h = append(h, cellRef{lb: lb, id: p.String(), idx: i})
+	lo, hi := opt.CursorLo, opt.CursorHi
+	if lo == 0 && hi == 0 {
+		hi = space.Cells()
 	}
-	heap.Init(&h)
-
-	bds := make([]model.Breakdown, len(points))
-	var bestRank float64
-	var bestID string
-	for h.Len() > 0 {
-		c := h[0]
-		if res.Best != nil &&
-			(c.lb > bestRank || (c.lb == bestRank && c.id > bestID)) {
-			// Admissibility: every remaining cell's true rank is >= its
-			// bound, and the bound already loses the (rank, id) tie-break
-			// against the incumbent. Nothing left can improve the result.
-			st.CellsBounded = int64(h.Len())
-			break
-		}
-		heap.Pop(&h)
-		p := &points[c.idx]
-		explore.EvaluateCell(p, &bds[c.idx], sess, &sc)
-		st.CellsExpanded++
-		if p.Err != nil || !p.Fits || p.Breakdown == nil {
-			continue
-		}
-		rank := float64(p.Breakdown.ExpectedTotalTime())
-		if res.Best == nil || rank < bestRank || (rank == bestRank && c.id < bestID) {
-			res.Best, bestRank, bestID = p, rank, c.id
-		}
+	top, completed, err := space.Top(ctx, lo, hi, 1)
+	if err != nil {
+		return nil, err
 	}
-	if res.Best != nil {
-		res.RankSeconds = bestRank
+	res := &Result{Stats: Stats{
+		CellsTotal:          hi - lo,
+		CellsInfeasible:     hi - lo - int64(completed),
+		CellsExpanded:       int64(completed),
+		ComputeFloorSeconds: computeFloor(space.Session(), opt.Batches),
+	}}
+	// The head is a !Fits cell when nothing fits the memory budget.
+	if len(top) > 0 && top[0].Fits {
+		res.Best = &top[0]
+		res.RankSeconds = float64(res.Best.Breakdown.ExpectedTotalTime())
 	}
 	return res, nil
 }
 
 // computeFloor derives the root-level compute-only statistic: the baseline
 // predictor's floor for the smallest swept batch at utilization 1, scaled
-// by the recipe's batch count. Purely informational (see the package
-// comment for why it is not an admissible pruning bound); any derivation
-// error simply reports 0.
-func computeFloor(sc *explore.Scenario, sess *model.Session, opt explore.Options) float64 {
-	if len(opt.Batches) == 0 {
-		return 0
-	}
-	minB := opt.Batches[0]
-	for _, b := range opt.Batches[1:] {
-		if b < minB {
-			minB = b
-		}
-	}
-	tr := sess.Training()
+// by the recipe's batch count (NewSpace has rejected an empty batch list).
+// Purely informational; any derivation error simply reports 0.
+func computeFloor(sess *model.Session, batches []int) float64 {
+	tr, sys := sess.Training(), sess.System()
 	pred := &baseline.Predictor{
-		Model:       sc.Model,
-		Accel:       sc.System.Accel,
-		Workers:     sc.System.Nodes * sc.System.AccelsPerNode,
+		Model:       sess.Model(),
+		Accel:       sys.Accel,
+		Workers:     sys.Nodes * sys.AccelsPerNode,
 		Utilization: 1,
 	}
-	f, err := pred.ComputeFloor(minB, tr.BackwardComputeFactor)
+	f, err := pred.ComputeFloor(slices.Min(batches), tr.BackwardComputeFactor)
 	if err != nil {
 		return 0
 	}
 	return float64(f) * float64(tr.NumBatches)
-}
-
-// pruneMemoryPrefixes runs the (TP, PP) dominance test when the scenario
-// enables the memory model: a group whose parameter floor alone exceeds the
-// usable capacity cannot contain a fitting cell (every other footprint
-// component only adds), so all its cells are discarded unevaluated. Returns
-// nil when the memory model is off.
-func pruneMemoryPrefixes(points []explore.Point, sc *explore.Scenario, st *Stats) []bool {
-	if sc.Memory == nil {
-		return nil
-	}
-	type group struct{ tp, pp int }
-	maxDP := make(map[group]int)
-	for i := range points {
-		mp := points[i].Mapping
-		g := group{mp.TP(), mp.PP()}
-		if dp := mp.DP(); dp > maxDP[g] {
-			maxDP[g] = dp
-		}
-	}
-	usable := float64(sc.System.Accel.Memory) * (1 - sc.MemoryReserve)
-	infeasible := make(map[group]bool, len(maxDP))
-	for g, dp := range maxDP {
-		floor := memkit.ParamsFloor(sc.Model, g.tp, g.pp, dp, *sc.Memory)
-		infeasible[g] = float64(floor) > usable
-	}
-	pruned := make([]bool, len(points))
-	for i := range points {
-		mp := points[i].Mapping
-		if infeasible[group{mp.TP(), mp.PP()}] {
-			pruned[i] = true
-			st.CellsPrunedMemory++
-		}
-	}
-	return pruned
 }

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -38,15 +40,12 @@ func sweepFront(points []explore.Point) (*explore.Point, float64) {
 
 // TestSolveMatchesExhaustive is the solver-vs-exhaustive equivalence
 // property test: on every small randomized space from the audit generator,
-// Solve returns the identical optimum — exact rank_s float64 bits and cell
-// identity — as the full sweep, while (on the unconstrained spaces, where
-// the ≤20%-expansion acceptance bar applies) touching only a fraction of
-// the cells. Every third seed additionally enables the memory model, whose
-// !Fits buckets can legitimately force the search through many cells; those
-// runs assert identity only.
+// Solve returns the identical optimum — exact rank_s float64 bits, cell
+// identity and breakdown — as the full sweep, over the whole space and over
+// one interior CursorLo/CursorHi shard range. Every third seed additionally
+// enables the memory model.
 func TestSolveMatchesExhaustive(t *testing.T) {
 	const seeds = 60
-	var aggTotal, aggExpanded int64
 	for seed := int64(1); seed <= seeds; seed++ {
 		s := audit.Generate(rand.New(rand.NewSource(seed)))
 		sc := explore.Scenario{
@@ -114,32 +113,82 @@ func TestSolveMatchesExhaustive(t *testing.T) {
 		if got := st.CellsPrunedMemory + st.CellsInfeasible + st.CellsBounded + st.CellsExpanded; got > st.CellsTotal {
 			t.Errorf("seed %d: stats overcount the space: %+v", seed, st)
 		}
-		if withMemory {
-			continue
+		// One interior shard range: Solve honours CursorLo/CursorHi exactly
+		// as the sweep does.
+		space, err := explore.NewSpace(sc, opt)
+		if err != nil {
+			t.Fatalf("seed %d: NewSpace: %v", seed, err)
 		}
-		aggTotal += st.CellsTotal
-		aggExpanded += st.CellsExpanded
-		// Per-space bound on the unconstrained runs: the admissible bound is
-		// exact on non-MoE cells, so expansion stays near the optimum and
-		// its exact ties; MoE cells carry a bound gap (the relaxed all-to-all
-		// term) and get headroom.
-		limit := st.CellsTotal/5 + 1
-		if s.Model.MoE() {
-			limit = st.CellsTotal/2 + 1
+		shard := opt
+		shard.CursorLo = space.Cells() / 4
+		shard.CursorHi = max(shard.CursorLo+1, 3*space.Cells()/4)
+		sres, err := Solve(sc, shard)
+		if err != nil {
+			t.Fatalf("seed %d: Solve [%d, %d): %v", seed, shard.CursorLo, shard.CursorHi, err)
 		}
-		if st.CellsExpanded > limit {
-			t.Errorf("seed %d: expanded %d of %d cells (limit %d, moe=%v)",
-				seed, st.CellsExpanded, st.CellsTotal, limit, s.Model.MoE())
+		spoints, err := explore.Sweep(sc, shard)
+		if err != nil {
+			t.Fatalf("seed %d: Sweep [%d, %d): %v", seed, shard.CursorLo, shard.CursorHi, err)
+		}
+		swant, swantRank := sweepFront(spoints)
+		switch {
+		case swant == nil && sres.Best == nil:
+		case swant == nil || sres.Best == nil:
+			t.Fatalf("seed %d [%d, %d): feasibility disagreement: sweep front %v, solver best %v",
+				seed, shard.CursorLo, shard.CursorHi, swant, sres.Best)
+		default:
+			if sres.RankSeconds != swantRank || sres.Best.String() != swant.String() ||
+				*sres.Best.Breakdown != *swant.Breakdown {
+				t.Errorf("seed %d [%d, %d): optimum diverged: solver %q (%x), sweep %q (%x)",
+					seed, shard.CursorLo, shard.CursorHi, sres.Best, sres.RankSeconds, swant, swantRank)
+			}
+		}
+		if got := sres.Stats.CellsTotal; got != shard.CursorHi-shard.CursorLo {
+			t.Errorf("seed %d: shard stats cover %d cells, range holds %d", seed, got, shard.CursorHi-shard.CursorLo)
 		}
 	}
-	if aggTotal == 0 {
-		t.Fatal("no unconstrained spaces were aggregated")
+}
+
+// auditSpace is one small audit-generated space over a single batch.
+func auditSpace(seed int64) (explore.Scenario, explore.Options) {
+	s := audit.Generate(rand.New(rand.NewSource(seed)))
+	sc := explore.Scenario{Model: &s.Model, System: &s.System, Training: s.Training, Eff: s.Eff}
+	opt := explore.Options{
+		Batches:   []int{s.Training.Batch.Global},
+		Enumerate: parallel.EnumerateOptions{PowerOfTwo: true, ExpertParallel: s.Mapping.ExpertParallel},
 	}
-	if frac := float64(aggExpanded) / float64(aggTotal); frac > 0.20 {
-		t.Errorf("aggregate expansion %.1f%% exceeds the 20%% acceptance bar (%d of %d cells)",
-			100*frac, aggExpanded, aggTotal)
-	} else {
-		t.Logf("aggregate expansion %.2f%% (%d of %d cells)", 100*frac, aggExpanded, aggTotal)
+	return sc, opt
+}
+
+// TestSolveContextCancelled: a cancelled context returns its error and no
+// result — a partial search is not an optimum.
+func TestSolveContextCancelled(t *testing.T) {
+	sc, opt := auditSpace(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err := SolveContext(ctx, sc, opt); res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("SolveContext(cancelled) = %+v, %v; want nil, context.Canceled", res, err)
+	}
+	if _, err := SolveContext(context.Background(), sc, opt); err != nil {
+		t.Fatalf("SolveContext: %v", err)
+	}
+}
+
+// TestSolveNothingFits: when the memory model rejects every cell, the
+// sweep's ranking front is a !Fits cell, and Solve must report no optimum.
+func TestSolveNothingFits(t *testing.T) {
+	sc, opt := auditSpace(3)
+	sc.System.Accel.Memory = 1
+	sc.Memory = &memkit.Config{Operands: sc.Training.Operands, Optimizer: memkit.Adam}
+	res, err := Solve(sc, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Best != nil {
+		t.Fatalf("Solve returned %v although no cell fits", res.Best)
+	}
+	if res.Stats.CellsExpanded == 0 {
+		t.Fatal("no cell was priced; the space is vacuous")
 	}
 }
 
@@ -151,8 +200,8 @@ func TestSolveMatchesExhaustive(t *testing.T) {
 // estimate) agreed on the wrong answer. The scenario is attention-heavy
 // (2·a·s ≈ 4 × 16·h per token) with the device capacity set strictly
 // between the cp = 2 and cp = 1 working sets: under the corrected
-// accounting only context-parallel cells fit, and the branch-and-bound
-// planner must land on the identical optimum as the exhaustive sweep —
+// accounting only context-parallel cells fit, and the planner must land
+// on the identical optimum as the exhaustive sweep —
 // exact rank bits, identity and breakdown.
 func TestSolveSPCPMemoryEquivalence(t *testing.T) {
 	m := transformer.Model{
@@ -253,7 +302,7 @@ func TestSolveSPCPMemoryEquivalence(t *testing.T) {
 	if res.Best.Mapping.TP() > 1 && off.Activations <= got.Activations {
 		t.Errorf("SP-off footprint %v not above SP-on %v", off.Activations, got.Activations)
 	}
-	t.Logf("optimum %v, footprint %v, expanded %d of %d cells",
+	t.Logf("optimum %v, footprint %v, priced %d of %d cells",
 		res.Best, res.Best.Footprint, res.Stats.CellsExpanded, res.Stats.CellsTotal)
 }
 

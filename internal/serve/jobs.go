@@ -364,7 +364,7 @@ func (m *jobManager) runPlan(ctx context.Context, j *job, cp *compiledPlan) {
 			j.finishFail(m.s.log.Printf, &jobError{errClassInternal, fmt.Sprintf("job runner panic: %v", rec)})
 		}
 	}()
-	resp, err := m.s.solvePlan(cp)
+	resp, err := m.s.solvePlan(ctx, cp)
 	if err != nil {
 		if context.Cause(ctx) == errSuspend {
 			j.finishSuspend(m.s.log.Printf)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -47,8 +48,9 @@ type PlanPool struct {
 	Count int `json:"count"`
 }
 
-// PlanStats is plan.Stats on the wire: how much of the cell space the
-// branch-and-bound search actually touched.
+// PlanStats is plan.Stats on the wire: how the planner covered its cell
+// space. cells_expanded counts cells priced; cells_bounded is set only in
+// the hetero section, by its branch-and-bound.
 type PlanStats struct {
 	CellsTotal        int64   `json:"cells_total"`
 	CellsPrunedMemory int64   `json:"cells_pruned_memory"`
@@ -192,14 +194,18 @@ func (s *Server) compilePlan(ctx context.Context, body []byte) (*compiledPlan, e
 }
 
 // solvePlan runs the homogeneous (and, with pools, heterogeneous) search
-// over a compiled plan and assembles the response.
-func (s *Server) solvePlan(cp *compiledPlan) (PlanResponse, error) {
+// over a compiled plan and assembles the response. A cancelled or expired
+// ctx returns its error rather than a partial plan.
+func (s *Server) solvePlan(ctx context.Context, cp *compiledPlan) (PlanResponse, error) {
 	start := time.Now()
-	res, err := plan.Solve(explore.Scenario{Session: cp.sess}, sweepOptions(cp.req.Sweep))
-	if err != nil {
+	res, err := plan.SolveContext(ctx, explore.Scenario{Session: cp.sess}, sweepOptions(cp.req.Sweep))
+	switch {
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return PlanResponse{}, err // classifies as cancelled or timeout
+	case err != nil:
 		return PlanResponse{}, &jobError{errClassBadRequest, err.Error()}
 	}
-	// Expanded cells are full evaluations — the same unit of work the sweep
+	// Every rankable cell was priced — the same unit of work the sweep
 	// throughput metrics count.
 	s.met.sweepPoints.add(uint64(res.Stats.CellsExpanded))
 
@@ -237,12 +243,14 @@ func (s *Server) solvePlan(cp *compiledPlan) (PlanResponse, error) {
 	return resp, nil
 }
 
-// handlePlan runs the branch-and-bound planner (internal/plan) over the
-// compiled session's cell space and returns the provably optimal design
-// point with the search's pruning statistics — the solver-grade counterpart
-// of /v1/sweep, admitted, cached and traced through the exact same
-// machinery. When the request carries accelerator pools the heterogeneous
-// planner runs alongside and its optimum rides in the "hetero" section.
+// handlePlan runs the planner (internal/plan) over the compiled session's
+// cell space and returns the optimal design point — the front of the
+// ranking an exhaustive /v1/sweep of the same request returns — with the
+// search statistics, admitted, cached and traced through the exact same
+// machinery. The search runs under the server's request timeout; a
+// deadline answers 504, never a partial plan. When the request carries
+// accelerator pools the heterogeneous planner runs alongside and its
+// optimum rides in the "hetero" section.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, r) {
 		return
@@ -264,10 +272,20 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
 	ssp := tr.StartSpan(obs.PhaseSweep)
-	resp, err := s.solvePlan(cp)
+	resp, err := s.solvePlan(ctx, cp)
 	ssp.End()
-	if err != nil {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		s.error(w, r, http.StatusGatewayTimeout,
+			fmt.Sprintf("plan exceeded the %v request timeout", s.cfg.RequestTimeout))
+		return
+	case errors.Is(err, context.Canceled):
+		s.error(w, r, statusForContextErr(err), "plan cancelled: client went away")
+		return
+	case err != nil:
 		s.error(w, r, http.StatusBadRequest, classifyErr(err).msg)
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 func planResponse(t *testing.T, url, body string) PlanResponse {
@@ -23,9 +24,8 @@ func planResponse(t *testing.T, url, body string) PlanResponse {
 
 // TestPlanMatchesSweepFront is the serving-layer equivalence check: the
 // planner's Best must be byte-identical to the front of an exhaustive
-// /v1/sweep ranking of the same request, while the pruning statistics show
-// only part of the space was expanded, and the plan reuses the sweep's
-// cached session.
+// /v1/sweep ranking of the same request, its statistics must account for
+// the space, and the plan reuses the sweep's cached session.
 func TestPlanMatchesSweepFront(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	want := sweepResponse(t, ts.URL, sweepDoc)
@@ -98,6 +98,19 @@ func TestPlanHeteroPools(t *testing.T) {
 	// The homogeneous plan still rides alongside.
 	if resp.Best == nil {
 		t.Error("homogeneous best missing from a pooled request")
+	}
+}
+
+// TestPlanTimeout pins the deadline path: a plan whose request timeout has
+// already expired answers 504, never a partial plan.
+func TestPlanTimeout(t *testing.T) {
+	_, ts := newTestServer(t, Config{RequestTimeout: time.Nanosecond})
+	code, body := post(t, ts.URL+"/v1/plan", sweepDoc)
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("timed-out plan = %d %s, want 504", code, body)
+	}
+	if !bytes.Contains(body, []byte("timeout")) {
+		t.Errorf("timeout not explained: %s", body)
 	}
 }
 
