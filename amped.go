@@ -27,7 +27,6 @@
 package amped
 
 import (
-	"amped/internal/autotune"
 	"amped/internal/config"
 	"amped/internal/efficiency"
 	"amped/internal/explore"
@@ -36,10 +35,10 @@ import (
 	"amped/internal/model"
 	"amped/internal/parallel"
 	"amped/internal/pipesim"
+	"amped/internal/plan"
 	"amped/internal/power"
 	"amped/internal/precision"
 	"amped/internal/sensitivity"
-	"amped/internal/solver"
 	"amped/internal/transformer"
 	"amped/internal/units"
 )
@@ -248,15 +247,15 @@ type AttentionVariant = transformer.Variant
 // Sensitivity analysis, capacity planning and recipe tuning.
 type (
 	// TuneRequest frames an automatic recipe search.
-	TuneRequest = autotune.Request
+	TuneRequest = plan.TuneRequest
 	// Recipe is a complete, memory-feasible training configuration.
-	Recipe = autotune.Recipe
+	Recipe = plan.Recipe
 	// SensitivityResult is one knob's measured time elasticity.
 	SensitivityResult = sensitivity.Result
 	// PlanRequest describes an inverse capacity-planning problem.
-	PlanRequest = solver.Request
-	// Plan is the solver's sized-machine answer.
-	Plan = solver.Plan
+	PlanRequest = plan.CapacityRequest
+	// Plan is the capacity search's sized-machine answer.
+	Plan = plan.Capacity
 )
 
 // Sensitivity measures the elasticity of a design point's training time to
@@ -267,11 +266,11 @@ func Sensitivity(est Estimator, step float64) ([]SensitivityResult, error) {
 
 // MinimumNodes finds the smallest machine (in nodes of the template's
 // shape) whose best mapping meets the request's deadline.
-func MinimumNodes(req PlanRequest) (*Plan, error) { return solver.MinimumNodes(req) }
+func MinimumNodes(req PlanRequest) (*Plan, error) { return plan.MinimumNodes(req) }
 
 // Tune recommends the fastest memory-feasible training recipe — mapping,
 // microbatches, ZeRO stage and checkpointing — for a model on a machine.
-func Tune(req TuneRequest) (*Recipe, error) { return autotune.Tune(req) }
+func Tune(req TuneRequest) (*Recipe, error) { return plan.Tune(req) }
 
 // EstimateBubbleRatio derives Eq. 8's R factor for an interleaved pipeline
 // schedule by discrete-event simulation: the bubble time of a

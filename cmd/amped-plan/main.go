@@ -16,14 +16,13 @@ import (
 	"io"
 	"os"
 
-	"amped/internal/autotune"
 	"amped/internal/efficiency"
 	"amped/internal/hardware"
 	"amped/internal/model"
 	"amped/internal/parallel"
+	"amped/internal/plan"
 	"amped/internal/report"
 	"amped/internal/sensitivity"
-	"amped/internal/solver"
 	"amped/internal/transformer"
 )
 
@@ -79,7 +78,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if *recipe {
 		template.Nodes = *nodes
-		r, err := autotune.Tune(autotune.Request{
+		r, err := plan.Tune(plan.TuneRequest{
 			Model:       &m,
 			System:      &template,
 			GlobalBatch: *batch,
@@ -88,7 +87,11 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "recipe for %v on %d x %d accelerators:\n", &m, *nodes, *accels)
+		st := r.Stats
+		fmt.Fprintf(out, "recipe for %v on %d x %d accelerators: optimum over %d (mapping, N_ub) cells\n",
+			&m, *nodes, *accels, st.CellsTotal)
+		fmt.Fprintf(out, "  priced        %d\n", st.CellsExpanded)
+		fmt.Fprintf(out, "  no fit        %d (over memory at every ladder step)\n", st.CellsPrunedMemory)
 		fmt.Fprintf(out, "  mapping:      %v\n", r.Mapping)
 		fmt.Fprintf(out, "  microbatches: %d\n", r.Microbatches)
 		fmt.Fprintf(out, "  memory levers: ZeRO-%d, checkpointing=%v\n", r.ZeROStage, r.Checkpointing)
@@ -98,7 +101,7 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	plan, err := solver.MinimumNodes(solver.Request{
+	sized, err := plan.MinimumNodes(plan.CapacityRequest{
 		Model:    &m,
 		Template: template,
 		Training: model.Training{
@@ -114,13 +117,13 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "deadline:  %.1f days for %v\n", *targetDays, &m)
 	fmt.Fprintf(out, "plan:      %d nodes (%d accelerators), mapping %v\n",
-		plan.Nodes, plan.Accelerators, plan.Mapping)
+		sized.Nodes, sized.Accelerators, sized.Mapping)
 	fmt.Fprintf(out, "predicted: %.1f days at %.1f TFLOP/s/GPU\n\n",
-		plan.Days, plan.Breakdown.TFLOPSPerGPU())
-	if len(plan.Rejected) > 0 {
+		sized.Days, sized.Breakdown.TFLOPSPerGPU())
+	if len(sized.Rejected) > 0 {
 		tab := report.NewTable("scaling curve (sizes that miss the deadline)",
 			"nodes", "best days")
-		for _, c := range plan.Rejected {
+		for _, c := range sized.Rejected {
 			days := fmt.Sprintf("%.1f", c.Days)
 			if c.Days < 0 {
 				days = "infeasible"

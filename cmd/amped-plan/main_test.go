@@ -2,8 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"amped/internal/hardware"
+	"amped/internal/plan"
+	"amped/internal/transformer"
 )
 
 func TestPlanMode(t *testing.T) {
@@ -65,6 +70,8 @@ func TestBadInputs(t *testing.T) {
 	}
 }
 
+// TestRecipeMode pins the printed recipe to the recipe search's answer for
+// Megatron-530B on the Case Study I machine at batch 2520.
 func TestRecipeMode(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{"-recipe", "-model", "megatron-530b", "-nodes", "128",
@@ -72,10 +79,27 @@ func TestRecipeMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := transformer.Megatron530B()
+	sys := hardware.CaseStudy1System()
+	want, err := plan.Tune(plan.TuneRequest{Model: &m, System: &sys, GlobalBatch: 2520, NumBatches: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
-	for _, want := range []string{"recipe for", "mapping:", "memory levers:", "predicted:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
+	for _, line := range []string{
+		fmt.Sprintf("optimum over %d (mapping, N_ub) cells\n", want.Stats.CellsTotal),
+		fmt.Sprintf("  priced        %d\n", want.Stats.CellsExpanded),
+		fmt.Sprintf("  mapping:      %v\n", want.Mapping),
+		fmt.Sprintf("  microbatches: %d\n", want.Microbatches),
+		fmt.Sprintf("  memory levers: ZeRO-%d, checkpointing=%v\n", want.ZeROStage, want.Checkpointing),
+		fmt.Sprintf("  predicted:    %v (", want.Breakdown.TotalTime()),
+	} {
+		if !strings.Contains(out, line) {
+			t.Errorf("output missing %q:\n%s", line, out)
 		}
+	}
+	if want.Mapping.String() != "TP1x128 PP1x1 DP8x1" || want.Microbatches != 15 ||
+		want.ZeROStage != 1 || !want.Checkpointing {
+		t.Errorf("530B recipe %v, want TP1x128 PP1x1 DP8x1 N_ub=15 ZeRO-1 +ckpt", want)
 	}
 }

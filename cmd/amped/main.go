@@ -166,29 +166,26 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "throughput:  %.1f TFLOP/s/GPU\n", bd.TFLOPSPerGPU())
 
 	if *memory {
-		fp, err := memkit.Estimate(est.Model, est.Mapping, est.Training.Batch, memkit.Config{
-			Operands:  precision.Mixed16(),
-			Optimizer: memkit.Adam,
-		})
+		cfg := memkit.Config{Operands: precision.Mixed16(), Optimizer: memkit.Adam}
+		fp, err := memkit.Estimate(est.Model, est.Mapping, est.Training.Batch, cfg)
+		if err != nil {
+			return err
+		}
+		// The last pipeline stage also holds the output gather; a mapping
+		// fits only when that worst stage does.
+		worst, err := memkit.WorstStage(est.Model, est.Mapping, est.Training.Batch, cfg)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "memory:      %v", fp)
-		if memkit.Fits(fp, est.System.Accel, 0.1) {
+		if memkit.Fits(worst, est.System.Accel, 0.1) {
 			fmt.Fprintf(out, " (fits %v)\n", est.System.Accel.Memory)
 		} else {
 			fmt.Fprintf(out, " (DOES NOT FIT %v)\n", est.System.Accel.Memory)
 		}
 		if est.Mapping.PP() > 1 {
-			stages, err := memkit.StageFootprints(est.Model, est.Mapping, est.Training.Batch, memkit.Config{
-				Operands:  precision.Mixed16(),
-				Optimizer: memkit.Adam,
-			})
-			if err == nil && len(stages) > 1 {
-				first, last := stages[0], stages[len(stages)-1]
-				fmt.Fprintf(out, "             per stage: %v; last stage gathers to %v\n",
-					first.Total(), last.Total())
-			}
+			fmt.Fprintf(out, "             per stage: %v; last stage gathers to %v\n",
+				fp.Total(), worst.Total())
 		}
 	}
 	if *energy {

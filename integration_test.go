@@ -1,13 +1,11 @@
 package amped_test
 
 import (
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"amped"
-	"amped/internal/cost"
 	"amped/internal/explore"
 	"amped/internal/hetero"
 	"amped/internal/model"
@@ -17,8 +15,8 @@ import (
 )
 
 // TestConfigToBillPipeline drives the longest cross-package chain: a JSON
-// design point is parsed, evaluated, priced for energy and rental, and the
-// numbers stay mutually consistent.
+// design point is parsed, evaluated and priced for energy, and the idle
+// energy of its pipeline bubble shows up.
 func TestConfigToBillPipeline(t *testing.T) {
 	doc := `{
 	  "model": {"preset": "megatron-145b"},
@@ -51,19 +49,6 @@ func TestConfigToBillPipeline(t *testing.T) {
 	en, err := power.FromBreakdown(bd, est.System)
 	if err != nil {
 		t.Fatal(err)
-	}
-	bill, err := cost.Price(bd, en, cost.Rates{AcceleratorHourUSD: 4, ElectricityUSDPerMWh: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Consistency: rental hours equal time x workers; energy bill equals
-	// MWh x rate; the bubble share of energy matches the breakdown.
-	wantHours := bd.TotalTime().Hours() * float64(bd.Workers)
-	if math.Abs(bill.AcceleratorHours-wantHours) > 1e-6*wantHours {
-		t.Errorf("hours %v != %v", bill.AcceleratorHours, wantHours)
-	}
-	if bill.EnergyUSD <= 0 || bill.RentalUSD <= 0 {
-		t.Errorf("bill = %v", bill)
 	}
 	if en.IdleEnergy <= 0 {
 		t.Error("pipelined run reported no idle energy")

@@ -400,10 +400,10 @@ func evalPoint(p *Point, bd *model.Breakdown, fp *memkit.Footprint, sess *model.
 }
 
 // estimateMemory runs the memory feasibility check for an evaluated point,
-// writing the footprint into fp.
+// writing the footprint of its worst pipeline stage into fp.
 func estimateMemory(p *Point, fp *memkit.Footprint, sc *Scenario) {
 	batch := parallel.Batch{Global: p.Batch, Microbatches: p.chosenNub}
-	est, err := memkit.Estimate(sc.Model, p.Mapping, batch, *sc.Memory)
+	est, err := memkit.WorstStage(sc.Model, p.Mapping, batch, *sc.Memory)
 	if err != nil {
 		p.Err = err
 		return
@@ -585,20 +585,21 @@ func pointOrder(p *Point) int {
 	}
 }
 
-// Best returns the fastest feasible point by expected total time (see
-// SortByTime), or nil when none evaluated.
+// Best returns the fastest feasible point — the front of the SortByTime
+// ranking when that front evaluated and fits — or nil when none did. Exact
+// time ties break by identity, as they do in every other ranking.
 func Best(points []Point) *Point {
-	var best *Point
+	rank := pointRank(points)
+	best := rankEntry{idx: -1}
 	for i := range points {
-		p := &points[i]
-		if p.Err != nil || !p.Fits || p.Breakdown == nil {
-			continue
-		}
-		if best == nil || p.Breakdown.ExpectedTotalTime() < best.Breakdown.ExpectedTotalTime() {
-			best = p
+		if e := rankEntryOf(&points[i], int64(i)); e.bucket == 0 && (best.idx < 0 || rank(e, best) < 0) {
+			best = e
 		}
 	}
-	return best
+	if best.idx < 0 {
+		return nil
+	}
+	return &points[best.idx]
 }
 
 // FilterBatch returns the subset of points with the given global batch, in

@@ -301,3 +301,71 @@ func TestParetoTimeEnergy(t *testing.T) {
 		t.Errorf("nil points front = %v, %v", empty, err)
 	}
 }
+
+// TestBestBreaksTiesByIdentity: two points of exactly equal time in reverse
+// identity order. Best must pick the smaller identity, the front of
+// SortByTime, not the first one it meets.
+func TestBestBreaksTiesByIdentity(t *testing.T) {
+	bd := &model.Breakdown{ComputeForward: 1, NumBatches: 1}
+	mp := parallel.Mapping{TPIntra: 8, DPInter: 4}
+	pts := []Point{
+		{Mapping: mp, Batch: 64, Microbatches: 2, Breakdown: bd, Fits: true},
+		{Mapping: mp, Batch: 64, Microbatches: 1, Breakdown: bd, Fits: true},
+	}
+	if got := Best(pts); got != &pts[1] {
+		t.Fatalf("Best = %v, want %v", got, &pts[1])
+	}
+	front := TopByTime(pts, 1)[0]
+	if front.String() != pts[1].String() {
+		t.Fatalf("TopByTime front %v disagrees with Best %v", front, pts[1])
+	}
+}
+
+// TestMemoryFitsWorstStage: a pipelined cell whose Estimate fits but whose
+// last stage, which also holds the output gather, does not must read
+// Fits == false, and report the last stage's footprint.
+func TestMemoryFitsWorstStage(t *testing.T) {
+	sc := cs1Scenario()
+	cfg := memkit.Config{
+		Operands:      precision.Mixed16(),
+		Optimizer:     memkit.Adam,
+		Checkpointing: true,
+		Schedule:      memkit.OneFOneB,
+	}
+	mp := parallel.Mapping{TPIntra: 8, PPInter: 8, DPInter: 16}
+	opt := Options{Mappings: []parallel.Mapping{mp}, Batches: []int{8192}, MicrobatchTarget: 2}
+	pts, err := Sweep(sc, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := parallel.Batch{Global: 8192, Microbatches: pts[0].Microbatches}
+	est, err := memkit.Estimate(sc.Model, mp, b, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worst, err := memkit.WorstStage(sc.Model, mp, b, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if worst.Total() <= est.Total() {
+		t.Fatalf("last stage %v adds no gather over %v", worst.Total(), est.Total())
+	}
+	sys := *sc.System
+	sys.Accel.Memory = (est.Total() + worst.Total()) / 2 * 10 / 9
+	sc.System = &sys
+	sc.Memory = &cfg
+	sc.MemoryReserve = 0.1
+	if !memkit.Fits(est, sys.Accel, sc.MemoryReserve) {
+		t.Fatal("budget does not admit the Estimate")
+	}
+	pts, err = Sweep(sc, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pts[0].Fits {
+		t.Errorf("%v fits although its last stage needs %v of %v", pts[0], worst.Total(), sys.Accel.Memory)
+	}
+	if pts[0].Footprint == nil || *pts[0].Footprint != worst {
+		t.Errorf("footprint %v, want the last stage's %v", pts[0].Footprint, worst)
+	}
+}

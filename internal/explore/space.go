@@ -147,6 +147,10 @@ func (s *Space) schedule(mp parallel.Mapping, b int) schedule {
 // Cells is the size of the enumeration: the domain of Sweep and Top ranges.
 func (s *Space) Cells() int64 { return int64(len(s.mappings)) * int64(len(s.opt.Batches)) }
 
+// Mappings is the space's ordered mapping list: cell gi prices
+// Mappings()[gi/len(Batches)]. Callers must not modify it.
+func (s *Space) Mappings() []parallel.Mapping { return s.mappings }
+
 // Session is the compiled session the space prices against: the scenario's
 // own when it supplied one.
 func (s *Space) Session() *model.Session { return s.sess }

@@ -263,6 +263,10 @@ func Estimate(m *transformer.Model, mp parallel.Mapping, b parallel.Batch, cfg C
 // reserving a fraction for framework overhead (CUDA context, fragmentation);
 // reserve 0 means the full capacity is usable.
 func Fits(f Footprint, accel hardware.Accelerator, reserve float64) bool {
-	usable := float64(accel.Memory) * (1 - reserve)
-	return float64(f.Total()) <= usable
+	return fitsMemory(f, accel.Memory, reserve)
+}
+
+// fitsMemory is Fits against a bare capacity.
+func fitsMemory(f Footprint, memory units.Bytes, reserve float64) bool {
+	return float64(f.Total()) <= float64(memory)*(1-reserve)
 }

@@ -269,6 +269,16 @@ func TestStageFootprintsLastStageGather(t *testing.T) {
 	if _, err := StageFootprints(nil, mp, b, baseConfig()); err == nil {
 		t.Error("nil model accepted")
 	}
+	// WorstStage is the last stage without the slice, and Estimate at PP=1.
+	if worst, err := WorstStage(&m, mp, b, baseConfig()); err != nil || worst != last {
+		t.Errorf("WorstStage = %v, %v; want the last stage %v", worst, err, last)
+	}
+	if worst, err := WorstStage(&m, parallel.Mapping{}, parallel.Batch{Global: 8, Microbatches: 1}, baseConfig()); err != nil || worst != single[0] {
+		t.Errorf("PP=1 WorstStage = %v, %v; want %v", worst, err, single[0])
+	}
+	if _, err := WorstStage(nil, mp, b, baseConfig()); err == nil {
+		t.Error("WorstStage accepted a nil model")
+	}
 }
 
 func TestMaxGlobalBatch(t *testing.T) {

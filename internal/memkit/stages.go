@@ -1,8 +1,6 @@
 package memkit
 
 import (
-	"errors"
-
 	"amped/internal/parallel"
 	"amped/internal/transformer"
 	"amped/internal/units"
@@ -16,28 +14,43 @@ import (
 // gathered at the last GPU"). The returned slice has one entry per
 // pipeline stage; for PP = 1 it degenerates to the single Estimate.
 func StageFootprints(m *transformer.Model, mp parallel.Mapping, b parallel.Batch, cfg Config) ([]Footprint, error) {
-	if m == nil {
-		return nil, errors.New("memkit: nil model")
-	}
 	base, err := Estimate(m, mp, b, cfg)
 	if err != nil {
 		return nil, err
 	}
-	pp := mp.PP()
-	out := make([]Footprint, pp)
+	out := make([]Footprint, mp.PP())
 	for i := range out {
 		out[i] = base
 	}
-	if pp > 1 {
-		// The gathered outputs: N_ub microbatch boundary tensors at
-		// activation precision, all resident on the last stage.
-		ub := b.Microbatch(mp)
-		nub := float64(b.MicrobatchesOrDefault(mp))
-		gather := ub * float64(m.SeqLen) * float64(m.Hidden) *
-			float64(cfg.Operands.Act.Bytes()) * nub / float64(mp.TP()*mp.CP())
-		out[pp-1].Activations += units.Bytes(gather)
-	}
+	out[len(out)-1].Activations += lastStageGather(m, mp, b, cfg)
 	return out, nil
+}
+
+// WorstStage is the footprint of the pipeline stage that needs the most
+// memory, without allocating the per-stage slice: every stage holds the
+// same Estimate and the last one adds the output gather, so for PP > 1 the
+// last stage is the worst. A mapping fits a device exactly when its worst
+// stage does; every memory-feasibility check goes through here.
+func WorstStage(m *transformer.Model, mp parallel.Mapping, b parallel.Batch, cfg Config) (Footprint, error) {
+	fp, err := Estimate(m, mp, b, cfg)
+	if err != nil {
+		return Footprint{}, err
+	}
+	fp.Activations += lastStageGather(m, mp, b, cfg)
+	return fp, nil
+}
+
+// lastStageGather is the output gather resident on the last pipeline stage:
+// N_ub microbatch boundary tensors at activation precision, sharded by TP
+// and CP. It is zero without a pipeline. The model has passed Estimate.
+func lastStageGather(m *transformer.Model, mp parallel.Mapping, b parallel.Batch, cfg Config) units.Bytes {
+	if mp.PP() <= 1 {
+		return 0
+	}
+	ub := b.Microbatch(mp)
+	nub := float64(b.MicrobatchesOrDefault(mp))
+	return units.Bytes(ub * float64(m.SeqLen) * float64(m.Hidden) *
+		float64(cfg.Operands.Act.Bytes()) * nub / float64(mp.TP()*mp.CP()))
 }
 
 // MaxGlobalBatch searches the largest global batch (a multiple of the
@@ -52,17 +65,8 @@ func MaxGlobalBatch(m *transformer.Model, mp parallel.Mapping, microbatches int,
 	}
 	fits := func(batch int) bool {
 		b := parallel.Batch{Global: batch, Microbatches: microbatches}
-		stages, err := StageFootprints(m, mp, b, cfg)
-		if err != nil {
-			return false
-		}
-		usable := float64(memory) * (1 - reserve)
-		for _, fp := range stages {
-			if float64(fp.Total()) > usable {
-				return false
-			}
-		}
-		return true
+		worst, err := WorstStage(m, mp, b, cfg)
+		return err == nil && fitsMemory(worst, memory, reserve)
 	}
 	if !fits(step) {
 		return 0

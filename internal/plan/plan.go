@@ -12,6 +12,13 @@
 // planner (SolveInference) is the same exhaustive scan over the serving
 // mappings.
 //
+// The two optimizers a practitioner calls are searches over the same
+// engine. Tune returns the exact fastest recipe over mapping × N_ub × the
+// memory ladder (ZeRO stage, activation checkpointing), pricing each cell
+// with the session's kernel under the worst-stage memory rule.
+// MinimumNodes sizes a machine for a deadline by running Solve at each
+// power-of-two node count.
+//
 // The heterogeneous planner (SolveHetero) is the one place a bound earns
 // its code: there pricing a cell runs the pipesim discrete-event simulator
 // while the bound stays closed-form, so its best-first branch-and-bound
@@ -31,8 +38,9 @@ import (
 type Stats struct {
 	// CellsTotal is the size of the searched cell range.
 	CellsTotal int64
-	// CellsPrunedMemory counts serving mappings discarded by the KV-aware
-	// concurrency gate before pricing (training plans leave it 0).
+	// CellsPrunedMemory counts cells discarded by a memory check before
+	// pricing: serving mappings over the KV-aware concurrency ceiling, and
+	// recipe cells that no memory-ladder step fits (Solve leaves it 0).
 	CellsPrunedMemory int64
 	// CellsInfeasible counts cells whose schedule or validation makes them
 	// unrankable (layout pre-marks, evaluation errors).
