@@ -39,8 +39,9 @@ bench-check:
 	cd bench && $(GO) test .
 
 ## serve-smoke builds the real amped-serve binary, starts it on an
-## ephemeral port, probes /healthz, round-trips one /v1/evaluate against
-## the GPT-3 preset, and exercises the SIGTERM drain path.
+## ephemeral port, probes /healthz, round-trips one /v1/evaluate and one
+## small /v1/sweep against the GPT-3 preset, and exercises the SIGTERM
+## drain path.
 serve-smoke:
 	AMPED_SERVE_SMOKE=1 $(GO) test -run TestServeSmoke -count=1 ./cmd/amped-serve/
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -39,10 +40,26 @@ const gpt3Doc = `{
   "training": {"global_batch": 2048, "microbatches": 64}
 }`
 
+// gpt3SweepDoc is the same machine as a /v1/sweep request: two batch sizes,
+// the three fastest mappings.
+const gpt3SweepDoc = `{
+  "model": {"preset": "gpt3-175b"},
+  "system": {
+    "name": "smoke 128x8 a100",
+    "accelerator": {"preset": "a100"},
+    "nodes": 128,
+    "accels_per_node": 8,
+    "intra": {"name": "nvlink", "latency_s": 2e-6, "bandwidth_bps": "2.4T"},
+    "inter": {"name": "hdr", "latency_s": 5e-6, "bandwidth_bps": "200G"}
+  },
+  "training": {"global_batch": 2048},
+  "sweep": {"batches": [1536, 2048], "power_of_two": true, "top": 3}
+}`
+
 // TestServeSmoke is the end-to-end smoke check behind `make serve-smoke`:
 // build the real binary, start it on an ephemeral port, probe /healthz,
-// round-trip one /v1/evaluate against the GPT-3 preset, then exercise the
-// SIGTERM drain path. Gated on AMPED_SERVE_SMOKE=1 so plain `go test`
+// round-trip one /v1/evaluate against the GPT-3 preset and one small
+// /v1/sweep through the sweep runner, then exercise the SIGTERM drain path. Gated on AMPED_SERVE_SMOKE=1 so plain `go test`
 // stays fast.
 func TestServeSmoke(t *testing.T) {
 	if os.Getenv("AMPED_SERVE_SMOKE") != "1" {
@@ -116,6 +133,33 @@ func TestServeSmoke(t *testing.T) {
 	}
 	if id := resp.Header.Get("X-Request-Id"); id == "" {
 		t.Error("evaluate response missing X-Request-Id")
+	}
+
+	resp, err = client.Post(base+"/v1/sweep", "application/json", strings.NewReader(gpt3SweepDoc))
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep = %d: %s", resp.StatusCode, body)
+	}
+	var sweep struct {
+		Returned int `json:"returned"`
+		Points   []struct {
+			TotalDays float64 `json:"total_days"`
+		} `json:"points"`
+	}
+	if err := json.Unmarshal(body, &sweep); err != nil {
+		t.Fatalf("sweep response: %v: %s", err, body)
+	}
+	if sweep.Returned != 3 || len(sweep.Points) != 3 {
+		t.Fatalf("sweep returned %d (%d points), want 3: %s", sweep.Returned, len(sweep.Points), body)
+	}
+	for i := 1; i < len(sweep.Points); i++ {
+		if sweep.Points[i-1].TotalDays > sweep.Points[i].TotalDays {
+			t.Errorf("sweep not fastest-first at %d: %s", i, body)
+		}
 	}
 
 	// The evaluate request is visible on the debug listener's trace ring,

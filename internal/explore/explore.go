@@ -425,23 +425,23 @@ func estimateMemory(p *Point, fp *memkit.Footprint, sc *Scenario) {
 // key is computed once and an index permutation is sorted, so the points
 // themselves move only once.
 func SortByTime(points []Point) {
-	order := make([]rankEntry, len(points))
+	order := make([]Rank, len(points))
 	for i := range points {
-		order[i] = rankEntryOf(&points[i], int64(i))
+		order[i] = rankOf(&points[i], int64(i))
 	}
 	slices.SortFunc(order, pointRank(points))
 	// Apply the permutation in place, one cycle at a time: position j
 	// receives the point order[j] names, and a placed slot is marked by
 	// pointing it at itself.
 	for i := range order {
-		if int(order[i].idx) == i {
+		if int(order[i].Index) == i {
 			continue
 		}
 		held := points[i]
 		j := i
 		for {
-			k := int(order[j].idx)
-			order[j].idx = int64(j)
+			k := int(order[j].Index)
+			order[j].Index = int64(j)
 			if k == i {
 				points[j] = held
 				break
@@ -463,16 +463,16 @@ func TopByTime(points []Point, n int) []Point {
 	if n <= 0 {
 		return nil
 	}
-	best := bestN[rankEntry]{n: n, cmp: pointRank(points)}
+	best := bestN[Rank]{n: n, cmp: pointRank(points)}
 	for i := range points {
-		if e := rankEntryOf(&points[i], int64(i)); best.admits(e) {
+		if e := rankOf(&points[i], int64(i)); best.admits(e) {
 			best.push(e)
 		}
 	}
 	slices.SortFunc(best.h, best.cmp)
 	out := make([]Point, n)
 	for i, e := range best.h {
-		out[i] = points[e.idx]
+		out[i] = points[e.Index]
 	}
 	return out
 }
@@ -527,50 +527,54 @@ func (b *bestN[E]) push(e E) {
 	}
 }
 
-// rankEntry is one point's precomputed ranking key: its bucket (see
-// pointOrder), its rank key — the expected total time for a bucket-0 point,
-// zero otherwise so the other buckets fall through to identity — and its
-// index, the final tie-break (the input index of a []Point, the cell index
-// of a Space).
-type rankEntry struct {
-	key    float64
-	idx    int64
-	bucket int
+// Rank is one point's position key in the SortByTime order, the input of
+// CompareRank. Bucket is 0 for an evaluated point that fits, 1 for an
+// evaluated point over its memory budget and 2 for a failure; Key is the
+// expected total time in seconds of a bucket-0 point (zero otherwise, so
+// the other buckets fall through to identity); Index is the final
+// tie-break: the input index of a []Point, the cell index of a Space, a
+// candidate's position in a merge.
+type Rank struct {
+	Key    float64
+	Index  int64
+	Bucket int
 }
 
-func rankEntryOf(p *Point, idx int64) rankEntry {
-	e := rankEntry{idx: idx, bucket: pointOrder(p)}
-	if e.bucket == 0 {
-		e.key = float64(p.Breakdown.ExpectedTotalTime())
+func rankOf(p *Point, idx int64) Rank {
+	e := Rank{Index: idx, Bucket: pointOrder(p)}
+	if e.Bucket == 0 {
+		e.Key = float64(p.Breakdown.ExpectedTotalTime())
 	}
 	return e
 }
 
-// compareRank orders two entries the way SortByTime ranks points: bucket,
-// rank key, String identity (id appends entry idx's identity; it is
-// rendered only on an exact key tie), then index. The index makes the order
-// total, so a heap selection and a full sort agree on every input.
-func compareRank(a, b rankEntry, id func(dst []byte, idx int64) []byte) int {
-	if a.bucket != b.bucket {
-		return a.bucket - b.bucket
+// CompareRank orders two ranks the way SortByTime ranks points: bucket,
+// key, String identity (id appends the identity of the point at an Index;
+// it is rendered only on an exact key tie), then Index. The index makes
+// the order total, so a heap selection, a full sort and a merge of
+// per-chunk selections agree on every input. The server ranks its merge of
+// wire points with it too.
+func CompareRank(a, b Rank, id func(dst []byte, idx int64) []byte) int {
+	if a.Bucket != b.Bucket {
+		return a.Bucket - b.Bucket
 	}
-	if a.key != b.key {
-		if a.key < b.key {
+	if a.Key != b.Key {
+		if a.Key < b.Key {
 			return -1
 		}
 		return 1
 	}
 	var ida, idb [96]byte
-	if c := bytes.Compare(id(ida[:0], a.idx), id(idb[:0], b.idx)); c != 0 {
+	if c := bytes.Compare(id(ida[:0], a.Index), id(idb[:0], b.Index)); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.idx, b.idx)
+	return cmp.Compare(a.Index, b.Index)
 }
 
-// pointRank is compareRank over entries indexing points.
-func pointRank(points []Point) func(a, b rankEntry) int {
+// pointRank is CompareRank over ranks indexing points.
+func pointRank(points []Point) func(a, b Rank) int {
 	id := func(dst []byte, i int64) []byte { return points[i].appendID(dst) }
-	return func(a, b rankEntry) int { return compareRank(a, b, id) }
+	return func(a, b Rank) int { return CompareRank(a, b, id) }
 }
 
 // pointOrder buckets points: evaluable+fits, evaluable, failed.
@@ -590,16 +594,16 @@ func pointOrder(p *Point) int {
 // time ties break by identity, as they do in every other ranking.
 func Best(points []Point) *Point {
 	rank := pointRank(points)
-	best := rankEntry{idx: -1}
+	best := Rank{Index: -1}
 	for i := range points {
-		if e := rankEntryOf(&points[i], int64(i)); e.bucket == 0 && (best.idx < 0 || rank(e, best) < 0) {
+		if e := rankOf(&points[i], int64(i)); e.Bucket == 0 && (best.Index < 0 || rank(e, best) < 0) {
 			best = e
 		}
 	}
-	if best.idx < 0 {
+	if best.Index < 0 {
 		return nil
 	}
-	return &points[best.idx]
+	return &points[best.Index]
 }
 
 // FilterBatch returns the subset of points with the given global batch, in

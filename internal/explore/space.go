@@ -313,7 +313,7 @@ type topSink struct {
 
 // topEntry is a kept cell's ranking key, indexed by cell, and its copy.
 type topEntry struct {
-	rankEntry
+	Rank
 	sv *survivor
 }
 
@@ -343,7 +343,7 @@ func (k *topSink) take(gi int64, p *Point) {
 		return
 	}
 	k.completed++
-	e := topEntry{rankEntry: rankEntryOf(p, gi)}
+	e := topEntry{Rank: rankOf(p, gi)}
 	if !k.best.admits(e) {
 		return
 	}
@@ -356,9 +356,9 @@ func (k *topSink) take(gi int64, p *Point) {
 	k.best.push(e)
 }
 
-// rank is compareRank over cells. The cell index orders cells exactly as
+// rank is CompareRank over cells. The cell index orders cells exactly as
 // their points' positions in Sweep's result do, so Top and TopByTime agree.
-func (s *Space) rank(a, b topEntry) int { return compareRank(a.rankEntry, b.rankEntry, s.appendID) }
+func (s *Space) rank(a, b topEntry) int { return CompareRank(a.Rank, b.Rank, s.appendID) }
 
 // worker is one pool goroutine's scratch: the reused SoA columns plus the
 // scalar fallback's breakdown, the memory footprint and the scratch point

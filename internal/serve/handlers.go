@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -335,7 +334,8 @@ type SweepResponse struct {
 	Returned    int  `json:"returned"`
 	Truncated   bool `json:"truncated"`
 	// Partial is true when the request deadline expired mid-sweep and
-	// Points holds only the cells that finished (HTTP 206). The design
+	// Points holds only the cells that finished (HTTP 206), on a single
+	// node or a coordinator alike. The design
 	// space was NOT fully explored; the ranking may omit better points.
 	Partial   bool         `json:"partial,omitempty"`
 	DurationS float64      `json:"duration_s"`
@@ -344,8 +344,9 @@ type SweepResponse struct {
 	// was merged from peer shards rather than evaluated locally.
 	Sharded bool `json:"sharded,omitempty"`
 	Peers   int  `json:"peers,omitempty"`
-	// PointsPerSecond is the aggregate evaluation throughput across all
-	// shards (also observed into amped_sweep_points_per_second).
+	// PointsPerSecond is TotalPoints over DurationS, the aggregate
+	// throughput across all shards (a synchronous sweep also observes it
+	// into amped_sweep_points_per_second).
 	PointsPerSecond float64 `json:"points_per_second,omitempty"`
 }
 
@@ -387,118 +388,68 @@ func toSweepPoint(p explore.Point) SweepPoint {
 	return sp
 }
 
-// handleSweep runs a design-space exploration over the compiled session,
-// under the request timeout and the engine's per-point panic isolation. A
-// deadline that expires mid-sweep returns the completed points as an
-// explicit 206 Partial Content instead of discarding finished work behind
-// an empty 504. When the server is configured with peers it acts as the
-// sweep coordinator instead: the same request is sharded across the peers'
-// /v1/sweep/shard endpoints and the merged ranking comes back in the same
-// response shape.
+// handleSweep answers a design-space exploration synchronously: compile,
+// run into a fresh, unjournaled sweepState with the one sweep runner (peer
+// fan-out when this server coordinates peers, local Space.Top chunks
+// otherwise), respond. A local sweep takes one limiter slot; a coordinator
+// takes none, since its peers admit the real work and a peer list naming
+// this server would otherwise deadlock a MaxInFlight=1 deployment against
+// itself. A deadline answers the same way from either source: the merged
+// points as an explicit 206 Partial Content when any point completed, a 504
+// otherwise.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if len(s.cfg.Peers) > 0 {
-		s.handleSweepCoordinator(w, r)
+	if s.peers == nil {
+		if !s.admit(w, r) {
+			return
+		}
+		defer s.lim.release()
+	} else if !s.accept(w, r) {
 		return
 	}
-	if !s.admit(w, r) {
-		return
-	}
-	defer s.lim.release()
 	tr := obs.FromContext(r.Context())
 
 	sp := tr.StartSpan(obs.PhaseDecode)
-	body, err := s.readBody(w, r)
-	if err != nil {
-		sp.End()
-		s.error(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	var req SweepRequest
-	if err := decodeSweepBody(body, &req); err != nil {
-		sp.End()
-		s.error(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(req.Sweep.Batches) == 0 {
-		sp.End()
-		s.error(w, r, http.StatusBadRequest, "sweep request: sweep.batches is required")
-		return
-	}
-	doc := config.Document{
-		Model: req.Model, System: req.System, Training: req.Training,
-		Reliability: req.Reliability,
-	}
-	comp, err := doc.Components()
+	cs, err := s.readSweep(w, r, new(SweepRequest))
 	sp.End()
 	if err != nil {
 		s.error(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	sess, status, err := s.session(r.Context(), comp)
-	if err != nil {
-		s.error(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	top := req.Sweep.Top
-	if top <= 0 {
-		top = 20
-	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	var prog explore.Progress
-	opt := sweepOptions(req.Sweep)
-	opt.Progress = &prog
+	st := &sweepState{dups: &s.met.shardDuplicates}
 	start := time.Now()
 	ssp := tr.StartSpan(obs.PhaseSweep)
-	var points []explore.Point
-	total := 0
-	space, err := explore.NewSpace(explore.Scenario{Session: sess}, opt)
-	if err == nil {
-		points, total, err = space.Top(ctx, 0, space.Cells(), top)
-	}
+	err = s.runSweep(ctx, cs, st)
 	ssp.End()
 	elapsed := time.Since(start)
-	if completed := prog.Completed.Load(); completed > 0 && elapsed > 0 {
-		s.met.sweepRate.Observe(float64(completed) / elapsed.Seconds())
-	}
 
-	respStatus := http.StatusOK
-	partial := false
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		if total == 0 {
-			s.error(w, r, http.StatusGatewayTimeout,
-				fmt.Sprintf("sweep exceeded the %v request timeout before any point completed", s.cfg.RequestTimeout))
+	code := http.StatusOK
+	if err != nil {
+		switch je := classifyErr(err); je.class {
+		case errClassTimeout:
+			if st.completed() == 0 {
+				s.error(w, r, http.StatusGatewayTimeout,
+					fmt.Sprintf("sweep exceeded the %v request timeout before any point completed", s.cfg.RequestTimeout))
+				return
+			}
+			// Finished work is worth returning: label it partial, loudly.
+			code = http.StatusPartialContent
+		case errClassCancelled:
+			s.error(w, r, statusForContextErr(ctx.Err()), "sweep cancelled: client went away")
+			return
+		default:
+			// Stalled or no live peers: only the fan-out fails this way.
+			s.error(w, r, http.StatusBadGateway, "sharded sweep incomplete: "+je.msg)
 			return
 		}
-		// Finished work is worth returning: label it partial, loudly.
-		respStatus = http.StatusPartialContent
-		partial = true
-	case errors.Is(err, context.Canceled):
-		s.error(w, r, statusForContextErr(err), "sweep cancelled: client went away")
-		return
-	case err != nil:
-		s.error(w, r, http.StatusBadRequest, err.Error())
-		return
 	}
-	s.met.sweepPoints.add(uint64(total))
-
-	truncated := total > top
-	out := make([]SweepPoint, len(points))
-	for i, p := range points {
-		out[i] = toSweepPoint(p)
+	resp := s.sweepResponse(cs, st, elapsed, code == http.StatusPartialContent)
+	if resp.PointsPerSecond > 0 {
+		s.met.sweepRate.Observe(resp.PointsPerSecond)
 	}
 	wsp := tr.StartSpan(obs.PhaseEncode)
-	writeJSON(w, respStatus, SweepResponse{
-		ScenarioKey: sess.Key(),
-		Cache:       status,
-		TotalPoints: total,
-		Returned:    len(out),
-		Truncated:   truncated,
-		Partial:     partial,
-		DurationS:   elapsed.Seconds(),
-		Points:      out,
-	})
+	writeJSON(w, code, resp)
 	wsp.End()
 }

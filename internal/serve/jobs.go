@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -82,49 +84,39 @@ func (j *job) status() JobStatus {
 	return st
 }
 
-// finishDone records terminal success: the terminal record makes the result
-// durable, so a restarted server answers this job from the journal without
-// re-running anything.
-func (j *job) finishDone(log func(string, ...any), result json.RawMessage) {
+// finish writes the job's last journal record, closes the journal and
+// moves the job to the state the record names. A done record makes the
+// result durable, so a restarted server answers the job from the journal
+// without re-running anything. A suspend record is advisory (any
+// non-terminal journal resumes on restart); what matters is that every
+// durable chunk is already fsynced and the file closes on a whole record.
+func (j *job) finish(log func(string, ...any), rec journalRecord) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.w != nil {
-		if err := j.w.append(journalRecord{T: "done", Result: result}); err != nil {
-			log("level=warn job=%s journal done record failed: %v", j.id, err)
+		if err := j.w.append(rec); err != nil {
+			log("level=warn job=%s journal %s record failed: %v", j.id, rec.T, err)
 		}
 		j.w.close()
 		j.w = nil
 	}
-	j.state, j.result = jobDone, result
+	j.settle(rec)
 }
 
 func (j *job) finishFail(log func(string, ...any), je *jobError) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.w != nil {
-		if err := j.w.append(journalRecord{T: "fail", Class: je.class, Error: je.msg}); err != nil {
-			log("level=warn job=%s journal fail record failed: %v", j.id, err)
-		}
-		j.w.close()
-		j.w = nil
-	}
-	j.state, j.class, j.errMsg = jobFailed, je.class, je.msg
+	j.finish(log, journalRecord{T: "fail", Class: je.class, Error: je.msg})
 }
 
-// finishSuspend records a clean drain stop. The suspend record is advisory
-// (any non-terminal journal resumes on restart); what matters is that every
-// durable chunk is already fsynced and the file closes on a whole record.
-func (j *job) finishSuspend(log func(string, ...any)) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.w != nil {
-		if err := j.w.append(journalRecord{T: "suspend"}); err != nil {
-			log("level=warn job=%s journal suspend record failed: %v", j.id, err)
-		}
-		j.w.close()
-		j.w = nil
+// settle moves the job to the state a done, fail or suspend record names.
+func (j *job) settle(rec journalRecord) {
+	switch rec.T {
+	case "done":
+		j.state, j.result = jobDone, rec.Result
+	case "fail":
+		j.state, j.class, j.errMsg = jobFailed, rec.Class, rec.Error
+	case "suspend":
+		j.state = jobSuspended
 	}
-	j.state = jobSuspended
 }
 
 // jobManager owns every job in the process plus the restart recovery path.
@@ -194,34 +186,84 @@ func (m *jobManager) suspendAll() {
 	m.wg.Wait()
 }
 
-// startSweep creates a sweep job from an already-compiled request: journal
-// header first (a job that cannot journal is refused, not silently
-// volatile), then the background runner.
-func (m *jobManager) startSweep(body []byte, cs *compiledSweep) (string, error) {
-	id := newJobID()
-	j := &job{
-		id: id, kind: "sweep", created: time.Now(),
-		state: jobRunning, total: cs.space.Cells(),
-		st: &sweepState{dups: &m.s.met.shardDuplicates},
+// startSweep compiles a sweep body and starts it as a job.
+func (m *jobManager) startSweep(ctx context.Context, body []byte) (string, error) {
+	cs, err := m.s.compileSweep(ctx, body)
+	if err != nil {
+		return "", err
 	}
-	if m.s.cfg.JournalDir != "" {
-		w, err := createJournal(m.s.cfg.JournalDir, id, &m.s.met.journalBytes)
+	j := &job{kind: "sweep", total: cs.space.Cells(), st: &sweepState{dups: &m.s.met.shardDuplicates}}
+	return m.start(j, body, m.sweepWork(j, cs))
+}
+
+// startPlan compiles a plan body and starts it as a job. Plans have no
+// incremental progress to journal — the journal carries the header and the
+// terminal record; an interrupted plan simply re-solves from scratch on
+// restart.
+func (m *jobManager) startPlan(ctx context.Context, body []byte) (string, error) {
+	cp, err := m.s.compilePlan(ctx, body)
+	if err != nil {
+		return "", err
+	}
+	return m.start(&job{kind: "plan"}, body, m.planWork(cp))
+}
+
+// sweepWork is a sweep job's work: the one sweep runner into the job's
+// merge, rendered by the one response builder.
+func (m *jobManager) sweepWork(j *job, cs *compiledSweep) func(context.Context) (any, error) {
+	return func(ctx context.Context) (any, error) {
+		if err := m.s.runSweep(ctx, cs, j.st); err != nil {
+			return nil, err
+		}
+		return m.s.sweepResponse(cs, j.st, time.Since(j.created), false), nil
+	}
+}
+
+func (m *jobManager) planWork(cp *compiledPlan) func(context.Context) (any, error) {
+	return func(ctx context.Context) (any, error) { return m.s.solvePlan(ctx, cp) }
+}
+
+// start creates a job from an already-compiled request: journal header
+// first (a job that cannot journal is refused, not silently volatile),
+// then launch.
+func (m *jobManager) start(j *job, body []byte, work func(context.Context) (any, error)) (string, error) {
+	j.id, j.created, j.state = newJobID(), time.Now(), jobRunning
+	if dir := m.s.cfg.JournalDir; dir != "" {
+		w, err := createJournal(dir, j.id, &m.s.met.journalBytes)
 		if err != nil {
 			return "", err
 		}
 		if err := w.append(journalRecord{
-			T: "job", ID: id, Kind: "sweep", Body: body, Created: j.created.Unix(),
+			T: "job", ID: j.id, Kind: j.kind, Body: body, Created: j.created.Unix(),
 		}); err != nil {
 			w.close()
 			return "", err
 		}
 		j.w = w
-		j.st.onChunk = func(c ShardChunk) error {
-			return w.append(journalRecord{
-				T: "chunk", Lo: c.CursorLo, Hi: c.CursorHi,
-				Completed: c.Completed, Points: c.Points,
-			})
-		}
+	}
+	if err := m.launch(j, work); err != nil {
+		return "", err
+	}
+	return j.id, nil
+}
+
+// journalChunks is a sweep merge's durable-write hook: every fresh chunk
+// becomes one fsynced journal record before it is merged.
+func journalChunks(w *journalWriter) func(ShardChunk) error {
+	return func(c ShardChunk) error {
+		return w.append(journalRecord{
+			T: "chunk", Lo: c.CursorLo, Hi: c.CursorHi,
+			Completed: c.Completed, Points: c.Points,
+		})
+	}
+}
+
+// launch registers j and starts its runner. A journaled sweep's merge gets
+// its journal hook here, after recovery has collected the durable chunks.
+// A refused job (a drain raced the create) releases its journal.
+func (m *jobManager) launch(j *job, work func(context.Context) (any, error)) error {
+	if j.st != nil && j.w != nil {
+		j.st.onChunk = journalChunks(j.w)
 	}
 	ctx, cancel := context.WithCancelCause(context.Background())
 	j.cancel = cancel
@@ -230,17 +272,16 @@ func (m *jobManager) startSweep(body []byte, cs *compiledSweep) (string, error) 
 		if j.w != nil {
 			j.w.close()
 		}
-		return "", err
+		return err
 	}
 	m.wg.Add(1)
-	go m.runSweep(ctx, j, cs)
-	return id, nil
+	go m.run(ctx, j, work)
+	return nil
 }
 
-// runSweep drives one sweep job to a terminal state. With peers configured
-// the work goes through the shared fan-out engine; otherwise a local
-// chunked sweep with identical chunk/merge semantics runs in-process.
-func (m *jobManager) runSweep(ctx context.Context, j *job, cs *compiledSweep) {
+// run drives one job to a terminal state: done with work's result, failed
+// with a classified error, or suspended when a drain cancelled it.
+func (m *jobManager) run(ctx context.Context, j *job, work func(context.Context) (any, error)) {
 	defer m.wg.Done()
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -248,16 +289,12 @@ func (m *jobManager) runSweep(ctx context.Context, j *job, cs *compiledSweep) {
 			j.finishFail(m.s.log.Printf, &jobError{errClassInternal, fmt.Sprintf("job runner panic: %v", rec)})
 		}
 	}()
-	var err error
-	if m.s.peers != nil {
-		err = m.s.fanout(ctx, cs.req, cs.space.Cells(), j.st)
-	} else {
-		err = m.s.localSweep(ctx, cs, j.st)
-	}
+	result, err := work(ctx)
 	if err != nil {
 		if context.Cause(ctx) == errSuspend {
-			j.finishSuspend(m.s.log.Printf)
-			m.s.log.Printf("level=info job=%s suspended covered=%d/%d", j.id, j.st.coveredCells(), j.total)
+			j.finish(m.s.log.Printf, journalRecord{T: "suspend"})
+			st := j.status()
+			m.s.log.Printf("level=info job=%s suspended covered=%d/%d", j.id, st.CoveredCells, st.TotalCells)
 			return
 		}
 		je := classifyErr(err)
@@ -265,120 +302,13 @@ func (m *jobManager) runSweep(ctx context.Context, j *job, cs *compiledSweep) {
 		m.s.log.Printf("level=warn job=%s failed class=%s err=%q", j.id, je.class, je.msg)
 		return
 	}
-	points, totalCompleted, truncated := j.st.finalize(cs.top)
-	if m.s.peers != nil {
-		m.s.met.sweepPoints.add(uint64(totalCompleted))
-	}
-	resp := SweepResponse{
-		ScenarioKey: cs.sess.Key(),
-		Cache:       cs.status,
-		TotalPoints: int(totalCompleted),
-		Returned:    len(points),
-		Truncated:   truncated,
-		DurationS:   time.Since(j.created).Seconds(),
-		Points:      points,
-		Sharded:     m.s.peers != nil,
-		Peers:       len(m.s.cfg.Peers),
-	}
-	raw, merr := json.Marshal(resp)
-	if merr != nil {
-		j.finishFail(m.s.log.Printf, &jobError{errClassInternal, merr.Error()})
-		return
-	}
-	j.finishDone(m.s.log.Printf, raw)
-	m.s.log.Printf("level=info job=%s done points=%d", j.id, totalCompleted)
-}
-
-// localSweep runs a sweep in-process with the exact chunk semantics of a
-// /v1/sweep/shard peer — per-chunk top-N into the shared merge — so a local
-// job journals and resumes identically to a sharded one, and its final
-// ranking matches a plain /v1/sweep byte for byte. Every chunk prices
-// against the job's one compiled Space, so a job enumerates its mappings
-// once however many chunks it runs or resumes.
-func (s *Server) localSweep(ctx context.Context, cs *compiledSweep, st *sweepState) error {
-	chunk := s.cfg.ShardChunkCells
-	if chunk <= 0 {
-		chunk = defaultShardChunkCells
-	}
-	for _, rg := range st.uncovered(cs.space.Cells()) {
-		for cur := rg.lo; cur < rg.hi; cur += chunk {
-			if err := ctx.Err(); err != nil {
-				return classifyErr(err)
-			}
-			cHi := cur + chunk
-			if cHi > rg.hi {
-				cHi = rg.hi
-			}
-			points, n, err := cs.space.Top(ctx, cur, cHi, cs.top)
-			if err != nil {
-				return classifyErr(err)
-			}
-			st.collect(ShardChunk{CursorLo: cur, CursorHi: cHi, Completed: n, Points: toShardPoints(points)})
-			if err := st.failed(); err != nil {
-				return err
-			}
-			s.met.sweepPoints.add(uint64(n))
-		}
-	}
-	return nil
-}
-
-// startPlan creates a plan job. Plans have no incremental progress to
-// journal — the journal carries the header and the terminal record; an
-// interrupted plan simply re-solves from scratch on restart.
-func (m *jobManager) startPlan(body []byte, cp *compiledPlan) (string, error) {
-	id := newJobID()
-	j := &job{id: id, kind: "plan", created: time.Now(), state: jobRunning}
-	if m.s.cfg.JournalDir != "" {
-		w, err := createJournal(m.s.cfg.JournalDir, id, &m.s.met.journalBytes)
-		if err != nil {
-			return "", err
-		}
-		if err := w.append(journalRecord{
-			T: "job", ID: id, Kind: "plan", Body: body, Created: j.created.Unix(),
-		}); err != nil {
-			w.close()
-			return "", err
-		}
-		j.w = w
-	}
-	ctx, cancel := context.WithCancelCause(context.Background())
-	j.cancel = cancel
-	if err := m.register(j); err != nil {
-		cancel(nil)
-		if j.w != nil {
-			j.w.close()
-		}
-		return "", err
-	}
-	m.wg.Add(1)
-	go m.runPlan(ctx, j, cp)
-	return id, nil
-}
-
-func (m *jobManager) runPlan(ctx context.Context, j *job, cp *compiledPlan) {
-	defer m.wg.Done()
-	defer func() {
-		if rec := recover(); rec != nil {
-			m.s.met.panics.inc()
-			j.finishFail(m.s.log.Printf, &jobError{errClassInternal, fmt.Sprintf("job runner panic: %v", rec)})
-		}
-	}()
-	resp, err := m.s.solvePlan(ctx, cp)
+	raw, err := json.Marshal(result)
 	if err != nil {
-		if context.Cause(ctx) == errSuspend {
-			j.finishSuspend(m.s.log.Printf)
-			return
-		}
-		j.finishFail(m.s.log.Printf, classifyErr(err))
+		j.finishFail(m.s.log.Printf, &jobError{errClassInternal, err.Error()})
 		return
 	}
-	raw, merr := json.Marshal(resp)
-	if merr != nil {
-		j.finishFail(m.s.log.Printf, &jobError{errClassInternal, merr.Error()})
-		return
-	}
-	j.finishDone(m.s.log.Printf, raw)
+	j.finish(m.s.log.Printf, journalRecord{T: "done", Result: raw})
+	m.s.log.Printf("level=info job=%s done", j.id)
 }
 
 // recover replays the journal directory on startup: terminal journals
@@ -419,129 +349,79 @@ func (m *jobManager) recoverOne(dir, id string) error {
 	// A terminal record finishes recovery immediately: the stored result is
 	// the job's answer, byte-identical to what the pre-restart process held.
 	for _, rec := range recs[1:] {
-		switch rec.T {
-		case "done":
-			j.state, j.result = jobDone, rec.Result
-			return m.register(j)
-		case "fail":
-			j.state, j.class, j.errMsg = jobFailed, rec.Class, rec.Error
+		if rec.T == "done" || rec.T == "fail" {
+			j.settle(rec)
 			return m.register(j)
 		}
 	}
 
 	// Interrupted (crash) or suspended (drain): resume. Recompile the
-	// request from the journaled body, seed the merge from the durable
-	// chunks, and hand the remainder to a fresh runner.
+	// request from the journaled body, collect the durable chunks into a
+	// sweep's merge, and hand the remainder to a fresh runner.
 	w, err := resumeJournal(path, valid, &m.s.met.journalBytes)
 	if err != nil {
 		return err
 	}
+	j.w = w
+	var work func(context.Context) (any, error)
 	switch header.Kind {
 	case "sweep":
 		cs, cerr := m.s.compileSweep(context.Background(), header.Body)
 		if cerr != nil {
-			j.w = w
 			j.finishFail(m.s.log.Printf, classifyErr(cerr))
 			return m.register(j)
 		}
-		j.total = cs.space.Cells()
-		j.st = &sweepState{dups: &m.s.met.shardDuplicates}
+		j.total, j.st = cs.space.Cells(), &sweepState{dups: &m.s.met.shardDuplicates}
 		for _, rec := range recs[1:] {
 			if rec.T == "chunk" {
-				j.st.seed(ShardChunk{
+				j.st.collect(ShardChunk{
 					CursorLo: rec.Lo, CursorHi: rec.Hi,
 					Completed: rec.Completed, Points: rec.Points,
 				})
 			}
 		}
-		j.w = w
-		j.st.onChunk = func(c ShardChunk) error {
-			return w.append(journalRecord{
-				T: "chunk", Lo: c.CursorLo, Hi: c.CursorHi,
-				Completed: c.Completed, Points: c.Points,
-			})
-		}
-		j.resumes = 1
-		for _, rec := range recs[1:] {
-			if rec.T == "suspend" {
-				j.resumes++
-			}
-		}
-		ctx, cancel := context.WithCancelCause(context.Background())
-		j.cancel = cancel
-		if err := m.register(j); err != nil {
-			cancel(nil)
-			w.close()
-			return err
-		}
-		m.s.met.jobResumes.inc()
-		m.s.log.Printf("level=info job=%s resumed covered=%d/%d", id, j.st.coveredCells(), j.total)
-		m.wg.Add(1)
-		go m.runSweep(ctx, j, cs)
+		work = m.sweepWork(j, cs)
 	case "plan":
 		cp, cerr := m.s.compilePlan(context.Background(), header.Body)
 		if cerr != nil {
-			j.w = w
 			j.finishFail(m.s.log.Printf, classifyErr(cerr))
 			return m.register(j)
 		}
-		j.w = w
-		j.resumes = 1
-		ctx, cancel := context.WithCancelCause(context.Background())
-		j.cancel = cancel
-		if err := m.register(j); err != nil {
-			cancel(nil)
-			w.close()
-			return err
-		}
-		m.s.met.jobResumes.inc()
-		m.wg.Add(1)
-		go m.runPlan(ctx, j, cp)
+		work = m.planWork(cp)
 	default:
 		w.close()
 		return fmt.Errorf("journal header has unknown kind %q", header.Kind)
 	}
+	j.resumes = 1
+	for _, rec := range recs[1:] {
+		if rec.T == "suspend" {
+			j.resumes++
+		}
+	}
+	if err := m.launch(j, work); err != nil {
+		return err
+	}
+	m.s.met.jobResumes.inc()
+	m.s.log.Printf("level=info job=%s resumed covered=%d/%d", id, j.status().CoveredCells, j.total)
 	return nil
 }
 
-// handleSweepJobCreate accepts a sweep job: the request is validated and
-// compiled synchronously (a bad request fails here, not in the background),
-// the journal header is made durable, and the job ID comes back in a 202.
+// handleSweepJobCreate accepts a sweep job (createJob).
 func (s *Server) handleSweepJobCreate(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		w.Header().Set("Retry-After", s.retryAfter())
-		s.error(w, r, http.StatusServiceUnavailable, "server draining")
-		return
-	}
-	body, err := s.readBody(w, r)
-	if err != nil {
-		s.error(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	cs, err := s.compileSweep(r.Context(), body)
-	if err != nil {
-		s.error(w, r, http.StatusBadRequest, classifyErr(err).msg)
-		return
-	}
-	id, err := s.jobs.startSweep(body, cs)
-	if err != nil {
-		if errors.Is(err, errSuspend) {
-			s.error(w, r, http.StatusServiceUnavailable, "server draining")
-			return
-		}
-		s.error(w, r, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]string{
-		"job_id": id, "state": jobRunning, "url": "/v1/jobs/" + id,
-	})
+	s.createJob(w, r, s.jobs.startSweep)
 }
 
-// handlePlanJobCreate accepts a plan job; same contract as sweep jobs.
+// handlePlanJobCreate accepts a plan job (createJob).
 func (s *Server) handlePlanJobCreate(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		w.Header().Set("Retry-After", s.retryAfter())
-		s.error(w, r, http.StatusServiceUnavailable, "server draining")
+	s.createJob(w, r, s.jobs.startPlan)
+}
+
+// createJob accepts a job: start validates and compiles the request
+// synchronously (a bad request fails here, not in the background), makes
+// the journal header durable and launches the runner; the job ID comes
+// back in a 202.
+func (s *Server) createJob(w http.ResponseWriter, r *http.Request, start func(context.Context, []byte) (string, error)) {
+	if !s.accept(w, r) {
 		return
 	}
 	body, err := s.readBody(w, r)
@@ -549,17 +429,16 @@ func (s *Server) handlePlanJobCreate(w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	cp, err := s.compilePlan(r.Context(), body)
-	if err != nil {
-		s.error(w, r, http.StatusBadRequest, classifyErr(err).msg)
+	id, err := start(r.Context(), body)
+	var je *jobError
+	switch {
+	case errors.As(err, &je):
+		s.error(w, r, http.StatusBadRequest, je.msg)
 		return
-	}
-	id, err := s.jobs.startPlan(body, cp)
-	if err != nil {
-		if errors.Is(err, errSuspend) {
-			s.error(w, r, http.StatusServiceUnavailable, "server draining")
-			return
-		}
+	case errors.Is(err, errSuspend):
+		s.error(w, r, http.StatusServiceUnavailable, "server draining")
+		return
+	case err != nil:
 		s.error(w, r, http.StatusInternalServerError, err.Error())
 		return
 	}
@@ -593,14 +472,6 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 		st.Result = nil
 		out = append(out, st)
 	}
-	sortJobStatuses(out)
+	slices.SortFunc(out, func(a, b JobStatus) int { return strings.Compare(a.ID, b.ID) })
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
-}
-
-func sortJobStatuses(out []JobStatus) {
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && out[k].ID < out[k-1].ID; k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
-	}
 }

@@ -109,9 +109,14 @@ func TestSweepJobLocalMatchesSyncSweep(t *testing.T) {
 	}
 
 	// The background job's ranking must be byte-identical to the synchronous
-	// endpoint's.
-	if got, want := pointsJSON(t, st.Result), pointsJSON(t, syncBody); !bytes.Equal(got, want) {
+	// endpoint's, and so must a sync sweep run in 7-cell local chunks.
+	want := pointsJSON(t, syncBody)
+	if got := pointsJSON(t, st.Result); !bytes.Equal(got, want) {
 		t.Fatalf("job points diverge from sync sweep:\n got %s\nwant %s", got, want)
+	}
+	_, chunked := newTestServer(t, Config{ShardChunkCells: 7})
+	if _, body := post(t, chunked.URL+"/v1/sweep", sweepDoc); !bytes.Equal(pointsJSON(t, body), want) {
+		t.Fatalf("7-cell-chunk sync sweep diverges:\n got %s\nwant %s", pointsJSON(t, body), want)
 	}
 	var resp SweepResponse
 	if err := json.Unmarshal(st.Result, &resp); err != nil {

@@ -162,33 +162,27 @@ type compiledPlan struct {
 	status string
 }
 
-// compilePlan decodes a plan body, resolves the heterogeneous space (so a
-// bad pool preset or schedule name fails cheaply, before any search runs)
-// and compiles the session. Failures are classified bad_request.
+// compilePlan decodes a plan body, runs the scenario half of the sweep
+// prologue (compileScenario) and resolves the heterogeneous space, so a bad
+// pool preset or schedule name fails before any search runs. Failures are
+// classified bad_request.
 func (s *Server) compilePlan(ctx context.Context, body []byte) (*compiledPlan, error) {
 	cp := &compiledPlan{}
 	if err := decodeSweepBody(body, &cp.req); err != nil {
 		return nil, &jobError{errClassBadRequest, err.Error()}
 	}
-	if len(cp.req.Sweep.Batches) == 0 {
-		return nil, &jobError{errClassBadRequest, "plan request: sweep.batches is required"}
-	}
-	doc := config.Document{
+	comp, sess, status, err := s.compileScenario(ctx, "plan request", config.Document{
 		Model: cp.req.Model, System: cp.req.System, Training: cp.req.Training,
 		Reliability: cp.req.Reliability,
-	}
-	comp, err := doc.Components()
+	}, cp.req.Sweep.Batches)
 	if err != nil {
-		return nil, &jobError{errClassBadRequest, err.Error()}
+		return nil, err
 	}
+	cp.sess, cp.status = sess, status
 	if len(cp.req.Pools) > 0 {
 		if cp.hsp, err = heteroSpace(&cp.req, comp); err != nil {
 			return nil, &jobError{errClassBadRequest, err.Error()}
 		}
-	}
-	cp.sess, cp.status, err = s.session(ctx, comp)
-	if err != nil {
-		return nil, &jobError{errClassBadRequest, err.Error()}
 	}
 	return cp, nil
 }

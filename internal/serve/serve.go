@@ -68,9 +68,11 @@ type Config struct {
 	// usual SweepResponse shape. The list is static; dead or draining
 	// peers are routed around per request, not removed.
 	Peers []string
-	// ShardChunkCells sets the cell count per streamed shard chunk
-	// (default 32768). Smaller chunks mean finer resume granularity after
-	// a peer failure at the cost of more HTTP framing.
+	// ShardChunkCells sets the cell count per sweep chunk (default 32768):
+	// the chunks a coordinator asks its peers to stream, the local chunks
+	// of a sweep without peers, and the chunk size of a /v1/sweep/shard
+	// request that names none. Smaller chunks mean finer resume granularity
+	// after a peer failure at the cost of more HTTP framing.
 	ShardChunkCells int64
 	// JournalDir, when set, makes /v1/sweep/jobs and /v1/plan/jobs durable:
 	// every job journals its progress to an append-only CRC-framed file in
@@ -111,6 +113,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
+	}
+	if c.ShardChunkCells <= 0 {
+		c.ShardChunkCells = defaultShardChunkCells
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
@@ -310,12 +315,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.met.writeTo(w)
 }
 
-// admit runs the shared admission control for evaluation endpoints:
-// draining check, then the bounded limiter. The wait is recorded as the
-// request's queue phase and the amped_queue_wait_seconds histogram. It
-// returns false after writing the refusal when the request cannot proceed;
-// on true the caller must defer s.lim.release().
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
+// accept is the admission check every work endpoint shares: POST only, and
+// no new work while draining. It returns false after writing the refusal.
+func (s *Server) accept(w http.ResponseWriter, r *http.Request) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		s.error(w, r, http.StatusMethodNotAllowed, "POST only")
@@ -324,6 +326,18 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 	if s.Draining() {
 		w.Header().Set("Retry-After", s.retryAfter())
 		s.error(w, r, http.StatusServiceUnavailable, "server draining")
+		return false
+	}
+	return true
+}
+
+// admit runs the shared admission control for evaluation endpoints:
+// accept, then the bounded limiter. The wait is recorded as the request's
+// queue phase and the amped_queue_wait_seconds histogram. It returns false
+// after writing the refusal when the request cannot proceed; on true the
+// caller must defer s.lim.release().
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
+	if !s.accept(w, r) {
 		return false
 	}
 	sp := obs.FromContext(r.Context()).StartSpan(obs.PhaseQueue)

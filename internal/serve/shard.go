@@ -13,14 +13,14 @@ import (
 	"strconv"
 	"time"
 
-	"amped/internal/config"
 	"amped/internal/explore"
 	"amped/internal/obs"
 	"amped/internal/parallel"
 )
 
-// defaultShardChunkCells is the cell count a shard evaluates per streamed
-// NDJSON line: the resume granularity after a peer failure. The request's
+// defaultShardChunkCells is Config.ShardChunkCells' default: the cells of
+// one sweep chunk (one streamed NDJSON line of a shard, one local Space.Top
+// call) and so the resume granularity after a failure. The request's
 // explore.Space enumerates the mappings once, and each chunk streams
 // through its top-N executor, so memory stays O(workers × worker chunk +
 // top) at any chunk size. A chunk's fixed cost is one worker-pool start
@@ -31,7 +31,8 @@ const defaultShardChunkCells = 32768
 // ShardRequest is the /v1/sweep/shard body: a full sweep request plus the
 // half-open [CursorLo, CursorHi) slice of the canonical cell enumeration
 // this replica should evaluate (both zero = the whole space, matching
-// explore.Options). ChunkCells overrides the streaming chunk size.
+// explore.Options). ChunkCells overrides the streaming chunk size (default:
+// the serving replica's Config.ShardChunkCells).
 type ShardRequest struct {
 	SweepRequest
 	CursorLo   int64 `json:"cursor_lo,omitempty"`
@@ -66,31 +67,26 @@ type ShardChunk struct {
 	Error     string       `json:"error,omitempty"`
 }
 
-// shardID reconstructs explore.Point.String() from wire fields, preserving
-// the deterministic ranking tiebreak across the shard boundary.
-func shardID(p *ShardPoint) string {
-	return fmt.Sprintf("%s B=%d m=%d", p.Mapping, p.Batch, p.Microbatches)
+// rank is the point's explore.Rank at candidate position i. The bucket
+// derives from Err alone: SweepRequest has no memory section, so no memory
+// model reaches the server and every evaluated point fits (bucket 0);
+// failures are bucket 2.
+func (p *ShardPoint) rank(i int64) explore.Rank {
+	if p.Err != "" {
+		return explore.Rank{Index: i, Bucket: 2}
+	}
+	return explore.Rank{Key: p.RankS, Index: i}
 }
 
-// shardLess reproduces explore.SortByTime's ordering on wire points:
-// evaluated points rank by exact expected total time, failures sink to the
-// tail, and ties break on the point's string identity. (The serving path
-// runs no memory model, so the feasibility bucket is always "fits".)
-func shardLess(a, b *ShardPoint) bool {
-	af, bf := a.Err == "", b.Err == ""
-	if af != bf {
-		return af
-	}
-	if af && a.RankS != b.RankS {
-		return a.RankS < b.RankS
-	}
-	return shardID(a) < shardID(b)
-}
-
-// sortShardPoints orders merged candidates exactly like a single-node
-// sweep's ranking.
-func sortShardPoints(pts []ShardPoint) {
-	sort.SliceStable(pts, func(i, j int) bool { return shardLess(&pts[i], &pts[j]) })
+// appendID appends the point's explore.Point.String identity from its wire
+// fields, as Point.appendID does: Mapping is Normalized().String(), the
+// bytes Mapping.AppendTo writes.
+func (p *ShardPoint) appendID(b []byte) []byte {
+	b = append(b, p.Mapping...)
+	b = append(b, " B="...)
+	b = strconv.AppendInt(b, int64(p.Batch), 10)
+	b = append(b, " m="...)
+	return strconv.AppendInt(b, int64(p.Microbatches), 10)
 }
 
 // toShardPoints renders ranked points for the shard stream.
@@ -147,45 +143,14 @@ func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
 	tr := obs.FromContext(r.Context())
 
 	sp := tr.StartSpan(obs.PhaseDecode)
-	body, err := s.readBody(w, r)
-	if err != nil {
-		sp.End()
-		s.error(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
 	var req ShardRequest
-	if err := decodeSweepBody(body, &req); err != nil {
-		sp.End()
-		s.error(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(req.Sweep.Batches) == 0 {
-		sp.End()
-		s.error(w, r, http.StatusBadRequest, "sweep request: sweep.batches is required")
-		return
-	}
-	doc := config.Document{
-		Model: req.Model, System: req.System, Training: req.Training,
-		Reliability: req.Reliability,
-	}
-	comp, err := doc.Components()
+	cs, err := s.readSweep(w, r, &req)
 	sp.End()
 	if err != nil {
 		s.error(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	sess, _, err := s.session(r.Context(), comp)
-	if err != nil {
-		s.error(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-
-	space, err := explore.NewSpace(explore.Scenario{Session: sess}, sweepOptions(req.Sweep))
-	if err != nil {
-		s.error(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	total := space.Cells()
+	total := cs.space.Cells()
 	lo, hi := req.CursorLo, req.CursorHi
 	if lo == 0 && hi == 0 {
 		hi = total
@@ -197,11 +162,7 @@ func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
 	}
 	chunk := req.ChunkCells
 	if chunk <= 0 {
-		chunk = defaultShardChunkCells
-	}
-	top := req.Sweep.Top
-	if top <= 0 {
-		top = 20
+		chunk = s.cfg.ShardChunkCells
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
@@ -225,11 +186,8 @@ func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 	for cur := lo; cur < hi; cur += chunk {
-		cHi := cur + chunk
-		if cHi > hi {
-			cHi = hi
-		}
-		points, n, err := space.Top(ctx, cur, cHi, top)
+		cHi := min(cur+chunk, hi)
+		points, n, err := cs.space.Top(ctx, cur, cHi, cs.top)
 		if err != nil {
 			// Deadline or cancel mid-chunk: the chunk is the atomic unit, so
 			// its partial points are discarded and the stream ends with a

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // newPeerFleet starts n standalone replicas and one coordinator whose
@@ -306,16 +307,16 @@ func TestIntervalSetAdd(t *testing.T) {
 		dup    bool
 	}{
 		{0, 7, false},
-		{7, 14, false},   // adjacent: coalesces to [0, 14)
-		{7, 14, true},    // exact replay
-		{2, 9, true},     // contained straddling the old seam
-		{21, 28, false},  // disjoint
-		{12, 23, false},  // partial overlap bridging both: accepted whole
-		{0, 28, true},    // now fully covered
-		{28, 28, true},   // empty range adds nothing
-		{30, 35, false},  // new disjoint tail
-		{29, 30, false},  // fills up to the tail
-		{-3, 2, false},   // extends the front
+		{7, 14, false},  // adjacent: coalesces to [0, 14)
+		{7, 14, true},   // exact replay
+		{2, 9, true},    // contained straddling the old seam
+		{21, 28, false}, // disjoint
+		{12, 23, false}, // partial overlap bridging both: accepted whole
+		{0, 28, true},   // now fully covered
+		{28, 28, true},  // empty range adds nothing
+		{30, 35, false}, // new disjoint tail
+		{29, 30, false}, // fills up to the tail
+		{-3, 2, false},  // extends the front
 	}
 	for i, st := range steps {
 		if got := s.add(st.lo, st.hi); got != st.dup {
@@ -340,5 +341,64 @@ func TestShardCoordinatorAllPeersDown(t *testing.T) {
 	code, body := post(t, cts.URL+"/v1/sweep", sweepDoc)
 	if code != http.StatusBadGateway {
 		t.Fatalf("all-peers-down sweep = %d %s, want 502", code, body)
+	}
+}
+
+// TestShardCoordinatorDeadlinePartialContent: a peer that streams one chunk
+// and then stalls past the coordinator's request timeout leaves that chunk
+// merged. The coordinator answers the deadline the way a single node does:
+// a 206 carrying the merged chunk's points, marked partial and sharded.
+func TestShardCoordinatorDeadlinePartialContent(t *testing.T) {
+	_, real := newTestServer(t, Config{})
+	firstChunk := make(chan ShardChunk, 1)
+	stalling := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		resp, err := http.Post(real.URL+"/v1/sweep/shard", "application/json", r.Body)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		line, err := bufio.NewReader(resp.Body).ReadBytes('\n')
+		var c ShardChunk
+		if err == nil {
+			err = json.Unmarshal(line, &c)
+		}
+		if err != nil || c.Done || c.Error != "" {
+			t.Errorf("first shard line %q: %v", line, err)
+			return
+		}
+		select {
+		case firstChunk <- c:
+		default:
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Write(line)
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
+	}))
+	defer stalling.Close()
+
+	_, cts := newTestServer(t, Config{
+		Peers: []string{stalling.URL}, ShardChunkCells: 7, RequestTimeout: 300 * time.Millisecond,
+	})
+	code, body := post(t, cts.URL+"/v1/sweep", sweepDoc)
+	if code != http.StatusPartialContent {
+		t.Fatalf("stalled sharded sweep = %d %s, want 206", code, body)
+	}
+	var resp SweepResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Partial || !resp.Sharded {
+		t.Fatalf("partial=%v sharded=%v, want both", resp.Partial, resp.Sharded)
+	}
+	c := <-firstChunk
+	want := make([]SweepPoint, len(c.Points))
+	for i, p := range c.Points {
+		want[i] = p.SweepPoint
+	}
+	if resp.TotalPoints != c.Completed || !reflect.DeepEqual(resp.Points, want) {
+		t.Fatalf("partial response %d points %+v, want the streamed chunk's %d points %+v",
+			resp.TotalPoints, resp.Points, c.Completed, want)
 	}
 }

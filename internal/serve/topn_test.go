@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"amped/internal/config"
 	"amped/internal/explore"
+	"amped/internal/model"
 )
 
 // topnSweepDoc is sweepDoc with a duplicated batch size (equal point
@@ -173,6 +175,70 @@ func TestShardStreamChunkInvariance(t *testing.T) {
 		if !reflect.DeepEqual(points, all[:20]) {
 			t.Errorf("chunk_cells=%d: merged ranking diverges from the full sort:\n got %+v\nwant %+v",
 				chunk, points, all[:20])
+		}
+	}
+}
+
+// TestMergeMatchesSortByTime pins the merge to explore's comparator on the
+// orders that exercise every tie-break: evaluated points sharing one rank
+// key, arriving in reverse identity order, plus keep_invalid failures and
+// duplicated identities, spread over several chunks. The merged order must
+// be SortByTime's on the same points.
+func TestMergeMatchesSortByTime(t *testing.T) {
+	var req SweepRequest
+	if err := decodeSweepBody([]byte(strings.Replace(topnSweepDoc, "TOP", "5", 1)), &req); err != nil {
+		t.Fatal(err)
+	}
+	doc := config.Document{Model: req.Model, System: req.System, Training: req.Training}
+	comp, err := doc.Components()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := comp.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := explore.Sweep(explore.Scenario{Session: sess}, sweepOptions(req.Sweep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Give every other evaluated point the first one's breakdown, so they
+	// tie on the rank key and only identity separates them.
+	var shared *model.Breakdown
+	ties, failed := 0, 0
+	for i := range pts {
+		switch {
+		case pts[i].Err != nil:
+			failed++
+		case shared == nil:
+			shared = pts[i].Breakdown
+		case i%2 == 0:
+			pts[i].Breakdown = shared
+			ties++
+		}
+	}
+	if ties < 3 || failed == 0 {
+		t.Fatalf("space has %d tied and %d failed points; want both", ties, failed)
+	}
+	slices.SortStableFunc(pts, func(a, b explore.Point) int { return strings.Compare(b.String(), a.String()) })
+
+	want := slices.Clone(pts)
+	explore.SortByTime(want)
+	st := &sweepState{}
+	for lo := 0; lo < len(pts); lo += 5 {
+		hi := min(lo+5, len(pts))
+		st.collect(ShardChunk{
+			CursorLo: int64(lo), CursorHi: int64(hi), Completed: hi - lo,
+			Points: toShardPoints(pts[lo:hi]),
+		})
+	}
+	got, completed, truncated := st.finalize(len(pts))
+	if completed != int64(len(pts)) || truncated {
+		t.Fatalf("merge counted %d points (truncated %v), want %d whole", completed, truncated, len(pts))
+	}
+	for i := range want {
+		if w := toSweepPoint(want[i]); got[i] != w {
+			t.Fatalf("merged rank %d = %+v, SortByTime has %+v", i, got[i], w)
 		}
 	}
 }
