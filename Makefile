@@ -57,6 +57,7 @@ audit:
 	$(GO) run ./cmd/amped-audit -n 500 -seed 1 -tol 1e-9
 	$(GO) test -run '^$$' -fuzz FuzzThreeWay -fuzztime $(FUZZTIME) ./internal/audit
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/config
+	$(GO) test -run '^$$' -fuzz FuzzScenarioKey -fuzztime $(FUZZTIME) ./internal/model
 	$(GO) test -run '^$$' -fuzz FuzzParseQuantity -fuzztime $(FUZZTIME) ./internal/units
 	$(GO) test -race -count=1 -run Shard ./internal/serve
 	$(GO) test -race -count=1 ./internal/serve ./internal/obs

@@ -126,7 +126,7 @@ func TestServeSmoke(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("evaluate = %d: %s", resp.StatusCode, body)
 	}
-	for _, want := range []string{`"per_batch_s"`, `"tflops_per_gpu"`, `"cache": "miss"`} {
+	for _, want := range []string{`"per_batch_s"`, `"tflops_per_gpu"`, `"cache":"miss"`} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("evaluate response missing %s: %s", want, body)
 		}
@@ -173,7 +173,7 @@ func TestServeSmoke(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("debug trace = %d: %s", resp.StatusCode, body)
 	}
-	for _, want := range []string{`"handler": "evaluate"`, `"phase": "compile"`, `"request_id"`} {
+	for _, want := range []string{`"handler":"evaluate"`, `"phase":"compile"`, `"request_id"`} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("debug trace missing %s: %s", want, body)
 		}

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strconv"
 
 	"amped/internal/hardware"
 	"amped/internal/model"
@@ -27,11 +28,22 @@ import (
 // suffixed string ("897G", "31.75GiB").
 type Quantity float64
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. A bare number is parsed
+// directly (null reads as 0, as it does into a float64); anything else must
+// be a JSON string holding a quantity.
 func (q *Quantity) UnmarshalJSON(data []byte) error {
-	var num float64
-	if err := json.Unmarshal(data, &num); err == nil {
+	switch lit := bytes.Trim(data, " \t\r\n"); {
+	case len(lit) > 0 && (lit[0] == '-' || '0' <= lit[0] && lit[0] <= '9') && json.Valid(lit):
+		// A valid JSON value that opens like a number is one, and
+		// ParseFloat reads it as encoding/json would.
+		num, err := strconv.ParseFloat(string(lit), 64)
+		if err != nil { // out of float64 range
+			return fmt.Errorf("config: quantity must be a number or string: %s", data)
+		}
 		*q = Quantity(num)
+		return nil
+	case string(lit) == "null":
+		*q = 0
 		return nil
 	}
 	var s string

@@ -1,6 +1,13 @@
 package config
 
-import "testing"
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"testing"
+
+	"amped/internal/units"
+)
 
 // FuzzParse checks that arbitrary bytes never panic the config parser, and
 // that any document it accepts either resolves into a runnable estimator
@@ -37,6 +44,46 @@ func FuzzParse(f *testing.F) {
 			// A fully-valid fuzzed document must produce a finite result;
 			// Evaluate already guards non-finite internally.
 			return
+		}
+	})
+}
+
+// nestedQuantity is Quantity.UnmarshalJSON's previous body, kept as a test
+// oracle: a nested json.Unmarshal into a float64, then into a string.
+func nestedQuantity(q *Quantity, data []byte) error {
+	var num float64
+	if err := json.Unmarshal(data, &num); err == nil {
+		*q = Quantity(num)
+		return nil
+	}
+	var s string
+	if err := json.Unmarshal(data, &s); err != nil {
+		return fmt.Errorf("config: quantity must be a number or string: %s", data)
+	}
+	v, err := units.ParseQuantity(s)
+	if err != nil {
+		return err
+	}
+	*q = Quantity(v)
+	return nil
+}
+
+// FuzzQuantityUnmarshal checks Quantity.UnmarshalJSON against the nested
+// json.Unmarshal it replaced: the same value and the same error text for
+// any input, valid JSON or not.
+func FuzzQuantityUnmarshal(f *testing.F) {
+	for _, s := range []string{
+		`123.5`, `-0`, `0`, `1e3`, `1E+3`, `-2.5e-3`, `1e400`, `-1e400`, `1e-400`, ` 7 `, "\t8\n",
+		`null`, ` null `, `nul`, `nullx`, `"2.4T"`, `"32GiB"`, `"abc"`, `""`, `"5"`, `true`, `{}`, `[1]`,
+		`01`, `1.`, `.5`, `+1`, `-`, `0x10`, `1_0`, `-Inf`, `NaN`, `1e`, `1e+`, `5 6`, ``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, want := Quantity(-42), Quantity(-42)
+		gotErr, wantErr := got.UnmarshalJSON(data), nestedQuantity(&want, data)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+			t.Fatalf("UnmarshalJSON(%q) = %v, %v; nested json.Unmarshal gives %v, %v", data, got, gotErr, want, wantErr)
 		}
 	})
 }

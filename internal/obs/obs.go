@@ -118,11 +118,37 @@ var traceSeq atomic.Uint64
 
 // NewTrace starts a trace with a fresh process-unique request ID.
 func NewTrace() *Trace {
-	return &Trace{
-		id:     fmt.Sprintf("%08x-%06x", traceEpoch, traceSeq.Add(1)),
-		start:  time.Now(),
-		closed: -1,
+	return startTrace(fmt.Sprintf("%08x-%06x", traceEpoch, traceSeq.Add(1)))
+}
+
+// ContinueTrace starts a trace that carries on a caller's request: under
+// id when it is a well-formed request ID (validRequestID), so a peer's
+// trace of a coordinator's shard shares the coordinator's ID, and under a
+// fresh one otherwise.
+func ContinueTrace(id string) *Trace {
+	if !validRequestID(id) {
+		return NewTrace()
 	}
+	return startTrace(id)
+}
+
+func startTrace(id string) *Trace {
+	return &Trace{id: id, start: time.Now(), closed: -1}
+}
+
+// validRequestID reports whether id has the form NewTrace mints: 8
+// lowercase hex digits, a dash, and 6 to 16 lowercase hex digits (a
+// sequence number is a uint64).
+func validRequestID(id string) bool {
+	if len(id) < 8+1+6 || len(id) > 8+1+16 || id[8] != '-' {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		if c := id[i]; i != 8 && (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // ID returns the request ID ("ppppppppp-nnnnnn": process prefix, sequence).

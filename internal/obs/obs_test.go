@@ -179,6 +179,26 @@ func TestRequestIDsUniqueAndWellFormed(t *testing.T) {
 	}
 }
 
+func TestContinueTraceAdoptsWellFormedIDs(t *testing.T) {
+	minted := NewTrace().ID()
+	if got := ContinueTrace(minted).ID(); got != minted {
+		t.Errorf("well-formed ID %q not adopted (got %q)", minted, got)
+	}
+	if id := "0123abcd-ffffffffffffffff"; ContinueTrace(id).ID() != id {
+		t.Errorf("16-digit sequence %q not adopted", id)
+	}
+	for _, id := range []string{
+		"", "0123abcd", "0123abcd-12345", "0123abcd-1ffffffffffffffff",
+		"0123ABCD-123456", "0123abcd_123456", "0123abc-1234567", "0123abcd-12345g",
+		"0123abcd-123456\n", "../../etc/passwd",
+	} {
+		got := ContinueTrace(id).ID()
+		if got == id || !validRequestID(got) {
+			t.Errorf("malformed ID %q: trace ID %q, want a freshly minted one", id, got)
+		}
+	}
+}
+
 func TestContextPlumbing(t *testing.T) {
 	if FromContext(context.Background()) != nil {
 		t.Error("empty context yields a trace")

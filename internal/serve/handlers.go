@@ -18,11 +18,14 @@ import (
 // LRU with singleflight compilation: a hit shares the cached (immutable)
 // session, the first miss compiles (recording the compile phase span on its
 // own trace), and concurrent misses for the same key join that compile
-// instead of duplicating it. The returned status is "hit", "miss" or
-// "join"; it is tallied into the cache counters and echoed in responses.
-func (s *Server) session(ctx context.Context, comp *config.Components) (*model.Session, string, error) {
+// instead of duplicating it. It returns the key it looked the scenario up
+// under, which responses echo as scenario_key so no request hashes its
+// scenario twice, and the status "hit", "miss" or "join", which is tallied
+// into the cache counters and echoed in responses.
+func (s *Server) session(ctx context.Context, comp *config.Components) (sess *model.Session, key, status string, err error) {
 	sp := obs.FromContext(ctx).StartSpan(obs.PhaseCache)
-	sess, status, err := s.cache.getOrCompile(comp.Key(), func() (any, error) {
+	key = comp.Key()
+	cached, status, err := s.cache.getOrCompile(key, func() (any, error) {
 		csp := obs.FromContext(ctx).StartSpan(obs.PhaseCompile)
 		defer csp.End()
 		s.met.compiles.inc()
@@ -31,18 +34,20 @@ func (s *Server) session(ctx context.Context, comp *config.Components) (*model.S
 	})
 	sp.End()
 	if err != nil {
-		return nil, status, err
+		return nil, key, status, err
 	}
 	s.met.cacheStatus(status)
-	return sess.(*model.Session), status, nil
+	return cached.(*model.Session), key, status, nil
 }
 
 // inferenceSession is session's serving twin: it resolves the scenario plus
 // workload to a compiled model.InferenceSession through the same LRU and
-// singleflight machinery, under the domain-separated inference key.
-func (s *Server) inferenceSession(ctx context.Context, comp *config.Components, inf model.Inference) (*model.InferenceSession, string, error) {
+// singleflight machinery, under the domain-separated inference key, which
+// it returns like session does.
+func (s *Server) inferenceSession(ctx context.Context, comp *config.Components, inf model.Inference) (sess *model.InferenceSession, key, status string, err error) {
 	sp := obs.FromContext(ctx).StartSpan(obs.PhaseCache)
-	sess, status, err := s.cache.getOrCompile(comp.InferenceKey(inf), func() (any, error) {
+	key = comp.InferenceKey(inf)
+	cached, status, err := s.cache.getOrCompile(key, func() (any, error) {
 		csp := obs.FromContext(ctx).StartSpan(obs.PhaseCompile)
 		defer csp.End()
 		s.met.compiles.inc()
@@ -51,10 +56,10 @@ func (s *Server) inferenceSession(ctx context.Context, comp *config.Components, 
 	})
 	sp.End()
 	if err != nil {
-		return nil, status, err
+		return nil, key, status, err
 	}
 	s.met.cacheStatus(status)
-	return sess.(*model.InferenceSession), status, nil
+	return cached.(*model.InferenceSession), key, status, nil
 }
 
 // readBody slurps a bounded request body.
@@ -123,7 +128,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	sess, status, err := s.session(r.Context(), comp)
+	sess, key, status, err := s.session(r.Context(), comp)
 	if err != nil {
 		s.error(w, r, http.StatusBadRequest, err.Error())
 		return
@@ -146,7 +151,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		breakdown[c.Name] = float64(c.Time)
 	}
 	resp := EvaluateResponse{
-		ScenarioKey:  sess.Key(),
+		ScenarioKey:  key,
 		Cache:        status,
 		Mapping:      mp.Normalized().String(),
 		Batch:        doc.Training.GlobalBatch,
@@ -233,7 +238,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	sess, status, err := s.inferenceSession(r.Context(), comp, inf)
+	sess, key, status, err := s.inferenceSession(r.Context(), comp, inf)
 	if err != nil {
 		s.error(w, r, http.StatusBadRequest, err.Error())
 		return
@@ -255,7 +260,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		breakdown[c.Name] = float64(c.Time)
 	}
 	resp := InferResponse{
-		ScenarioKey:     sess.Key(),
+		ScenarioKey:     key,
 		Cache:           status,
 		Mapping:         mp.Normalized().String(),
 		Batch:           batch,

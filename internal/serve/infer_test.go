@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"amped/internal/config"
 )
 
 // inferDoc is a GQA serving scenario: the llama-70b preset (8 KV heads)
@@ -117,5 +119,61 @@ func TestInferEndpointRejections(t *testing.T) {
 	// GET is not allowed.
 	if code, _ := get(t, ts.URL+"/v1/infer"); code != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/infer = %d", code)
+	}
+}
+
+// TestScenarioKeyEchoesLookupKey: every endpoint echoes as scenario_key
+// the key it looked its session up under, and that key is what the
+// compiled session's own Key() reports.
+func TestScenarioKeyEchoesLookupKey(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	doc, err := config.Parse([]byte(evalDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := doc.Components()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := comp.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sess.Key()
+
+	code, body := post(t, ts.URL+"/v1/evaluate", evalDoc)
+	var ev EvaluateResponse
+	if code != http.StatusOK || json.Unmarshal(body, &ev) != nil {
+		t.Fatalf("evaluate = %d %s", code, body)
+	}
+	if ev.ScenarioKey != want {
+		t.Errorf("evaluate scenario_key = %s, want the session's %s", ev.ScenarioKey, want)
+	}
+	if got := sweepResponse(t, ts.URL, sweepDoc).ScenarioKey; got != want {
+		t.Errorf("sweep scenario_key = %s, want the session's %s", got, want)
+	}
+	if got := planResponse(t, ts.URL, sweepDoc).ScenarioKey; got != want {
+		t.Errorf("plan scenario_key = %s, want the session's %s", got, want)
+	}
+
+	idoc, err := config.Parse([]byte(inferDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	icomp, inf, _, err := idoc.InferenceScenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	isess, err := icomp.CompileInference(inf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, body = post(t, ts.URL+"/v1/infer", inferDoc)
+	var ir InferResponse
+	if code != http.StatusOK || json.Unmarshal(body, &ir) != nil {
+		t.Fatalf("infer = %d %s", code, body)
+	}
+	if ir.ScenarioKey != isess.Key() {
+		t.Errorf("infer scenario_key = %s, want the session's %s", ir.ScenarioKey, isess.Key())
 	}
 }

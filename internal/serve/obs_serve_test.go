@@ -56,6 +56,42 @@ func TestRequestIDOnResponsesAndErrors(t *testing.T) {
 	}
 }
 
+// TestShardRequestsCarryCoordinatorRequestID: a coordinator forwards its
+// request ID on every shard request, and the peer traces the shard under
+// it, so one ID joins the request's records across the fleet.
+func TestShardRequestsCarryCoordinatorRequestID(t *testing.T) {
+	peers, _, coordURL := newPeerFleet(t, 1)
+	resp, err := http.Post(coordURL+"/v1/sweep", "application/json", strings.NewReader(sweepDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	id := resp.Header.Get("X-Request-Id")
+	if resp.StatusCode != http.StatusOK || !requestIDRe.MatchString(id) {
+		t.Fatalf("coordinator sweep = %d with X-Request-Id %q", resp.StatusCode, id)
+	}
+	// The peer records its trace after its handler returns, which can be
+	// after the coordinator has answered.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		shards := 0
+		for _, snap := range peers[0].ring.Last(traceRingSize) {
+			if snap.Handler != "sweep_shard" {
+				continue
+			}
+			shards++
+			if snap.ID != id {
+				t.Fatalf("peer traced a shard as %q, want the coordinator's %q", snap.ID, id)
+			}
+		}
+		if shards > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("peer recorded no sweep_shard trace")
+		}
+	}
+}
+
 func TestDebugTraceAndPprof(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	dbg := httptest.NewServer(srv.DebugHandler())

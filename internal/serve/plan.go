@@ -10,7 +10,6 @@ import (
 	"amped/internal/config"
 	"amped/internal/explore"
 	"amped/internal/hardware"
-	"amped/internal/model"
 	"amped/internal/obs"
 	"amped/internal/pipesim"
 	"amped/internal/plan"
@@ -156,10 +155,9 @@ func heteroSpace(req *PlanRequest, comp *config.Components) (plan.HeteroSpace, e
 // compiledPlan is a plan request decoded, validated and compiled: the
 // shared input of the synchronous /v1/plan handler and the plan job runner.
 type compiledPlan struct {
-	req    PlanRequest
-	hsp    plan.HeteroSpace
-	sess   *model.Session
-	status string
+	req PlanRequest
+	hsp plan.HeteroSpace
+	compiledScenario
 }
 
 // compilePlan decodes a plan body, runs the scenario half of the sweep
@@ -171,14 +169,14 @@ func (s *Server) compilePlan(ctx context.Context, body []byte) (*compiledPlan, e
 	if err := decodeSweepBody(body, &cp.req); err != nil {
 		return nil, &jobError{errClassBadRequest, err.Error()}
 	}
-	comp, sess, status, err := s.compileScenario(ctx, "plan request", config.Document{
+	comp, sc, err := s.compileScenario(ctx, "plan request", config.Document{
 		Model: cp.req.Model, System: cp.req.System, Training: cp.req.Training,
 		Reliability: cp.req.Reliability,
 	}, cp.req.Sweep.Batches)
 	if err != nil {
 		return nil, err
 	}
-	cp.sess, cp.status = sess, status
+	cp.compiledScenario = sc
 	if len(cp.req.Pools) > 0 {
 		if cp.hsp, err = heteroSpace(&cp.req, comp); err != nil {
 			return nil, &jobError{errClassBadRequest, err.Error()}
@@ -204,7 +202,7 @@ func (s *Server) solvePlan(ctx context.Context, cp *compiledPlan) (PlanResponse,
 	s.met.sweepPoints.add(uint64(res.Stats.CellsExpanded))
 
 	resp := PlanResponse{
-		ScenarioKey: cp.sess.Key(),
+		ScenarioKey: cp.key,
 		Cache:       cp.status,
 		Stats:       toPlanStats(res.Stats),
 	}

@@ -255,16 +255,22 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// requestIDHeader carries the request ID on every response, and on the
+// shard requests a coordinator sends its peers.
+const requestIDHeader = "X-Request-Id"
+
 // wrap is the middleware stack shared by every route: request tracing
 // (ID + per-phase spans), panic isolation, request metrics (counter by
 // handler/code, latency and phase histograms) and one structured log line
 // per request. The trace rides the request context, so the sweep engine and
-// error paths see the same request ID the client got in X-Request-Id.
+// error paths see the same request ID the client got in X-Request-Id. A
+// well-formed incoming X-Request-Id is adopted rather than replaced, so a
+// peer traces a coordinator's shard under the coordinator's ID.
 func (s *Server) wrap(name string, h http.HandlerFunc) http.HandlerFunc {
 	evaluation := name == "evaluate" || name == "infer" || name == "sweep" || name == "sweep_shard" || name == "plan"
 	return func(w http.ResponseWriter, r *http.Request) {
-		tr := obs.NewTrace()
-		w.Header().Set("X-Request-Id", tr.ID())
+		tr := obs.ContinueTrace(r.Header.Get(requestIDHeader))
+		w.Header().Set(requestIDHeader, tr.ID())
 		r = r.WithContext(obs.NewContext(r.Context(), tr))
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
@@ -412,13 +418,11 @@ func statusForContextErr(err error) int {
 	return http.StatusServiceUnavailable
 }
 
-// writeJSON writes a JSON response with the given status.
+// writeJSON writes a compact JSON response with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // error writes the uniform JSON error envelope. The request ID rides along

@@ -355,6 +355,9 @@ func (s *Server) runShard(ctx context.Context, peer string, req ShardRequest,
 		return res
 	}
 	hreq.Header.Set("Content-Type", "application/json")
+	if id := obs.RequestID(ctx); id != "" {
+		hreq.Header.Set(requestIDHeader, id)
+	}
 	resp, err := s.shardClient.Do(hreq)
 	if err != nil {
 		res.outcome, res.err = shardFailed, err

@@ -134,9 +134,8 @@ func (st *sweepState) finalize(top int) (points []SweepPoint, totalCompleted int
 // compiledSweep is a sweep request decoded, compiled and sized: everything
 // the runner needs beyond the raw body.
 type compiledSweep struct {
-	req    SweepRequest
-	sess   *model.Session
-	status string
+	req SweepRequest
+	compiledScenario
 	// space is the resolved cell enumeration: the fan-out sizes its ranges
 	// from it, and the local source prices every chunk against it.
 	space *explore.Space
@@ -165,14 +164,14 @@ func (s *Server) compileSweepAs(ctx context.Context, body []byte, dst sweepBody)
 		return nil, &jobError{errClassBadRequest, err.Error()}
 	}
 	req := dst.sweepRequest()
-	_, sess, status, err := s.compileScenario(ctx, "sweep request", config.Document{
+	_, sc, err := s.compileScenario(ctx, "sweep request", config.Document{
 		Model: req.Model, System: req.System, Training: req.Training,
 		Reliability: req.Reliability,
 	}, req.Sweep.Batches)
 	if err != nil {
 		return nil, err
 	}
-	space, err := explore.NewSpace(explore.Scenario{Session: sess}, sweepOptions(req.Sweep))
+	space, err := explore.NewSpace(explore.Scenario{Session: sc.sess}, sweepOptions(req.Sweep))
 	if err != nil {
 		return nil, &jobError{errClassBadRequest, err.Error()}
 	}
@@ -180,26 +179,34 @@ func (s *Server) compileSweepAs(ctx context.Context, body []byte, dst sweepBody)
 	if top <= 0 {
 		top = 20
 	}
-	return &compiledSweep{req: *req, sess: sess, status: status, space: space, top: top}, nil
+	return &compiledSweep{req: *req, compiledScenario: sc, space: space, top: top}, nil
+}
+
+// compiledScenario is a scenario resolved through the session cache: the
+// session, the key it was looked up under (echoed as scenario_key) and the
+// cache status.
+type compiledScenario struct {
+	sess        *model.Session
+	key, status string
 }
 
 // compileScenario is the scenario half of every sweep-shaped request
 // (sweeps, shards, plans and their jobs): it requires sweep.batches (what
 // names the request in that error), resolves the scenario sections and
 // compiles (or fetches) the session. Failures are classified bad_request.
-func (s *Server) compileScenario(ctx context.Context, what string, doc config.Document, batches []int) (*config.Components, *model.Session, string, error) {
+func (s *Server) compileScenario(ctx context.Context, what string, doc config.Document, batches []int) (*config.Components, compiledScenario, error) {
 	if len(batches) == 0 {
-		return nil, nil, "", &jobError{errClassBadRequest, what + ": sweep.batches is required"}
+		return nil, compiledScenario{}, &jobError{errClassBadRequest, what + ": sweep.batches is required"}
 	}
 	comp, err := doc.Components()
 	if err != nil {
-		return nil, nil, "", &jobError{errClassBadRequest, err.Error()}
+		return nil, compiledScenario{}, &jobError{errClassBadRequest, err.Error()}
 	}
-	sess, status, err := s.session(ctx, comp)
+	sess, key, status, err := s.session(ctx, comp)
 	if err != nil {
-		return nil, nil, "", &jobError{errClassBadRequest, err.Error()}
+		return nil, compiledScenario{}, &jobError{errClassBadRequest, err.Error()}
 	}
-	return comp, sess, status, nil
+	return comp, compiledScenario{sess, key, status}, nil
 }
 
 // readSweep reads a request body and compiles it into dst
@@ -260,7 +267,7 @@ func (s *Server) localSweep(ctx context.Context, cs *compiledSweep, st *sweepSta
 func (s *Server) sweepResponse(cs *compiledSweep, st *sweepState, elapsed time.Duration, partial bool) SweepResponse {
 	points, total, truncated := st.finalize(cs.top)
 	resp := SweepResponse{
-		ScenarioKey: cs.sess.Key(),
+		ScenarioKey: cs.key,
 		Cache:       cs.status,
 		TotalPoints: int(total),
 		Returned:    len(points),
