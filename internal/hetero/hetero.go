@@ -187,7 +187,7 @@ type Result struct {
 }
 
 // StageProfile is a balanced pipeline's per-stage timing decomposition —
-// the inputs a discrete-event schedule simulation needs, derived exactly as
+// the inputs a schedule execution (Simulate) needs, derived exactly as
 // Evaluate derives its closed-form estimate (same microbatch defaulting,
 // efficiency lookup, per-stage rates and activation volume).
 type StageProfile struct {
@@ -205,18 +205,32 @@ type StageProfile struct {
 	Efficiency float64
 }
 
-// StageTimes computes the per-stage timing profile of a balanced pipeline.
-// Stages must have their layer assignment set (call Balance first).
-func (p *Pipeline) StageTimes() (*StageProfile, error) {
+// microbatch is what StageTimes and Evaluate share about one microbatch
+// of a balanced pipeline.
+type microbatch struct {
+	// count is the resolved N_ub.
+	count int
+	// eff is the microbatch efficiency.
+	eff float64
+	// layerMACs is one layer's MACs for one microbatch.
+	layerMACs float64
+	// comm is one stage-boundary activation transfer.
+	comm float64
+}
+
+// perMicrobatch validates the pipeline and its layer assignment, defaults
+// N_ub to the stage count and clamps it to the global batch, and prices one
+// microbatch's layer work, efficiency and stage-boundary transfer.
+func (p *Pipeline) perMicrobatch() (microbatch, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return microbatch{}, err
 	}
 	totalLayers := 0
 	for _, s := range p.Stages {
 		totalLayers += s.Layers
 	}
 	if totalLayers != p.Model.Layers {
-		return nil, errors.New("hetero: stages have no layer assignment (call Balance)")
+		return microbatch{}, errors.New("hetero: stages have no layer assignment (call Balance)")
 	}
 	effModel := p.Eff
 	if effModel == nil {
@@ -230,28 +244,41 @@ func (p *Pipeline) StageTimes() (*StageProfile, error) {
 		nub = p.Batch.Global
 	}
 	ub := float64(p.Batch.Global) / float64(nub)
-	eff := effModel.Eff(ub)
-
-	layerMACs := float64(p.Model.LayerMACs(0, p.Batch.Global)) / float64(nub)
 	actBits := float64(p.Model.ActivationsPerLayer(p.Batch.Global)) / float64(nub) * 16
+	return microbatch{
+		count:     nub,
+		eff:       effModel.Eff(ub),
+		layerMACs: float64(p.Model.LayerMACs(0, p.Batch.Global)) / float64(nub),
+		comm:      float64(p.Interconnect.Latency) + actBits/float64(p.Interconnect.Bandwidth),
+	}, nil
+}
+
+// StageTimes computes the per-stage timing profile of a balanced pipeline.
+// Stages must have their layer assignment set (call Balance first).
+func (p *Pipeline) StageTimes() (*StageProfile, error) {
+	mb, err := p.perMicrobatch()
+	if err != nil {
+		return nil, err
+	}
 	prof := &StageProfile{
 		Fwd:          make([]units.Seconds, len(p.Stages)),
-		Comm:         units.Seconds(float64(p.Interconnect.Latency) + actBits/float64(p.Interconnect.Bandwidth)),
-		Microbatches: nub,
-		Efficiency:   eff,
+		Comm:         units.Seconds(mb.comm),
+		Microbatches: mb.count,
+		Efficiency:   mb.eff,
 	}
 	for i, s := range p.Stages {
-		prof.Fwd[i] = units.Seconds(layerMACs * float64(s.Layers) / p.stageRate(s, eff))
+		prof.Fwd[i] = units.Seconds(mb.layerMACs * float64(s.Layers) / p.stageRate(s, mb.eff))
 	}
 	return prof, nil
 }
 
-// Simulate runs the balanced pipeline through the pipesim discrete-event
-// simulator under the given schedule, expressing the stages' unequal speeds
-// through StageScale: the simulator's reference forward time is the slowest
-// stage's, and every stage is scaled by fwd_i / fwd_ref (the backward, at
-// Evaluate's fixed 2x forward, scales identically). It returns the DES
-// result alongside the profile that parameterized it.
+// Simulate executes the balanced pipeline's schedule with pipesim.Run,
+// expressing the stages' unequal speeds through StageScale: the reference
+// forward time is the slowest stage's, and every stage is scaled by
+// fwd_i / fwd_ref (the backward, at Evaluate's fixed 2x forward, scales
+// identically). Each task starts at max(its stage's previous finish, its
+// producer's finish + the stage-boundary transfer). It returns the
+// schedule's result alongside the profile that parameterized it.
 func (p *Pipeline) Simulate(sched pipesim.Schedule) (*pipesim.Result, *StageProfile, error) {
 	prof, err := p.StageTimes()
 	if err != nil {
@@ -288,40 +315,17 @@ func (p *Pipeline) Simulate(sched pipesim.Schedule) (*pipesim.Result, *StageProf
 // Evaluate computes the batch time of a balanced heterogeneous pipeline.
 // Stages must have their layer assignment set (call Balance first).
 func (p *Pipeline) Evaluate() (*Result, error) {
-	if err := p.Validate(); err != nil {
+	mb, err := p.perMicrobatch()
+	if err != nil {
 		return nil, err
 	}
-	totalLayers := 0
-	for _, s := range p.Stages {
-		totalLayers += s.Layers
-	}
-	if totalLayers != p.Model.Layers {
-		return nil, errors.New("hetero: stages have no layer assignment (call Balance)")
-	}
-	effModel := p.Eff
-	if effModel == nil {
-		effModel = efficiency.Default()
-	}
-	nub := p.Batch.Microbatches
-	if nub <= 0 {
-		nub = len(p.Stages)
-	}
-	if nub > p.Batch.Global {
-		nub = p.Batch.Global
-	}
-	ub := float64(p.Batch.Global) / float64(nub)
-	eff := effModel.Eff(ub)
-
 	times := make([]units.Seconds, len(p.Stages))
 	var slowest units.Seconds
 	bottleneck := 0
-	layerMACs := float64(p.Model.LayerMACs(0, p.Batch.Global)) / float64(nub)
-	actBits := float64(p.Model.ActivationsPerLayer(p.Batch.Global)) / float64(nub) * 16
 	for i, s := range p.Stages {
-		rate := p.stageRate(s, eff)
-		compute := 3 * layerMACs * float64(s.Layers) / rate // fwd + 2x bwd
-		comm := float64(p.Interconnect.Latency) + actBits/float64(p.Interconnect.Bandwidth)
-		times[i] = units.Seconds(compute + comm)
+		rate := p.stageRate(s, mb.eff)
+		compute := 3 * mb.layerMACs * float64(s.Layers) / rate // fwd + 2x bwd
+		times[i] = units.Seconds(compute + mb.comm)
 		if times[i] > slowest {
 			slowest = times[i]
 			bottleneck = i
@@ -329,7 +333,7 @@ func (p *Pipeline) Evaluate() (*Result, error) {
 	}
 	// Pipeline makespan: N_ub steps of the bottleneck plus one fill/drain
 	// traversal of every other stage.
-	total := float64(slowest) * float64(nub)
+	total := float64(slowest) * float64(mb.count)
 	for i, t := range times {
 		if i != bottleneck {
 			total += float64(t)
@@ -339,6 +343,6 @@ func (p *Pipeline) Evaluate() (*Result, error) {
 		PerBatch:   units.Seconds(total),
 		StageTimes: times,
 		Bottleneck: bottleneck,
-		Efficiency: eff,
+		Efficiency: mb.eff,
 	}, nil
 }

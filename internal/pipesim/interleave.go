@@ -23,7 +23,8 @@ type InterleavedConfig struct {
 	// task costs FwdTime/Chunks (resp. BwdTime/Chunks).
 	FwdTime, BwdTime eventsim.Time
 	// CommTime is the per-hop activation transfer time, including the
-	// wrap-around hop from the last stage back to the first between chunks.
+	// wrap-around hop from the last stage back to the first between chunks
+	// (free in a one-stage pipeline, where the data never leaves the stage).
 	CommTime eventsim.Time
 	// KeepTrace records per-stage busy intervals.
 	KeepTrace bool
@@ -51,167 +52,39 @@ func (c InterleavedConfig) Validate() error {
 	return validateStageScale(c.StageScale, c.Stages)
 }
 
-// ctask is one (kind, microbatch, chunk) unit of work on a stage.
-type ctask struct {
-	kind  kind
-	mb    int
-	chunk int
-}
-
-func (t ctask) String() string {
-	k := "F"
-	if t.kind == bwd {
-		k = "B"
+// orderFor returns every stage's interleaved fill-drain order: forward
+// chunks ascending, then backward chunks descending with microbatches
+// reversed.
+func orderFor(chunks, m int) []ctask {
+	out := make([]ctask, 0, 2*chunks*m)
+	for c := 0; c < chunks; c++ {
+		for i := 0; i < m; i++ {
+			out = append(out, ctask{fwd, i, c})
+		}
 	}
-	return fmt.Sprintf("%s%d.%d", k, t.mb, t.chunk)
+	for c := chunks - 1; c >= 0; c-- {
+		for i := m - 1; i >= 0; i-- {
+			out = append(out, ctask{bwd, i, c})
+		}
+	}
+	return out
 }
 
-// RunInterleaved simulates one batch through the interleaved fill-drain
-// schedule: all chunk-0 forwards, then chunk-1 forwards (each microbatch
-// wrapping from the last stage back to the first), ..., then the backward
-// chunks in reverse. With Chunks=1 it reduces to Run's GPipe schedule.
+// RunInterleaved executes one batch of the interleaved fill-drain schedule:
+// all chunk-0 forwards, then chunk-1 forwards (each microbatch wrapping
+// from the last stage back to the first), ..., then the backward chunks in
+// reverse. It shares Run's executor and dependency rule, so with Chunks=1
+// it is Run's GPipe schedule.
 func RunInterleaved(cfg InterleavedConfig) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p, v, m := cfg.Stages, cfg.Chunks, cfg.Microbatches
-
-	var sim eventsim.Sim
-	stages := make([]*eventsim.Resource, p)
-	for s := range stages {
-		stages[s] = eventsim.NewResource(&sim, fmt.Sprintf("stage%d", s), cfg.KeepTrace)
+	tasks := orderFor(cfg.Chunks, cfg.Microbatches)
+	orders := make([][]ctask, cfg.Stages)
+	for s := range orders {
+		orders[s] = tasks
 	}
-
-	// done[kind][mb][chunk][stage]
-	done := [2][][][]bool{}
-	for k := range done {
-		done[k] = make([][][]bool, m)
-		for i := range done[k] {
-			done[k][i] = make([][]bool, v)
-			for c := range done[k][i] {
-				done[k][i][c] = make([]bool, p)
-			}
-		}
-	}
-
-	// Per-stage execution order: forward chunks ascending, backward
-	// chunks descending with microbatches reversed (fill-drain).
-	orderFor := func() []ctask {
-		out := make([]ctask, 0, 2*v*m)
-		for c := 0; c < v; c++ {
-			for i := 0; i < m; i++ {
-				out = append(out, ctask{fwd, i, c})
-			}
-		}
-		for c := v - 1; c >= 0; c-- {
-			for i := m - 1; i >= 0; i-- {
-				out = append(out, ctask{bwd, i, c})
-			}
-		}
-		return out
-	}
-	orders := make([][]ctask, p)
-	next := make([]int, p)
-	for s := 0; s < p; s++ {
-		orders[s] = orderFor()
-	}
-
-	depReady := func(t ctask, s int) bool {
-		switch t.kind {
-		case fwd:
-			if s > 0 {
-				return done[fwd][t.mb][t.chunk][s-1]
-			}
-			if t.chunk > 0 {
-				return done[fwd][t.mb][t.chunk-1][p-1] // wrap-around hop
-			}
-			return true
-		default:
-			if s < p-1 {
-				return done[bwd][t.mb][t.chunk][s+1]
-			}
-			if t.chunk < v-1 {
-				return done[bwd][t.mb][t.chunk+1][0] // wrap-around hop
-			}
-			return done[fwd][t.mb][v-1][p-1] // loss after the last forward
-		}
-	}
-	dur := func(t ctask, s int) eventsim.Time {
-		d := cfg.FwdTime
-		if t.kind == bwd {
-			d = cfg.BwdTime
-		}
-		if cfg.StageScale != nil {
-			d *= eventsim.Time(cfg.StageScale[s])
-		}
-		return d / eventsim.Time(v)
-	}
-
-	issued := make([]bool, p)
-	var tryIssue func(s int)
-	complete := func(t ctask, s int) {
-		done[t.kind][t.mb][t.chunk][s] = true
-		tryIssue(s)
-		notify := func(dst int) {
-			sim.After(cfg.CommTime, func() { tryIssue(dst) })
-		}
-		switch t.kind {
-		case fwd:
-			if s+1 < p {
-				notify(s + 1)
-			} else if t.chunk+1 < v {
-				notify(0) // wrap to the next chunk's first stage
-			} else {
-				tryIssue(s) // backward starts on the last stage
-			}
-		default:
-			if s-1 >= 0 {
-				notify(s - 1)
-			} else if t.chunk-1 >= 0 {
-				notify(p - 1) // wrap to the previous chunk's last stage
-			}
-		}
-	}
-	tryIssue = func(s int) {
-		if next[s] >= len(orders[s]) || issued[s] {
-			return
-		}
-		t := orders[s][next[s]]
-		if !depReady(t, s) {
-			return
-		}
-		issued[s] = true
-		stages[s].Acquire(dur(t, s), t.String(), func() {
-			issued[s] = false
-			next[s]++
-			complete(t, s)
-		})
-	}
-
-	sim.At(0, func() {
-		for s := 0; s < p; s++ {
-			tryIssue(s)
-		}
-	})
-	end, err := sim.Run()
-	if err != nil {
-		return nil, err
-	}
-	for s := 0; s < p; s++ {
-		if next[s] != len(orders[s]) {
-			return nil, fmt.Errorf("pipesim: interleaved stage %d stalled at task %d/%d",
-				s, next[s], len(orders[s]))
-		}
-	}
-
-	res := &Result{Makespan: end, StageBusy: make([]eventsim.Time, p)}
-	for s, r := range stages {
-		res.StageBusy[s] = r.BusyTime()
-		if cfg.KeepTrace {
-			res.Traces = append(res.Traces, r.Trace())
-		}
-	}
-	return res, nil
+	return execute(cfg, orders, nil)
 }
 
 // EstimateR measures the Eq. 8 bubble ratio R of an interleaved schedule:

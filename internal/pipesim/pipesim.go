@@ -1,9 +1,14 @@
-// Package pipesim is a discrete-event simulator of pipeline-parallel
-// training schedules at microbatch-task granularity. It executes the same
-// schedules the paper's validation hardware ran (GPipe-style fill-drain,
-// 1F1B) on simulated stage resources, yielding makespans, per-stage
+// Package pipesim executes pipeline-parallel training schedules at
+// microbatch-task granularity: the schedules the paper's validation
+// hardware ran (GPipe-style fill-drain, 1F1B) and the interleaved
+// virtual-stage schedule. Each is a static per-stage task order, so one
+// executor walks those orders as a longest-path recurrence in which a task
+// starts once its stage is free and its input has arrived (the producer's
+// finish plus one inter-stage hop). The results are makespans, per-stage
 // utilization timelines (the Fig. 1 substitute) and empirical bubble
-// fractions that cross-check the closed-form Eq. 8.
+// fractions that cross-check the closed-form Eq. 8. RunDisagg, the
+// disaggregated-serving queue, is a discrete-event simulation on
+// internal/eventsim.
 package pipesim
 
 import (
@@ -105,31 +110,39 @@ const (
 	bwd
 )
 
-// task is one (kind, microbatch) unit of work on a stage.
-type task struct {
-	kind kind
-	mb   int
+// ctask is one (kind, microbatch, chunk) unit of work on a stage; the
+// non-interleaved schedules run chunk 0 only.
+type ctask struct {
+	kind  kind
+	mb    int
+	chunk int
 }
 
-func (t task) String() string {
-	if t.kind == fwd {
-		return fmt.Sprintf("F%d", t.mb)
+// label names the task in traces: "F3" for microbatch 3's forward, and
+// "B2.1" for microbatch 2's chunk-1 backward when the run is chunked.
+func (t ctask) label(chunked bool) string {
+	k := "F"
+	if t.kind == bwd {
+		k = "B"
 	}
-	return fmt.Sprintf("B%d", t.mb)
+	if !chunked {
+		return fmt.Sprintf("%s%d", k, t.mb)
+	}
+	return fmt.Sprintf("%s%d.%d", k, t.mb, t.chunk)
 }
 
 // order returns the per-stage execution order for the schedule.
-func order(sched Schedule, stage, stages, m int) []task {
-	out := make([]task, 0, 2*m)
+func order(sched Schedule, stage, stages, m int) []ctask {
+	out := make([]ctask, 0, 2*m)
 	switch sched {
 	case GPipe:
 		for i := 0; i < m; i++ {
-			out = append(out, task{fwd, i})
+			out = append(out, ctask{fwd, i, 0})
 		}
 		// Backward drains in reverse microbatch order: the last microbatch
 		// reaches the loss first at the last stage's end of fill.
 		for i := m - 1; i >= 0; i-- {
-			out = append(out, task{bwd, i})
+			out = append(out, ctask{bwd, i, 0})
 		}
 	case OneFOneB:
 		// Warmup forwards: the further from the last stage, the more.
@@ -138,16 +151,16 @@ func order(sched Schedule, stage, stages, m int) []task {
 			warm = m
 		}
 		for i := 0; i < warm; i++ {
-			out = append(out, task{fwd, i})
+			out = append(out, ctask{fwd, i, 0})
 		}
 		// Steady state: alternate B(i), F(i+warm).
 		b := 0
 		f := warm
 		for b < m {
-			out = append(out, task{bwd, b})
+			out = append(out, ctask{bwd, b, 0})
 			b++
 			if f < m {
-				out = append(out, task{fwd, f})
+				out = append(out, ctask{fwd, f, 0})
 				f++
 			}
 		}
@@ -193,127 +206,126 @@ func (r *Result) Utilization() []float64 {
 	return out
 }
 
-// Run simulates one batch through the pipeline and returns the result.
+// Run executes one batch of the GPipe or 1F1B schedule and returns the
+// result. Each task starts at max(its stage's previous finish, its
+// producer's finish + one hop); see execute.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p, m := cfg.Stages, cfg.Microbatches
-
-	var sim eventsim.Sim
-	stages := make([]*eventsim.Resource, p)
-	for s := range stages {
-		stages[s] = eventsim.NewResource(&sim, fmt.Sprintf("stage%d", s), cfg.KeepTrace)
+	orders := make([][]ctask, cfg.Stages)
+	for s := range orders {
+		orders[s] = order(cfg.Schedule, s, cfg.Stages, cfg.Microbatches)
 	}
+	return execute(InterleavedConfig{
+		Stages: cfg.Stages, Chunks: 1, Microbatches: cfg.Microbatches,
+		FwdTime: cfg.FwdTime, BwdTime: cfg.BwdTime, CommTime: cfg.CommTime,
+		KeepTrace: cfg.KeepTrace, StageScale: cfg.StageScale,
+	}, orders, cfg.CommScale)
+}
 
-	// done[kind][mb][stage] marks completed tasks; ready tasks wait for
-	// their stage's head-of-line position (schedule order) plus their data
-	// dependency.
-	done := [2][]map[int]bool{}
-	for k := range done {
-		done[k] = make([]map[int]bool, m)
-		for i := range done[k] {
-			done[k][i] = make(map[int]bool, p)
-		}
-	}
-	orders := make([][]task, p)
-	next := make([]int, p) // per-stage index of the next task to issue
-	for s := 0; s < p; s++ {
-		orders[s] = order(cfg.Schedule, s, p, m)
-	}
+// pending marks a task whose finish time is not fixed yet.
+const pending eventsim.Time = -1
 
-	depReady := func(t task, s int) bool {
-		switch t.kind {
-		case fwd:
-			return s == 0 || done[fwd][t.mb][s-1]
+// execute is the one schedule executor behind Run and RunInterleaved. It
+// walks the static per-stage orders as a longest-path recurrence over the
+// schedule's dependency graph:
+//
+//	start = max(stage free, producer finish + hop)
+//
+// A forward consumes the previous stage's forward of the same chunk (the
+// first stage's chunk c > 0 consumes the last stage's chunk c-1: the
+// wrap-around hop); a backward consumes the next stage's backward (the
+// last stage's chunk c < v-1 consumes the first stage's chunk c+1), and the
+// last stage's last-chunk backward consumes its own last forward: the loss.
+// The hop is charged whenever the producer ran on another stage, so only
+// the loss-side backward (and, in a one-stage pipeline, the wrap-around)
+// skips it. The stages are swept in turn, each advancing its head task
+// while the task's input is in, until no head can advance; a stage left
+// with tasks is a schedule deadlock. Durations carry the stage scale and
+// the 1/v chunk share, and commScale (nil: healthy links) scales each hop
+// by the link state at the producer's finish, its send time.
+func execute(cfg InterleavedConfig, orders [][]ctask, commScale func(from int, at eventsim.Time) float64) (*Result, error) {
+	p, v, m := cfg.Stages, cfg.Chunks, cfg.Microbatches
+	// finish[((kind·m + mb)·v + chunk)·p + stage] is a task's end time.
+	finish := make([]eventsim.Time, 2*m*v*p)
+	for i := range finish {
+		finish[i] = pending
+	}
+	at := func(k kind, mb, c, s int) *eventsim.Time { return &finish[((int(k)*m+mb)*v+c)*p+s] }
+
+	// ready returns when t's input is available on stage s, or false while
+	// its producer has not run.
+	ready := func(t ctask, s int) (eventsim.Time, bool) {
+		k, c, from := t.kind, t.chunk, s
+		switch {
+		case k == fwd && s > 0:
+			from = s - 1
+		case k == fwd && c > 0:
+			c, from = c-1, p-1
+		case k == fwd:
+			return 0, true
+		case s < p-1:
+			from = s + 1
+		case c < v-1:
+			c, from = c+1, 0
 		default:
-			if s == p-1 {
-				return done[fwd][t.mb][s] // loss right after own forward
-			}
-			return done[bwd][t.mb][s+1]
+			k, c = fwd, v-1
 		}
-	}
-	dur := func(t task, s int) eventsim.Time {
-		d := cfg.FwdTime
-		if t.kind == bwd {
-			d = cfg.BwdTime
+		f := *at(k, t.mb, c, from)
+		if f == pending {
+			return 0, false
 		}
-		if cfg.StageScale != nil {
-			d *= eventsim.Time(cfg.StageScale[s])
+		if from == s {
+			return f, true
 		}
-		return d
-	}
-	// commTime is the transfer delay for the hop leaving stage `from`,
-	// evaluated at send time so a flapping link's state at that moment
-	// applies.
-	commTime := func(from int) eventsim.Time {
-		if cfg.CommScale == nil {
-			return cfg.CommTime
+		hop := cfg.CommTime
+		if commScale != nil {
+			hop *= eventsim.Time(commScale(from, f))
 		}
-		return cfg.CommTime * eventsim.Time(cfg.CommScale(from, sim.Now()))
+		return f + hop, true
 	}
 
-	// tryIssue issues the stage's head task when its dependency is met.
-	// The inter-stage transfer is modeled as a delay before the compute
-	// acquires the stage (sender-side time is assumed overlapped, as with
-	// DMA-capable interconnects).
-	var tryIssue func(s int)
-	complete := func(t task, s int) {
-		done[t.kind][t.mb][s] = true
-		tryIssue(s) // same stage: next task may now be unblocked
-		// Downstream dependents.
-		switch t.kind {
-		case fwd:
-			if s+1 < p {
-				sim.After(commTime(s), func() { tryIssue(s + 1) })
-			} else {
-				tryIssue(s) // backward of this microbatch on the last stage
+	res := &Result{StageBusy: make([]eventsim.Time, p)}
+	if cfg.KeepTrace {
+		res.Traces = make([][]eventsim.Interval, p)
+	}
+	free := make([]eventsim.Time, p)
+	next := make([]int, p)
+	for progress := true; progress; {
+		progress = false
+		for s, tasks := range orders {
+			for ; next[s] < len(tasks); next[s]++ {
+				t := tasks[next[s]]
+				start, ok := ready(t, s)
+				if !ok {
+					break
+				}
+				start = max(start, free[s])
+				d := cfg.FwdTime
+				if t.kind == bwd {
+					d = cfg.BwdTime
+				}
+				if cfg.StageScale != nil {
+					d *= eventsim.Time(cfg.StageScale[s])
+				}
+				d /= eventsim.Time(v)
+				end := start + d
+				*at(t.kind, t.mb, t.chunk, s) = end
+				free[s] = end
+				res.StageBusy[s] += d
+				res.Makespan = max(res.Makespan, end)
+				if cfg.KeepTrace && d > 0 {
+					res.Traces[s] = append(res.Traces[s], eventsim.Interval{Start: start, End: end, Label: t.label(v > 1)})
+				}
+				progress = true
 			}
-		default:
-			if s-1 >= 0 {
-				sim.After(commTime(s), func() { tryIssue(s - 1) })
-			}
 		}
 	}
-	issued := make([]bool, p) // head task already queued on the resource
-	tryIssue = func(s int) {
-		if next[s] >= len(orders[s]) || issued[s] {
-			return
-		}
-		t := orders[s][next[s]]
-		if !depReady(t, s) {
-			return
-		}
-		issued[s] = true
-		stages[s].Acquire(dur(t, s), t.String(), func() {
-			issued[s] = false
-			next[s]++
-			complete(t, s)
-		})
-	}
-
-	sim.At(0, func() {
-		for s := 0; s < p; s++ {
-			tryIssue(s)
-		}
-	})
-	end, err := sim.Run()
-	if err != nil {
-		return nil, err
-	}
-	// Every task must have completed; a stall means a schedule bug.
-	for s := 0; s < p; s++ {
-		if next[s] != len(orders[s]) {
+	for s, tasks := range orders {
+		if next[s] != len(tasks) {
 			return nil, fmt.Errorf("pipesim: stage %d stalled at task %d/%d (schedule deadlock)",
-				s, next[s], len(orders[s]))
-		}
-	}
-
-	res := &Result{Makespan: end, StageBusy: make([]eventsim.Time, p)}
-	for s, r := range stages {
-		res.StageBusy[s] = r.BusyTime()
-		if cfg.KeepTrace {
-			res.Traces = append(res.Traces, r.Trace())
+				s, next[s], len(tasks))
 		}
 	}
 	return res, nil

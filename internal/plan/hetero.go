@@ -32,9 +32,10 @@ type Pool struct {
 // pool order) is searched jointly with the tensor-parallel width, the
 // batch size and the microbatch schedule. Stage layer counts are balanced
 // against per-stage speed (hetero.Balance) and each candidate is priced by
-// the pipesim discrete-event simulator with per-stage speed expressed
-// through StageScale. Data parallelism is out of scope, matching the
-// hetero package's convention (DP replicas would simply multiply).
+// executing its schedule (hetero.Simulate, the pipesim recurrence) with
+// per-stage speed expressed through StageScale. Data parallelism is out of
+// scope, matching the hetero package's convention (DP replicas would
+// simply multiply).
 type HeteroSpace struct {
 	// Model is the transformer architecture.
 	Model *transformer.Model
@@ -59,7 +60,7 @@ type HeteroSpace struct {
 	// NumBatches scales the per-batch makespan into the total-time rank
 	// (default 1).
 	NumBatches int
-	// Schedule selects the simulated execution order (default 1F1B).
+	// Schedule selects the execution order (the zero value is GPipe).
 	Schedule pipesim.Schedule
 }
 
@@ -75,7 +76,7 @@ type HeteroCell struct {
 	Batch int
 	// Microbatches is the chosen N_ub.
 	Microbatches int
-	// Value is the rank: simulated makespan × NumBatches, in seconds.
+	// Value is the rank: the schedule's makespan × NumBatches, in seconds.
 	Value float64
 	// ID is the cell's deterministic identity (the tie-break key).
 	ID string
@@ -245,8 +246,8 @@ func (sp *HeteroSpace) pipeline(c *HeteroCell) (hetero.Pipeline, error) {
 	return pl.Balance()
 }
 
-// evaluate prices one cell through the discrete-event simulator, writing
-// Value or Err in place.
+// evaluate prices one cell by executing its schedule, writing Value or Err
+// in place.
 func (sp *HeteroSpace) evaluate(c *HeteroCell) {
 	pl, err := sp.pipeline(c)
 	if err != nil {
@@ -262,26 +263,29 @@ func (sp *HeteroSpace) evaluate(c *HeteroCell) {
 }
 
 // heteroBoundGuard absorbs the float-summation-order difference between the
-// closed-form bound and the simulator's event-time accumulation: both sum
-// the same stage durations, but in different association orders, so they
-// can disagree by a few ULPs. Scaling the bound down by 1e-12 relative —
-// orders of magnitude above the worst-case rounding drift for the ≤ 512
-// additions involved, orders of magnitude below any real pruning margin —
-// keeps the bound admissible without giving up meaningful cuts.
+// closed-form bound and the schedule recurrence: the bound's chains are
+// paths of the recurrence, but the bound sums their durations in a
+// different association order (the recurrence adds one task at a time
+// onto a running max), so the two can disagree by a few ULPs. Scaling the
+// bound down by 1e-12 relative — orders of magnitude above the worst-case
+// rounding drift for the ≤ 512 additions involved, orders of magnitude
+// below any real pruning margin — keeps the bound admissible without
+// giving up meaningful cuts.
 const heteroBoundGuard = 1 - 1e-12
 
-// bound computes an admissible lower bound on a cell's rank without running
-// the simulation: the classic pipeline bound
+// bound computes an admissible lower bound on a cell's rank without
+// executing the schedule: the classic pipeline bound
 //
 //	max over stages s of  fill(s) + m·(fwd_s + bwd_s) + drain(s)
 //
 // where fill(s) is the first microbatch's forward path to stage s, the
 // middle term is stage s's serialized busy work, and drain(s) is the last
-// backward's path from stage s to stage 0. Every one of those segments is
-// on the critical path of any work-conserving schedule (GPipe and 1F1B
-// included), so the simulated makespan can never be below it. Durations are
-// the exact scaled values the simulator uses (fRef × stage scale), times
-// the rounding guard.
+// backward's path from stage s to stage 0. Under GPipe and 1F1B alike,
+// stage s opens with F0 and closes with a backward, so fill, work and drain
+// chain into one path of the recurrence pipesim executes (start = max(stage
+// free, producer finish + hop)), and the makespan is at least every such
+// path. Durations are the exact scaled values the executor uses (fRef ×
+// stage scale), times the rounding guard.
 func (sp *HeteroSpace) bound(c *HeteroCell) (float64, error) {
 	pl, err := sp.pipeline(c)
 	if err != nil {

@@ -20,9 +20,10 @@
 // power-of-two node count.
 //
 // The heterogeneous planner (SolveHetero) is the one place a bound earns
-// its code: there pricing a cell runs the pipesim discrete-event simulator
-// while the bound stays closed-form, so its best-first branch-and-bound
-// expands a handful of cells instead of simulating them all.
+// its code: there pricing a cell executes its pipeline schedule task by
+// task (the pipesim recurrence) while the bound stays closed-form, so its
+// best-first branch-and-bound expands a handful of cells instead of
+// executing them all.
 package plan
 
 import (
@@ -49,7 +50,7 @@ type Stats struct {
 	// off by it. Only the heterogeneous branch-and-bound sets it.
 	CellsBounded int64
 	// CellsExpanded counts cells priced to a rankable result (for the
-	// heterogeneous planner: cells simulated).
+	// heterogeneous planner: cells whose schedule was executed).
 	CellsExpanded int64
 	// ComputeFloorSeconds is the compute-only baseline floor for the
 	// scenario's smallest batch at utilization 1, scaled to the recipe's

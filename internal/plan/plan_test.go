@@ -389,6 +389,7 @@ func TestSolveHeteroMatchesExhaustive(t *testing.T) {
 				t.Errorf("cell enumeration diverged: solver %d, exhaustive %d",
 					res.Stats.CellsTotal, len(cells))
 			}
+			checkBoundAdmissible(t, &tc.sp, cells)
 			switch {
 			case want == nil && res.Best == nil:
 			case want == nil || res.Best == nil:
@@ -412,6 +413,28 @@ func TestSolveHeteroMatchesExhaustive(t *testing.T) {
 	if frac := float64(aggExpanded) / float64(aggTotal); frac > 0.20 {
 		t.Errorf("aggregate hetero expansion %.1f%% exceeds the 20%% bar (%d of %d cells)",
 			100*frac, aggExpanded, aggTotal)
+	}
+}
+
+// checkBoundAdmissible asserts bound(c) ≤ c.Value on every cell the
+// exhaustive scan priced: the bound's fill, serialized-work and drain
+// chains are paths of the schedule the simulator executes, so no cell may
+// price below its bound.
+func checkBoundAdmissible(t *testing.T, sp *HeteroSpace, cells []HeteroCell) {
+	t.Helper()
+	for i := range cells {
+		c := &cells[i]
+		if c.Err != nil {
+			continue
+		}
+		lb, err := sp.bound(c)
+		if err != nil {
+			t.Errorf("%s: priced at %v but bound failed: %v", c.ID, c.Value, err)
+			continue
+		}
+		if lb > c.Value {
+			t.Errorf("%s: bound %v above priced value %v", c.ID, lb, c.Value)
+		}
 	}
 }
 
@@ -439,10 +462,11 @@ func TestSolveHeteroRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: SolveHetero: %v", seed, err)
 		}
-		want, _, err := ExhaustiveHetero(sp)
+		want, cells, err := ExhaustiveHetero(sp)
 		if err != nil {
 			t.Fatalf("seed %d: ExhaustiveHetero: %v", seed, err)
 		}
+		checkBoundAdmissible(t, &sp, cells)
 		switch {
 		case want == nil && res.Best == nil:
 		case want == nil || res.Best == nil:
