@@ -19,7 +19,7 @@
 //	    amped.Training{Batch: amped.Batch{Global: 8192}})
 //
 // Deeper capabilities — mapping enumeration and sweeps (explore), memory
-// footprints (memkit), energy (power), discrete-event pipeline and
+// footprints (memkit), energy (power), schedule-level pipeline and
 // collective simulation (pipesim, collective), and the paper's full
 // table/figure reproduction harness (validate) — are exposed as aliased
 // types and re-exported helpers below, or runnable through cmd/amped,
@@ -273,9 +273,9 @@ func MinimumNodes(req PlanRequest) (*Plan, error) { return plan.MinimumNodes(req
 func Tune(req TuneRequest) (*Recipe, error) { return plan.Tune(req) }
 
 // EstimateBubbleRatio derives Eq. 8's R factor for an interleaved pipeline
-// schedule by discrete-event simulation: the bubble time of a
-// chunks-deep interleaved schedule relative to the naive one. Feed the
-// result into Training.BubbleRatio.
+// schedule by simulating it with pipesim's schedule executor: the bubble
+// time of a chunks-deep interleaved schedule relative to the naive one.
+// Feed the result into Training.BubbleRatio.
 func EstimateBubbleRatio(stages, microbatches, chunks int) (float64, error) {
 	return pipesim.EstimateR(stages, microbatches, chunks, 1, 2, 0)
 }

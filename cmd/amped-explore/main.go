@@ -4,6 +4,12 @@
 // ranked results — the workflow behind the paper's Case Study I.
 //
 //	amped-explore -model megatron-145b -batches 4096,8192,16384 -top 15
+//
+// Three modes answer questions about the machine itself, at one batch size:
+//
+//	amped-explore -target-days 20                  # smallest machine that meets a deadline
+//	amped-explore -recipe -model megatron-530b -batches 2520 -num-batches 100
+//	amped-explore -sensitivity -tp-intra 8 -dp-inter 128   # where the next hardware dollar goes
 package main
 
 import (
@@ -91,6 +97,15 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 		ckptBW    = fs.Float64("ckpt-gbs", 2, "per-worker checkpoint write bandwidth (GByte/s)")
 		restart   = fs.Float64("restart", 300, "restart cost after a failure (seconds)")
 		optName   = fs.String("optimizer", "adam", "optimizer whose state is checkpointed (sgd, sgd+momentum, adam)")
+
+		sens       = fs.Bool("sensitivity", false, "rank knob elasticities of one mapping (-tp-intra, -pp-inter, -dp-inter) instead of sweeping")
+		recipe     = fs.Bool("recipe", false, "recommend the full training recipe (mapping, N_ub, ZeRO, ckpt) for the machine instead of sweeping")
+		targetDays = fs.Float64("target-days", 0, "size the smallest power-of-two node count that meets this training deadline in days (0 = off)")
+		maxNodes   = fs.Int("max-nodes", 2048, "largest machine the -target-days search considers")
+		tpIntra    = fs.Int("tp-intra", 8, "TP within a node (-sensitivity)")
+		ppInter    = fs.Int("pp-inter", 1, "PP across nodes (-sensitivity)")
+		dpInter    = fs.Int("dp-inter", 0, "DP across nodes (-sensitivity; 0 = all remaining)")
+		step       = fs.Float64("step", 0.01, "relative perturbation (-sensitivity)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -146,6 +161,19 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 			return fmt.Errorf("bad batch size %q: %w", s, err)
 		}
 		batchList = append(batchList, b)
+	}
+	if *sens || *recipe || *targetDays > 0 {
+		if len(batchList) != 1 {
+			return fmt.Errorf("-sensitivity, -recipe and -target-days take one batch size, got %d", len(batchList))
+		}
+		switch {
+		case *sens:
+			return runSensitivity(out, &m, sys, *tpIntra, *ppInter, *dpInter, batchList[0], *step)
+		case *recipe:
+			return runRecipe(out, &m, sys, batchList[0], *numBatch)
+		default:
+			return runCapacity(out, &m, sys, batchList[0], *numBatch, *targetDays, *maxNodes)
+		}
 	}
 
 	sc := explore.Scenario{

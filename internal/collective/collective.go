@@ -1,6 +1,7 @@
 // Package collective simulates collective-communication algorithms
 // (ring/tree all-reduce, pairwise all-to-all, pipeline chains) step by step
-// on modeled links using the discrete-event kernel.
+// on modeled links: every round is bulk-synchronous, so a run is the sum of
+// its round times.
 //
 // The closed-form topology factors of internal/topology assert how many
 // steps a collective takes and what share of the payload each worker moves;
@@ -42,12 +43,11 @@ func stepTime(chunk units.Bits, link hardware.Link) eventsim.Time {
 }
 
 // runRounds executes `rounds` bulk-synchronous rounds of `chunk` bits per
-// worker on the link and returns the aggregate result. It drives a real
-// event simulation — each round's completion is an event that launches the
-// next — so the result reflects the kernel's clock, not a closed form.
-// BitsPerWorker assumes every worker transmits the chunk in every round
-// (true for ring-style collectives); level-based and chain collectives
-// override it after the fact.
+// worker on the link and returns the aggregate result: each round starts
+// when the previous one completes, so the clock is the running sum of the
+// round times. BitsPerWorker assumes every worker transmits the chunk in
+// every round (true for ring-style collectives); level-based and chain
+// collectives override it after the fact.
 func runRounds(n, rounds int, chunk units.Bits, link hardware.Link) Result {
 	return runRoundsScaled(n, rounds, chunk, link, nil)
 }
@@ -60,24 +60,14 @@ func runRoundsScaled(n, rounds int, chunk units.Bits, link hardware.Link, scale 
 	if n <= 1 || rounds == 0 {
 		return Result{}
 	}
-	var sim eventsim.Sim
 	per := stepTime(chunk, link)
-	var round func(r int)
-	round = func(r int) {
-		if r >= rounds {
-			return
-		}
+	var end eventsim.Time
+	for r := 0; r < rounds; r++ {
 		d := per
 		if scale != nil {
 			d *= eventsim.Time(scale(r))
 		}
-		sim.After(d, func() { round(r + 1) })
-	}
-	sim.At(0, func() { round(0) })
-	end, err := sim.Run()
-	if err != nil {
-		// The round recursion is finite; an error here is a kernel bug.
-		panic(err)
+		end += d
 	}
 	return Result{
 		Time:          units.Seconds(end),

@@ -1,177 +1,17 @@
-// Package eventsim is a small discrete-event simulation kernel: a simulated
-// clock, an event queue ordered by (time, sequence), and per-resource busy
-// tracking. The pipeline and collective simulators are built on it; they
-// stand in for the real GPU clusters of the paper's validation experiments.
+// Package eventsim holds the time types shared by the simulators: a
+// simulated clock reading and a labelled busy interval. The pipeline,
+// serving and collective simulators run static schedules, so each is a
+// plain recurrence over these types rather than an event queue.
 package eventsim
-
-import (
-	"container/heap"
-	"fmt"
-)
 
 // Time is simulated seconds since the simulation start.
 type Time float64
 
-// Event is a scheduled callback.
-type Event struct {
-	// At is the firing time.
-	At Time
-	// Run executes the event; it may schedule further events.
-	Run func()
-
-	seq int // tie-break so same-time events fire in schedule order
-	idx int // heap index
-}
-
-// eventQueue implements heap.Interface ordered by (At, seq).
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].At != q[j].At {
-		return q[i].At < q[j].At
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx, q[j].idx = i, j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
-
-// Sim is one simulation run. The zero value is ready to use.
-type Sim struct {
-	now    Time
-	queue  eventQueue
-	nextID int
-	// MaxEvents bounds the run as a runaway guard; zero means the default
-	// of 50 million events.
-	MaxEvents int
-}
-
-// Now returns the current simulated time.
-func (s *Sim) Now() Time { return s.now }
-
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// that is always a simulator bug, not an input condition.
-func (s *Sim) At(t Time, fn func()) {
-	if t < s.now {
-		panic(fmt.Sprintf("eventsim: scheduling at %v before now %v", t, s.now))
-	}
-	e := &Event{At: t, Run: fn, seq: s.nextID}
-	s.nextID++
-	heap.Push(&s.queue, e)
-}
-
-// After schedules fn to run d seconds from now.
-func (s *Sim) After(d Time, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("eventsim: negative delay %v", d))
-	}
-	s.At(s.now+d, fn)
-}
-
-// Run drains the event queue, advancing the clock, and returns the final
-// time. It returns an error if the event budget is exhausted (livelock
-// guard).
-func (s *Sim) Run() (Time, error) {
-	budget := s.MaxEvents
-	if budget == 0 {
-		budget = 50_000_000
-	}
-	for s.queue.Len() > 0 {
-		if budget == 0 {
-			return s.now, fmt.Errorf("eventsim: event budget exhausted at t=%v (livelock?)", s.now)
-		}
-		budget--
-		e := heap.Pop(&s.queue).(*Event)
-		s.now = e.At
-		e.Run()
-	}
-	return s.now, nil
-}
-
-// Resource is a serially-occupied facility (an accelerator's compute engine,
-// a link direction). Work is acquired for a duration; overlapping requests
-// queue in FIFO order. It also records total busy time and a busy-interval
-// trace for utilization reporting.
-type Resource struct {
-	// Name identifies the resource in traces.
-	Name string
-
-	sim       *Sim
-	freeAt    Time
-	busy      Time
-	trace     []Interval
-	keepTrace bool
-}
-
-// Interval is one busy period of a resource.
+// Interval is one busy period of a resource (a pipeline stage, a serving
+// replica).
 type Interval struct {
 	// Start and End delimit the period.
 	Start, End Time
 	// Label describes the work (e.g. "F3" for microbatch 3's forward).
 	Label string
 }
-
-// NewResource creates a resource bound to the simulation. keepTrace records
-// per-interval labels (needed for schedule visualizations; costs memory).
-func NewResource(s *Sim, name string, keepTrace bool) *Resource {
-	return &Resource{Name: name, sim: s, keepTrace: keepTrace}
-}
-
-// Acquire books the resource for duration d starting no earlier than now,
-// queuing behind earlier work, and calls done when the work completes.
-// It returns the completion time.
-func (r *Resource) Acquire(d Time, label string, done func()) Time {
-	if d < 0 {
-		panic(fmt.Sprintf("eventsim: negative duration %v on %s", d, r.Name))
-	}
-	start := r.sim.Now()
-	if r.freeAt > start {
-		start = r.freeAt
-	}
-	end := start + d
-	r.freeAt = end
-	r.busy += d
-	if r.keepTrace && d > 0 {
-		r.trace = append(r.trace, Interval{Start: start, End: end, Label: label})
-	}
-	if done != nil {
-		r.sim.At(end, done)
-	}
-	return end
-}
-
-// FreeAt returns the time the resource next becomes idle.
-func (r *Resource) FreeAt() Time { return r.freeAt }
-
-// BusyTime returns the total booked time.
-func (r *Resource) BusyTime() Time { return r.busy }
-
-// Utilization returns busy time divided by the horizon (0 if horizon <= 0).
-func (r *Resource) Utilization(horizon Time) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	u := float64(r.busy) / float64(horizon)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// Trace returns the recorded busy intervals (nil unless keepTrace).
-func (r *Resource) Trace() []Interval { return r.trace }

@@ -31,8 +31,10 @@ func (e *Estimator) Validate() error {
 }
 
 // Evaluate runs the analytical model and returns the per-batch breakdown.
-// It is a thin wrapper over a one-shot compiled Session; sweeps that
-// evaluate many points of the same scenario should Compile once and call
+// It is the one-shot path: every call compiles a fresh Session, prices one
+// point and discards the session, so each call pays a full compile on top
+// of the point. Nothing is cached between calls. Callers that evaluate
+// many points of one scenario should Compile once and call
 // Session.EvaluatePoint instead.
 func (e *Estimator) Evaluate() (*Breakdown, error) {
 	// Validate up front so error reporting keeps the legacy precedence

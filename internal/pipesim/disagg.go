@@ -50,61 +50,20 @@ func (c DisaggConfig) Validate() error {
 		return fmt.Errorf("pipesim: decode pool size %d must be positive", c.DecodeReplicas)
 	case c.Requests <= 0:
 		return fmt.Errorf("pipesim: request count %d must be positive", c.Requests)
-	case c.PrefillTime < 0 || c.DecodeTime < 0 || c.TransferTime < 0:
-		return fmt.Errorf("pipesim: negative phase durations")
+	case !finiteNonNegative(c.PrefillTime, c.DecodeTime, c.TransferTime):
+		return fmt.Errorf("pipesim: phase durations must be finite and non-negative")
 	case c.PrefillTime == 0 && c.DecodeTime == 0:
 		return fmt.Errorf("pipesim: zero-work serving schedule")
 	}
 	return nil
 }
 
-// pool dispatches FIFO work onto a set of interchangeable replicas.
-type pool struct {
-	res   []*eventsim.Resource
-	free  []int
-	queue []poolTask
-}
-
-type poolTask struct {
-	dur   eventsim.Time
-	label string
-	then  func()
-}
-
-func newPool(sim *eventsim.Sim, name string, n int, trace bool) *pool {
-	p := &pool{}
-	for i := 0; i < n; i++ {
-		p.res = append(p.res, eventsim.NewResource(sim, fmt.Sprintf("%s%d", name, i), trace))
-		p.free = append(p.free, i)
-	}
-	return p
-}
-
-// submit runs the task on a free replica, or queues it FIFO until one
-// frees up.
-func (p *pool) submit(dur eventsim.Time, label string, then func()) {
-	if len(p.free) == 0 {
-		p.queue = append(p.queue, poolTask{dur, label, then})
-		return
-	}
-	i := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	p.res[i].Acquire(dur, label, func() {
-		p.free = append(p.free, i)
-		if len(p.queue) > 0 {
-			next := p.queue[0]
-			p.queue = p.queue[1:]
-			p.submit(next.dur, next.label, next.then)
-		}
-		then()
-	})
-}
-
 // DisaggResult is the outcome of one disaggregated serving burst.
 type DisaggResult struct {
 	// Makespan is the burst completion time.
 	Makespan eventsim.Time
-	// PrefillBusy and DecodeBusy are per-replica busy totals.
+	// PrefillBusy and DecodeBusy are per-replica busy totals; replica
+	// i mod P (i mod D) serves request i.
 	PrefillBusy []eventsim.Time
 	DecodeBusy  []eventsim.Time
 	// DecodeStart[i] is when request i began decoding (its first token
@@ -112,7 +71,7 @@ type DisaggResult struct {
 	DecodeStart []eventsim.Time
 	Done        []eventsim.Time
 	// Traces holds prefill- then decode-replica busy intervals when
-	// requested.
+	// requested; zero-length phases leave no interval.
 	Traces [][]eventsim.Interval
 }
 
@@ -148,48 +107,55 @@ func (r *DisaggResult) MeanQueueDelay(cfg DisaggConfig) eventsim.Time {
 	return sum / eventsim.Time(len(r.DecodeStart))
 }
 
-// RunDisagg simulates the burst through the two pools and returns the
-// schedule outcome.
+// RunDisagg runs the burst through the two pools. Every request arrives at
+// t=0 and each pool serves FIFO with one fixed duration, so a pool's slots
+// free up in request order: request i takes over the prefill slot that
+// request i−P held (replica i mod P) and the decode slot that request i−D
+// held (replica i mod D). The schedule is therefore the recurrence
+//
+//	preEnd[i] = preEnd[i−P] + PrefillTime      (the first term is 0 for i < P)
+//	Done[i]   = max(preEnd[i] + TransferTime, Done[i−D]) + DecodeTime
+//
+// and the makespan is the last completion.
 func RunDisagg(cfg DisaggConfig) (*DisaggResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var sim eventsim.Sim
-	pre := newPool(&sim, "prefill", cfg.PrefillReplicas, cfg.KeepTrace)
-	dec := newPool(&sim, "decode", cfg.DecodeReplicas, cfg.KeepTrace)
-
+	np, nd, n := cfg.PrefillReplicas, cfg.DecodeReplicas, cfg.Requests
 	res := &DisaggResult{
-		DecodeStart: make([]eventsim.Time, cfg.Requests),
-		Done:        make([]eventsim.Time, cfg.Requests),
+		PrefillBusy: make([]eventsim.Time, np),
+		DecodeBusy:  make([]eventsim.Time, nd),
+		DecodeStart: make([]eventsim.Time, n),
+		Done:        make([]eventsim.Time, n),
 	}
-	sim.At(0, func() {
-		for i := 0; i < cfg.Requests; i++ {
-			req := i
-			pre.submit(cfg.PrefillTime, fmt.Sprintf("P%d", req), func() {
-				sim.After(cfg.TransferTime, func() {
-					dec.submit(cfg.DecodeTime, fmt.Sprintf("D%d", req), func() {
-						res.Done[req] = sim.Now()
-						res.DecodeStart[req] = res.Done[req] - cfg.DecodeTime
-					})
-				})
-			})
+	if cfg.KeepTrace {
+		res.Traces = make([][]eventsim.Interval, np+nd)
+	}
+	preEnd := make([]eventsim.Time, n)
+	for i := 0; i < n; i++ {
+		var preStart eventsim.Time
+		if i >= np {
+			preStart = preEnd[i-np]
 		}
-	})
-	end, err := sim.Run()
-	if err != nil {
-		return nil, err
-	}
-	res.Makespan = end
-	for _, r := range pre.res {
-		res.PrefillBusy = append(res.PrefillBusy, r.BusyTime())
-		if cfg.KeepTrace {
-			res.Traces = append(res.Traces, r.Trace())
+		preEnd[i] = preStart + cfg.PrefillTime
+		start := preEnd[i] + cfg.TransferTime
+		if i >= nd && res.Done[i-nd] > start {
+			start = res.Done[i-nd]
 		}
-	}
-	for _, r := range dec.res {
-		res.DecodeBusy = append(res.DecodeBusy, r.BusyTime())
+		res.Done[i] = start + cfg.DecodeTime
+		res.DecodeStart[i] = res.Done[i] - cfg.DecodeTime
+		res.Makespan = max(res.Makespan, res.Done[i])
+		res.PrefillBusy[i%np] += cfg.PrefillTime
+		res.DecodeBusy[i%nd] += cfg.DecodeTime
 		if cfg.KeepTrace {
-			res.Traces = append(res.Traces, r.Trace())
+			if cfg.PrefillTime > 0 {
+				res.Traces[i%np] = append(res.Traces[i%np],
+					eventsim.Interval{Start: preStart, End: preEnd[i], Label: fmt.Sprintf("P%d", i)})
+			}
+			if cfg.DecodeTime > 0 {
+				res.Traces[np+i%nd] = append(res.Traces[np+i%nd],
+					eventsim.Interval{Start: start, End: res.Done[i], Label: fmt.Sprintf("D%d", i)})
+			}
 		}
 	}
 	return res, nil

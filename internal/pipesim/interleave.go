@@ -44,8 +44,8 @@ func (c InterleavedConfig) Validate() error {
 		return fmt.Errorf("pipesim: chunk count %d must be positive", c.Chunks)
 	case c.Microbatches <= 0:
 		return fmt.Errorf("pipesim: microbatch count %d must be positive", c.Microbatches)
-	case c.FwdTime < 0 || c.BwdTime < 0 || c.CommTime < 0:
-		return errors.New("pipesim: negative task durations")
+	case !finiteNonNegative(c.FwdTime, c.BwdTime, c.CommTime):
+		return errors.New("pipesim: task durations must be finite and non-negative")
 	case c.FwdTime == 0 && c.BwdTime == 0:
 		return errors.New("pipesim: zero-work pipeline")
 	}

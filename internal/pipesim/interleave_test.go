@@ -98,6 +98,9 @@ func TestInterleavedValidate(t *testing.T) {
 		{Stages: 1, Chunks: 1, Microbatches: 0, FwdTime: 1},
 		{Stages: 1, Chunks: 1, Microbatches: 1, FwdTime: -1},
 		{Stages: 1, Chunks: 1, Microbatches: 1},
+		{Stages: 1, Chunks: 1, Microbatches: 1, FwdTime: eventsim.Time(math.Inf(1))},
+		{Stages: 1, Chunks: 1, Microbatches: 1, FwdTime: 1, CommTime: eventsim.Time(math.NaN())},
+		{Stages: 2, Chunks: 2, Microbatches: 1, FwdTime: 1, StageScale: []float64{math.Inf(1), 1}},
 	}
 	for i, c := range bad {
 		if _, err := RunInterleaved(c); err == nil {

@@ -7,13 +7,14 @@
 // finish plus one inter-stage hop). The results are makespans, per-stage
 // utilization timelines (the Fig. 1 substitute) and empirical bubble
 // fractions that cross-check the closed-form Eq. 8. RunDisagg, the
-// disaggregated-serving queue, is a discrete-event simulation on
-// internal/eventsim.
+// disaggregated-serving queue, is a recurrence of the same kind over two
+// FIFO replica pools.
 package pipesim
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"amped/internal/eventsim"
 )
@@ -76,8 +77,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pipesim: stage count %d must be positive", c.Stages)
 	case c.Microbatches <= 0:
 		return fmt.Errorf("pipesim: microbatch count %d must be positive", c.Microbatches)
-	case c.FwdTime < 0 || c.BwdTime < 0 || c.CommTime < 0:
-		return errors.New("pipesim: negative task durations")
+	case !finiteNonNegative(c.FwdTime, c.BwdTime, c.CommTime):
+		return errors.New("pipesim: task durations must be finite and non-negative")
 	case c.FwdTime == 0 && c.BwdTime == 0:
 		return errors.New("pipesim: zero-work pipeline")
 	case c.Schedule != GPipe && c.Schedule != OneFOneB:
@@ -95,11 +96,22 @@ func validateStageScale(scale []float64, stages int) error {
 		return fmt.Errorf("pipesim: stage scale length %d != %d stages", len(scale), stages)
 	}
 	for s, v := range scale {
-		if v < 0 {
-			return fmt.Errorf("pipesim: negative stage scale %g at stage %d", v, s)
+		if !finiteNonNegative(eventsim.Time(v)) {
+			return fmt.Errorf("pipesim: stage scale %g at stage %d must be finite and non-negative", v, s)
 		}
 	}
 	return nil
+}
+
+// finiteNonNegative reports whether every duration or scale is finite and
+// non-negative; NaN and +Inf would poison every schedule they touch.
+func finiteNonNegative(ds ...eventsim.Time) bool {
+	for _, d := range ds {
+		if !(d >= 0) || math.IsInf(float64(d), 1) {
+			return false
+		}
+	}
+	return true
 }
 
 // kind distinguishes forward from backward tasks.

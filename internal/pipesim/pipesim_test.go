@@ -144,6 +144,12 @@ func TestValidateRejections(t *testing.T) {
 		{Stages: 1, Microbatches: 1, FwdTime: -1},
 		{Stages: 1, Microbatches: 1},
 		{Stages: 1, Microbatches: 1, FwdTime: 1, Schedule: Schedule(9)},
+		{Stages: 1, Microbatches: 1, FwdTime: eventsim.Time(math.NaN())},
+		{Stages: 1, Microbatches: 1, FwdTime: 1, BwdTime: eventsim.Time(math.Inf(1))},
+		{Stages: 1, Microbatches: 1, FwdTime: 1, CommTime: eventsim.Time(math.NaN())},
+		{Stages: 2, Microbatches: 1, FwdTime: 1, StageScale: []float64{1, -1}},
+		{Stages: 2, Microbatches: 1, FwdTime: 1, StageScale: []float64{math.NaN(), 1}},
+		{Stages: 2, Microbatches: 1, FwdTime: 1, StageScale: []float64{1, math.Inf(1)}},
 	}
 	for i, c := range bad {
 		if _, err := Run(c); err == nil {

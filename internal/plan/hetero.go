@@ -1,9 +1,10 @@
 package plan
 
 import (
-	"container/heap"
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"amped/internal/efficiency"
@@ -320,33 +321,11 @@ func (sp *HeteroSpace) bound(c *HeteroCell) (float64, error) {
 	return lb * heteroBoundGuard * float64(sp.numBatches()), nil
 }
 
-// cellRef is one heap entry: a cell's admissible bound and identity.
+// cellRef is one search entry: a cell's admissible bound and identity.
 type cellRef struct {
 	lb  float64
 	id  string
 	idx int
-}
-
-// cellHeap is a min-heap over (lb, id) — the same lexicographic order the
-// incumbent comparison uses, so the peeked minimum is exactly the first
-// cell that could still improve the result.
-type cellHeap []cellRef
-
-func (h cellHeap) Len() int { return len(h) }
-func (h cellHeap) Less(i, j int) bool {
-	if h[i].lb != h[j].lb {
-		return h[i].lb < h[j].lb
-	}
-	return h[i].id < h[j].id
-}
-func (h cellHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *cellHeap) Push(x any)   { *h = append(*h, x.(cellRef)) }
-func (h *cellHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 // SolveHetero runs the best-first branch-and-bound search over the
@@ -361,27 +340,34 @@ func SolveHetero(sp HeteroSpace) (*HeteroResult, error) {
 	st := &res.Stats
 	st.CellsTotal = int64(len(cells))
 
-	h := make(cellHeap, 0, len(cells))
+	refs := make([]cellRef, 0, len(cells))
 	for i := range cells {
 		lb, err := sp.bound(&cells[i])
 		if err != nil {
 			st.CellsInfeasible++
 			continue
 		}
-		h = append(h, cellRef{lb: lb, id: cells[i].ID, idx: i})
+		refs = append(refs, cellRef{lb: lb, id: cells[i].ID, idx: i})
 	}
-	heap.Init(&h)
+	// Every bound is known before the search starts, so best-first order
+	// is a sort by (lb, id) — the same lexicographic order the incumbent
+	// comparison uses, so the first cell that cannot beat the incumbent
+	// ends the search.
+	slices.SortFunc(refs, func(a, b cellRef) int {
+		if c := cmp.Compare(a.lb, b.lb); c != 0 {
+			return c
+		}
+		return strings.Compare(a.id, b.id)
+	})
 
 	var bestRank float64
 	var bestID string
-	for h.Len() > 0 {
-		c := h[0]
+	for k, c := range refs {
 		if res.Best != nil &&
 			(c.lb > bestRank || (c.lb == bestRank && c.id > bestID)) {
-			st.CellsBounded = int64(h.Len())
+			st.CellsBounded = int64(len(refs) - k)
 			break
 		}
-		heap.Pop(&h)
 		cell := &cells[c.idx]
 		sp.evaluate(cell)
 		st.CellsExpanded++

@@ -14,52 +14,31 @@ import (
 	"amped/internal/obs"
 )
 
-// session resolves the request's scenario to a compiled session through the
-// LRU with singleflight compilation: a hit shares the cached (immutable)
-// session, the first miss compiles (recording the compile phase span on its
-// own trace), and concurrent misses for the same key join that compile
-// instead of duplicating it. It returns the key it looked the scenario up
-// under, which responses echo as scenario_key so no request hashes its
-// scenario twice, and the status "hit", "miss" or "join", which is tallied
-// into the cache counters and echoed in responses.
-func (s *Server) session(ctx context.Context, comp *config.Components) (sess *model.Session, key, status string, err error) {
+// cachedSession resolves a request's scenario to a compiled session of
+// type T (a model.Session, or a model.InferenceSession under the
+// domain-separated inference key) through the LRU with singleflight
+// compilation: a hit shares the cached (immutable) session, the first miss
+// compiles (recording the compile phase span on its own trace), and
+// concurrent misses for the same key join that compile instead of
+// duplicating it. It returns the key it looked the scenario up under, which
+// responses echo as scenario_key so no request hashes its scenario twice,
+// and the status "hit", "miss" or "join", which is tallied into the cache
+// counters and echoed in responses.
+func cachedSession[T any](ctx context.Context, s *Server, keyOf func() string, compile func() (T, error)) (sess T, key, status string, err error) {
 	sp := obs.FromContext(ctx).StartSpan(obs.PhaseCache)
-	key = comp.Key()
+	key = keyOf()
 	cached, status, err := s.cache.getOrCompile(key, func() (any, error) {
 		csp := obs.FromContext(ctx).StartSpan(obs.PhaseCompile)
 		defer csp.End()
 		s.met.compiles.inc()
-		compiled, err := comp.Compile()
-		return compiled, err
+		return compile()
 	})
 	sp.End()
 	if err != nil {
-		return nil, key, status, err
+		return sess, key, status, err
 	}
 	s.met.cacheStatus(status)
-	return cached.(*model.Session), key, status, nil
-}
-
-// inferenceSession is session's serving twin: it resolves the scenario plus
-// workload to a compiled model.InferenceSession through the same LRU and
-// singleflight machinery, under the domain-separated inference key, which
-// it returns like session does.
-func (s *Server) inferenceSession(ctx context.Context, comp *config.Components, inf model.Inference) (sess *model.InferenceSession, key, status string, err error) {
-	sp := obs.FromContext(ctx).StartSpan(obs.PhaseCache)
-	key = comp.InferenceKey(inf)
-	cached, status, err := s.cache.getOrCompile(key, func() (any, error) {
-		csp := obs.FromContext(ctx).StartSpan(obs.PhaseCompile)
-		defer csp.End()
-		s.met.compiles.inc()
-		compiled, err := comp.CompileInference(inf)
-		return compiled, err
-	})
-	sp.End()
-	if err != nil {
-		return nil, key, status, err
-	}
-	s.met.cacheStatus(status)
-	return cached.(*model.InferenceSession), key, status, nil
+	return cached.(T), key, status, nil
 }
 
 // readBody slurps a bounded request body.
@@ -128,7 +107,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	sess, key, status, err := s.session(r.Context(), comp)
+	sess, key, status, err := cachedSession(r.Context(), s, comp.Key, comp.Compile)
 	if err != nil {
 		s.error(w, r, http.StatusBadRequest, err.Error())
 		return
@@ -238,7 +217,9 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	sess, key, status, err := s.inferenceSession(r.Context(), comp, inf)
+	sess, key, status, err := cachedSession(r.Context(), s,
+		func() string { return comp.InferenceKey(inf) },
+		func() (*model.InferenceSession, error) { return comp.CompileInference(inf) })
 	if err != nil {
 		s.error(w, r, http.StatusBadRequest, err.Error())
 		return

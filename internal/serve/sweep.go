@@ -202,7 +202,7 @@ func (s *Server) compileScenario(ctx context.Context, what string, doc config.Do
 	if err != nil {
 		return nil, compiledScenario{}, &jobError{errClassBadRequest, err.Error()}
 	}
-	sess, key, status, err := s.session(ctx, comp)
+	sess, key, status, err := cachedSession(ctx, s, comp.Key, comp.Compile)
 	if err != nil {
 		return nil, compiledScenario{}, &jobError{errClassBadRequest, err.Error()}
 	}
