@@ -8,6 +8,7 @@
 package amped_test
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -491,6 +492,46 @@ func BenchmarkTopByTime(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(pts)), "design_points")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(pts)), "ns/point")
+}
+
+// BenchmarkSpaceTop times the sweep executor the way the shard handler and
+// sweep jobs drive it: one explore.Space resolved up front (Megatron 145B on
+// the Case Study I machine, power-of-two mappings with CP and VPP up to 2,
+// 19 batch sizes: 26,410 cells, the size of an explore-local space), then
+// Space.Top(n = 20) over consecutive 4096-cell chunks. ns/cell is the
+// executor's marginal cost per cell; allocs/op counts one pass over every
+// chunk.
+func BenchmarkSpaceTop(b *testing.B) {
+	m := amped.Megatron145B()
+	sys := amped.CaseStudy1System()
+	var batches []int
+	for k := 1; k <= 19; k++ {
+		batches = append(batches, 1024*k)
+	}
+	sp, err := explore.NewSpace(explore.Scenario{Model: &m, System: &sys}, explore.Options{
+		Batches:          batches,
+		Enumerate:        parallel.EnumerateOptions{PowerOfTwo: true, MaxCP: 2, MaxVPP: 2},
+		MicrobatchTarget: 2,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const chunk = 4096
+	cells := sp.Cells()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for lo := int64(0); lo < cells; lo += chunk {
+			top, _, err := sp.Top(ctx, lo, min(lo+chunk, cells), 20)
+			if err != nil || len(top) == 0 {
+				b.Fatalf("Top [%d, +%d) = %d points, %v", lo, chunk, len(top), err)
+			}
+			rankSink = top
+		}
+	}
+	b.ReportMetric(float64(cells), "design_points")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
 }
 
 // BenchmarkSweepMegatron530B sweeps the Table II 530B configuration with

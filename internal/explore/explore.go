@@ -95,9 +95,8 @@ type Progress struct {
 	// points are all claimed at once when a worker takes the chunk).
 	Claimed atomic.Int64
 	// Completed counts points whose evaluation finished (success or error).
-	// Like Claimed it advances at chunk granularity: the batched evaluation
-	// path prices a whole chunk per call, so per-point atomics would cost
-	// more than they observe.
+	// Like Claimed it advances at chunk granularity: per-point atomics
+	// would cost more than they observe.
 	Completed atomic.Int64
 	// Failed counts completed points whose evaluation set Err — including
 	// points pre-marked infeasible at layout time.
@@ -311,13 +310,13 @@ func Cells(sc Scenario, opt Options) (int64, error) {
 	return int64(len(mappings)) * int64(len(opt.Batches)), nil
 }
 
-// Chunk size bounds for the batched evaluation path. The floor keeps the
-// per-chunk fixed overhead — the cursor claim, three progress updates, the
-// column compaction resets and EvaluateBatch's per-run re-derivation at the
-// chunk seam, together well under 1 µs — below 1% of a chunk's evaluation
-// time (a point costs ~350 ns through the batch path, so 128 points ≈
-// 45 µs per chunk). The ceiling keeps cancellation latency and load
-// imbalance bounded on huge shards.
+// Chunk size bounds for the executor. The floor keeps the per-chunk fixed
+// overhead — the cursor claim, three progress updates, the panic guard and
+// at most one row preparation at the chunk seam, together about 1 µs — a
+// small fraction of a chunk's evaluation time (a cell costs roughly
+// 100–300 ns of CPU on the row path, so 128 cells take 13–40 µs). The
+// ceiling keeps cancellation latency and load imbalance bounded on huge
+// shards.
 const (
 	minChunk = 128
 	maxChunk = 8192
@@ -326,7 +325,7 @@ const (
 // chunkSize sizes worker chunks adaptively: enough chunks per worker for
 // load balance (expensive deep-pipeline cells cluster together in the
 // mapping order), clamped to [minChunk, maxChunk] so chunks grow with the
-// sweep — the batched path amortizes per-chunk overhead across the whole
+// sweep — the executor amortizes per-chunk overhead across the whole
 // chunk, so bigger sweeps take bigger bites. The chunk never exceeds the
 // space itself: a CursorLo/CursorHi shard subrange smaller than the
 // 128-cell clamp floor (the coordinator deals exact remainders) must yield
@@ -354,9 +353,10 @@ func chunkSize(n, workers int) int {
 }
 
 // estimateMemorySafe runs the scenario's optional memory feasibility check
-// for one evaluated point, mirroring the scalar path's semantics — the
-// breakdown stays on an estimation error (the model priced the point; the
-// memory diagnosis rides in Err) — and its panic isolation.
+// for one evaluated point, writing the footprint of its worst pipeline
+// stage into fp. The breakdown stays on an estimation error (the model
+// priced the point; the memory diagnosis rides in Err), and a panicking
+// estimate becomes the point's Err.
 func estimateMemorySafe(p *Point, fp *memkit.Footprint, sc *Scenario) {
 	if sc.Memory == nil {
 		return
@@ -367,41 +367,6 @@ func estimateMemorySafe(p *Point, fp *memkit.Footprint, sc *Scenario) {
 				p.Mapping, p.Batch, p.Microbatches, r)
 		}
 	}()
-	estimateMemory(p, fp, sc)
-}
-
-// evalPointSafe evaluates one sweep cell, converting a panicking evaluation
-// (a degenerate user-supplied efficiency model, an eventsim guard trip) into
-// that point's Err instead of killing the process — one poisoned cell must
-// not take down a long-running sweep service.
-func evalPointSafe(p *Point, bd *model.Breakdown, fp *memkit.Footprint, sess *model.Session, sc *Scenario) {
-	defer func() {
-		if r := recover(); r != nil {
-			p.Breakdown = nil
-			p.Footprint = nil
-			p.Err = fmt.Errorf("explore: panic evaluating %v B=%d m=%d: %v",
-				p.Mapping, p.Batch, p.Microbatches, r)
-		}
-	}()
-	evalPoint(p, bd, fp, sess, sc)
-}
-
-// evalPoint evaluates one sweep cell in place against the shared session,
-// into the caller's breakdown and footprint slots.
-func evalPoint(p *Point, bd *model.Breakdown, fp *memkit.Footprint, sess *model.Session, sc *Scenario) {
-	if err := sess.EvaluatePoint(p.Mapping, p.Batch, p.chosenNub, bd); err != nil {
-		p.Err = err
-		return
-	}
-	p.Breakdown = bd
-	if sc.Memory != nil {
-		estimateMemory(p, fp, sc)
-	}
-}
-
-// estimateMemory runs the memory feasibility check for an evaluated point,
-// writing the footprint of its worst pipeline stage into fp.
-func estimateMemory(p *Point, fp *memkit.Footprint, sc *Scenario) {
 	batch := parallel.Batch{Global: p.Batch, Microbatches: p.chosenNub}
 	est, err := memkit.WorstStage(sc.Model, p.Mapping, batch, *sc.Memory)
 	if err != nil {
@@ -411,6 +376,26 @@ func estimateMemory(p *Point, fp *memkit.Footprint, sc *Scenario) {
 	*fp = est
 	p.Footprint = fp
 	p.Fits = memkit.Fits(est, sc.System.Accel, sc.MemoryReserve)
+}
+
+// evalPointSafe prices one sweep cell alone through Session.EvaluatePoint,
+// converting a panicking evaluation (a degenerate user-supplied efficiency
+// model) into that point's Err instead of killing the process — one
+// poisoned cell must not take down a long-running sweep service. The
+// executor hands it the cells whose row pricing panicked.
+func evalPointSafe(p *Point, bd *model.Breakdown, fp *memkit.Footprint, sess *model.Session, sc *Scenario) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.Breakdown = nil
+			p.Footprint = nil
+			p.Err = fmt.Errorf("explore: panic evaluating %v B=%d m=%d: %v",
+				p.Mapping, p.Batch, p.Microbatches, r)
+		}
+	}()
+	if p.Err = sess.EvaluatePoint(p.Mapping, p.Batch, p.chosenNub, bd); p.Err == nil {
+		p.Breakdown = bd
+		estimateMemorySafe(p, fp, sc)
+	}
 }
 
 // SortByTime orders points fastest-first (infeasible and failed points

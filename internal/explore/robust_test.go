@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"amped/internal/efficiency"
 	"amped/internal/hardware"
 	"amped/internal/model"
 	"amped/internal/parallel"
@@ -81,6 +82,22 @@ func TestSweepRecoversPanickingEfficiencyModel(t *testing.T) {
 	}
 }
 
+// callPanicEff is efficiency.Default that panics on the calls whose
+// 1-based sequence numbers are in at. With one worker the calls follow
+// cell order, so a pair of consecutive numbers poisons exactly one cell:
+// its pricing and the scalar retry of that same cell both panic.
+type callPanicEff struct {
+	calls atomic.Int64
+	at    map[int64]bool
+}
+
+func (e *callPanicEff) Eff(ub float64) float64 {
+	if e.at[e.calls.Add(1)] {
+		panic("callPanicEff: deliberate test panic")
+	}
+	return efficiency.Default().Eff(ub)
+}
+
 func TestSweepRecoversPartialPanics(t *testing.T) {
 	// Only some cells panic: the rest of the sweep must still evaluate.
 	sc := robustScenario(t)
@@ -101,6 +118,91 @@ func TestSweepRecoversPartialPanics(t *testing.T) {
 	if ok == 0 || panicked == 0 {
 		t.Fatalf("want a mix of evaluated and panicked cells, got ok=%d panicked=%d of %d",
 			ok, panicked, len(points))
+	}
+
+	// One poisoned cell at a time — the first priced cell of the sweep,
+	// the first and last cell of an inner worker chunk, a cell in the
+	// middle of its mapping's row, the last cell — fails alone: every other
+	// cell, its row-mates included, prices bit-identically to
+	// Session.EvaluatePoint.
+	eff := &callPanicEff{}
+	sc.Eff = eff
+	opt := robustOptions
+	opt.Batches = []int{4096, 8192, 16384}
+	opt.Concurrency = 1
+	sp, err := NewSpace(sc, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, nb := sp.Cells(), int64(len(opt.Batches))
+	chunk := int64(chunkSize(int(total), 1))
+	clean, err := sp.Sweep(context.Background(), 0, total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	priced := func(gi int64) bool { return gi >= 0 && gi < total && clean[gi].Breakdown != nil }
+	if total <= 2*chunk {
+		t.Fatalf("%d cells in chunks of %d: want an inner chunk", total, chunk)
+	}
+	find := func(from int64, ok func(gi int64) bool) int64 {
+		for gi := from; gi < total; gi++ {
+			if priced(gi) && ok(gi) {
+				return gi
+			}
+		}
+		t.Fatalf("no priced cell from %d has the wanted position", from)
+		return -1
+	}
+	poisons := map[string]int64{
+		"first cell":  find(0, func(int64) bool { return true }),
+		"chunk start": find(chunk, func(gi int64) bool { return gi%chunk == 0 }),
+		"chunk end":   find(chunk, func(gi int64) bool { return gi%chunk == chunk-1 }),
+		"mid-row": find(chunk, func(gi int64) bool {
+			return gi%nb == 1 && priced(gi-1) && priced(gi+1) && gi%chunk != 0 && gi%chunk != chunk-1
+		}),
+		"last cell": total - 1,
+	}
+	if !priced(total - 1) {
+		t.Fatal("the last cell does not price")
+	}
+	for name, gi := range poisons {
+		// The poisoned cell's call number is one past the calls the cells
+		// before it make.
+		eff.at = nil
+		eff.calls.Store(0)
+		if _, err := sp.Sweep(context.Background(), 0, gi); err != nil {
+			t.Fatal(err)
+		}
+		k := eff.calls.Load() + 1
+		eff.at = map[int64]bool{k: true, k + 1: true}
+		eff.calls.Store(0)
+		got, err := sp.Sweep(context.Background(), 0, total)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eff.at = nil
+		if len(got) != len(clean) {
+			t.Fatalf("%s: %d points, want %d", name, len(got), len(clean))
+		}
+		for i := range got {
+			p := &got[i]
+			if int64(i) == gi {
+				if p.Err == nil || !strings.Contains(p.Err.Error(), "deliberate test panic") || p.Breakdown != nil {
+					t.Fatalf("%s: poisoned cell %d (%v) = %v, breakdown %v; want its panic", name, gi, p, p.Err, p.Breakdown)
+				}
+				continue
+			}
+			if d := diffPoints(got[i:i+1], clean[i:i+1]); d != "" {
+				t.Fatalf("%s: cell %d beside poisoned cell %d: %s", name, i, gi, d)
+			}
+			if p.Breakdown == nil {
+				continue
+			}
+			var bd model.Breakdown
+			if err := sp.Session().EvaluatePoint(p.Mapping, p.Batch, p.ChosenMicrobatches(), &bd); err != nil || !sameBits(*p.Breakdown, bd) {
+				t.Fatalf("%s: cell %d (%v) differs from EvaluatePoint (%v)", name, i, p, err)
+			}
+		}
 	}
 }
 

@@ -29,6 +29,7 @@ type Space struct {
 	sc       Scenario
 	opt      Options
 	sess     *model.Session
+	aggs     *model.Aggregates // the Eq. 2 aggregate of each opt.Batches position
 	mappings []parallel.Mapping
 
 	// mu guards the lazy schedule table. rows[mi] is mapping mi's schedule
@@ -53,7 +54,7 @@ type schedule struct {
 }
 
 // errUnfillable stands in for a pipeline-unfillable cell's diagnosis while
-// the executor passes it around; diagnose formats the real error for the
+// the executor passes it around; identify formats the real error for the
 // cells that are kept.
 var errUnfillable = errors.New("explore: pipeline cannot fill")
 
@@ -86,7 +87,7 @@ func NewSpace(sc Scenario, opt Options) (*Space, error) {
 		sess.Prepare(opt.Batches...)
 	}
 	return &Space{
-		sc: sc, opt: opt, sess: sess, mappings: mappings,
+		sc: sc, opt: opt, sess: sess, aggs: sess.Aggregates(opt.Batches), mappings: mappings,
 		rows: make([][]schedule, len(mappings)), byDegrees: make(map[[2]int][]schedule),
 	}, nil
 }
@@ -171,18 +172,22 @@ func (s *Space) cell(gi int64) (mi, bi int64, c schedule) {
 	return mi, bi, s.rows[mi][bi]
 }
 
-// at lays out cell gi into p. A pipeline-unfillable cell carries
-// errUnfillable until diagnose replaces it.
+// at lays out cell gi into p, a pipeline-unfillable cell diagnosed.
 func (s *Space) at(gi int64, p *Point) {
-	mi, bi, c := s.cell(gi)
-	*p = Point{Mapping: s.mappings[mi], Batch: s.opt.Batches[bi], Microbatches: c.ub, Fits: true, chosenNub: c.nub}
-	if c.unfillable {
+	*p = Point{Fits: true}
+	if _, _, c := s.cell(gi); c.unfillable {
 		p.Err = errUnfillable
 	}
+	s.identify(gi, p)
 }
 
-// diagnose formats a pipeline-unfillable cell's error.
-func diagnose(p *Point) {
+// identify writes cell gi's identity — mapping, batch and schedule — into
+// p and formats the error of a pipeline-unfillable cell, which carries
+// errUnfillable until then. The executor prices cells without their
+// identity; sinks identify only the cells they keep.
+func (s *Space) identify(gi int64, p *Point) {
+	mi, bi, c := s.cell(gi)
+	p.Mapping, p.Batch, p.Microbatches, p.chosenNub = s.mappings[mi], s.opt.Batches[bi], c.ub, c.nub
 	if p.Err == errUnfillable {
 		p.Err = fmt.Errorf(
 			"explore: %v B=%d infeasible: pipeline depth %d exceeds per-replica batch %d, no microbatch count satisfies N_ub >= N_PP",
@@ -198,7 +203,6 @@ func (s *Space) points(lo, hi int64) ([]Point, error) {
 	pts := make([]Point, hi-lo)
 	for i := range pts {
 		s.at(lo+int64(i), &pts[i])
-		diagnose(&pts[i])
 	}
 	return pts, nil
 }
@@ -206,7 +210,7 @@ func (s *Space) points(lo, hi int64) ([]Point, error) {
 // appendID appends cell gi's Point.String identity to b.
 func (s *Space) appendID(b []byte, gi int64) []byte {
 	var p Point
-	s.at(gi, &p)
+	s.identify(gi, &p)
 	return p.appendID(b)
 }
 
@@ -218,7 +222,7 @@ func (s *Space) Sweep(ctx context.Context, lo, hi int64) ([]Point, error) {
 	if err := s.prepare(lo, hi); err != nil {
 		return nil, err
 	}
-	k := &pointSink{lo: lo, pts: make([]Point, hi-lo), bds: make([]model.Breakdown, hi-lo)}
+	k := &pointSink{s: s, lo: lo, pts: make([]Point, hi-lo), bds: make([]model.Breakdown, hi-lo)}
 	if s.sc.Memory != nil {
 		k.fps = make([]memkit.Footprint, hi-lo)
 	}
@@ -239,17 +243,17 @@ func (s *Space) Sweep(ctx context.Context, lo, hi int64) ([]Point, error) {
 // Top prices the cells [lo, hi) and returns the first n points of their
 // SortByTime ranking, the number of points Sweep would have returned
 // (completed) and Sweep's error — exactly TopByTime(Sweep(ctx, lo, hi), n)
-// and its length, without materializing the range: each worker ranks cells
-// straight off its reused EvaluateBatch output columns into its own size-n
-// heap, and only the survivors are copied out, each owning its Breakdown.
-// Memory is O(workers × worker chunk + n) whatever the range's size.
+// and its length, without materializing the range: each worker ranks its
+// cells straight off its scratch breakdown into its own size-n heap, and
+// only a heap admission copies the cell out, identity and Breakdown. Memory
+// is O(workers × n) whatever the range's size.
 func (s *Space) Top(ctx context.Context, lo, hi int64, n int) (top []Point, completed int, err error) {
 	if err := s.prepare(lo, hi); err != nil {
 		return nil, 0, err
 	}
 	var sinks []*topSink
 	cancelled := s.run(ctx, lo, hi, func() sink {
-		k := &topSink{keepInvalid: s.opt.KeepInvalid, best: bestN[topEntry]{n: n, cmp: s.rank}}
+		k := &topSink{s: s, keepInvalid: s.opt.KeepInvalid, best: bestN[topEntry]{n: n, cmp: s.rank}}
 		sinks = append(sinks, k)
 		return k
 	})
@@ -266,16 +270,16 @@ func (s *Space) Top(ctx context.Context, lo, hi int64, n int) (top []Point, comp
 		top = make([]Point, len(all))
 		for i, e := range all {
 			top[i] = e.sv.p
-			diagnose(&top[i])
 		}
 	}
 	return top, completed, cancelled
 }
 
 // sink receives one worker's finished cells. take is handed the cell's
-// global index and a scratch point whose Breakdown and Footprint point into
-// worker memory that the next cell or chunk overwrites: a sink keeps a cell
-// only by copying it.
+// global index and a scratch point carrying the outcome — Err, Fits and a
+// Breakdown and Footprint that point into worker memory the next cell
+// overwrites — but not necessarily its identity: a sink keeps a cell by
+// copying it out and identifying the copy (Space.keep).
 type sink interface {
 	take(gi int64, p *Point)
 }
@@ -283,6 +287,7 @@ type sink interface {
 // pointSink is Sweep's sink: every cell lands at its index, one sink
 // shared by all workers (their cells are disjoint).
 type pointSink struct {
+	s   *Space
 	lo  int64
 	pts []Point
 	bds []model.Breakdown
@@ -291,21 +296,33 @@ type pointSink struct {
 
 func (k *pointSink) take(gi int64, p *Point) {
 	i := gi - k.lo
-	k.pts[i] = *p
+	var fp *memkit.Footprint
+	if k.fps != nil {
+		fp = &k.fps[i]
+	}
+	k.s.keep(gi, p, &k.pts[i], &k.bds[i], fp)
+}
+
+// keep copies cell gi's scratch point p into dst, with p's Breakdown and
+// Footprint copied into bd and fp (nil when the scenario has no memory
+// model), so dst never aliases worker memory, and identifies dst.
+func (s *Space) keep(gi int64, p, dst *Point, bd *model.Breakdown, fp *memkit.Footprint) {
+	*dst = *p
 	if p.Breakdown != nil {
-		k.bds[i] = *p.Breakdown
-		k.pts[i].Breakdown = &k.bds[i]
+		*bd = *p.Breakdown
+		dst.Breakdown = bd
 	}
 	if p.Footprint != nil {
-		k.fps[i] = *p.Footprint
-		k.pts[i].Footprint = &k.fps[i]
+		*fp = *p.Footprint
+		dst.Footprint = fp
 	}
-	diagnose(&k.pts[i])
+	s.identify(gi, dst)
 }
 
 // topSink is Top's per-worker sink: the n best cells it was handed, each
 // in a survivor slot reused on eviction.
 type topSink struct {
+	s           *Space
 	keepInvalid bool
 	completed   int
 	best        bestN[topEntry]
@@ -318,24 +335,11 @@ type topEntry struct {
 }
 
 // survivor is a kept cell's point together with its Breakdown and
-// Footprint held by value, so a survivor never aliases the worker's reused
-// output columns.
+// Footprint held by value, so a survivor never aliases worker memory.
 type survivor struct {
 	p  Point
 	bd model.Breakdown
 	fp memkit.Footprint
-}
-
-func (sv *survivor) set(p *Point) {
-	sv.p = *p
-	if p.Breakdown != nil {
-		sv.bd = *p.Breakdown
-		sv.p.Breakdown = &sv.bd
-	}
-	if p.Footprint != nil {
-		sv.fp = *p.Footprint
-		sv.p.Footprint = &sv.fp
-	}
 }
 
 func (k *topSink) take(gi int64, p *Point) {
@@ -352,7 +356,7 @@ func (k *topSink) take(gi int64, p *Point) {
 	} else {
 		e.sv = k.best.h[0].sv // the evicted cell's slot
 	}
-	e.sv.set(p)
+	k.s.keep(gi, p, &e.sv.p, &e.sv.bd, &e.sv.fp)
 	k.best.push(e)
 }
 
@@ -360,13 +364,13 @@ func (k *topSink) take(gi int64, p *Point) {
 // their points' positions in Sweep's result do, so Top and TopByTime agree.
 func (s *Space) rank(a, b topEntry) int { return CompareRank(a.Rank, b.Rank, s.appendID) }
 
-// worker is one pool goroutine's scratch: the reused SoA columns plus the
-// scalar fallback's breakdown, the memory footprint and the scratch point
-// handed to sinks. Workers are pooled across calls, so a shard's chunk
-// loop reuses the columns instead of reallocating them per chunk.
+// worker is one pool goroutine's scratch: the prepared row of the mapping
+// its walk is on, the breakdown and footprint the current cell prices
+// into, and the scratch point handed to sinks. Workers are pooled across
+// calls, so a shard's chunk loop does not reallocate them per chunk.
 type worker struct {
-	in  model.BatchInput
-	out model.BatchOutput
+	row model.Row
+	mi  int64 // the mapping index row holds; -1 for none
 	bd  model.Breakdown
 	fp  memkit.Footprint
 	p   Point
@@ -379,8 +383,7 @@ var workerPool = sync.Pool{New: func() any { return new(worker) }}
 // worker, before any starts). Workers claim chunked index ranges off an
 // atomic cursor instead of receiving per-index channel sends, cutting
 // synchronization traffic and false sharing on adjacent cells, and price
-// each chunk through Session.EvaluateBatch, which hoists config resolution,
-// aggregate lookups and reliability gating out of the per-point loop.
+// each chunk row by row (evalChunk).
 //
 // A cancelled context stops workers at their next chunk claim; run then
 // returns the context's error after handing the sinks the pipeline-
@@ -422,6 +425,7 @@ func (s *Space) run(ctx context.Context, lo, hi int64, sinkFor func() sink) erro
 			defer wg.Done()
 			w := workerPool.Get().(*worker)
 			defer workerPool.Put(w)
+			w.mi = -1 // a pooled row may belong to another space
 			for {
 				// Cooperative cancellation, checked once per chunk claim:
 				// cheap enough to leave the per-point path untouched, tight
@@ -456,78 +460,79 @@ func (s *Space) run(ctx context.Context, lo, hi int64, sinkFor func() sink) erro
 	prog.CancelLatencyNanos.Store(lat)
 	// Every claimed chunk was priced whole, so the claims cover exactly
 	// [lo, cursor) and the tail starts there.
-	var p Point
 	for gi := min(cursor.Load(), hi); gi < hi; gi++ {
 		if _, _, c := s.cell(gi); c.unfillable {
-			s.at(gi, &p)
-			sinks[0].take(gi, &p)
+			sinks[0].take(gi, &Point{Fits: true, Err: errUnfillable})
 		}
 	}
 	return cancelled
 }
 
-// evalChunk prices the cells [start, end) through the batched SoA path and
-// hands each to k in cell order: the undecided cells are written straight
-// from their global indices into the worker's reused input columns (cells
-// pre-marked unfillable are already diagnosed), priced in one EvaluateBatch
-// call, then read back from the output columns. It returns the number of
-// failed cells.
+// evalChunk prices the cells [start, end) and hands each to k in cell
+// order, returning the number of failed cells. The walk is mapping-major:
+// the worker prepares a mapping's row once when the walk reaches it, then
+// prices each of its cells against that row and the space's positional
+// aggregates into one scratch breakdown. A sink ranks the cell from its
+// outcome and copies out only what it keeps.
 //
-// The batch call runs panic-isolated: a degenerate user-supplied efficiency
-// model or an eventsim guard trip must not take down the worker pool. When
-// it does panic, the points it finished before dying are still salvaged —
-// EvaluateBatch writes a slot's code last, so an Evaluated() slot is a
-// complete result — and only the remainder falls back to per-point scalar
-// evaluation, which pins the panic to the exact cell that caused it instead
-// of poisoning its chunk-mates.
+// Pricing runs panic-isolated: a degenerate user-supplied efficiency model
+// must not take down the worker pool. A panic stops priceCells at the cell
+// that raised it; that one cell is re-priced alone through evalPointSafe,
+// which turns the panic into its Err, and the walk resumes after it, so a
+// poisoned cell never costs its row-mates their results.
 func (s *Space) evalChunk(w *worker, start, end int64, k sink) (failed int) {
-	in, out := &w.in, &w.out
-	in.Mappings = in.Mappings[:0]
-	in.Batches = in.Batches[:0]
-	in.Microbatches = in.Microbatches[:0]
 	for gi := start; gi < end; gi++ {
-		mi, bi, c := s.cell(gi)
-		if c.unfillable {
-			continue
-		}
-		in.Mappings = append(in.Mappings, s.mappings[mi])
-		in.Batches = append(in.Batches, s.opt.Batches[bi])
-		in.Microbatches = append(in.Microbatches, c.nub)
-	}
-	salvage := true
-	if n := in.Len(); n > 0 {
-		batched := func() (done bool) {
-			defer func() {
-				if r := recover(); r != nil {
-					done = false
-				}
-			}()
-			return s.sess.EvaluateBatch(*in, out) == nil
-		}()
-		// On a panic the output columns are only meaningful if the call got
-		// as far as sizing them for this chunk (it always does: nothing
-		// before the resize runs user code — this is pure defense).
-		salvage = batched || len(out.Codes) == n
-	}
-	p, j := &w.p, 0
-	for gi := start; gi < end; gi++ {
-		s.at(gi, p)
-		if p.Err == nil {
-			switch {
-			case !salvage || !out.Codes[j].Evaluated():
-				evalPointSafe(p, &w.bd, &w.fp, s.sess, &s.sc)
-			case !out.Codes[j].OK():
-				p.Err = out.Errs[j]
-			default:
-				p.Breakdown = &out.Breakdowns[j]
-				estimateMemorySafe(p, &w.fp, &s.sc)
+		if gi = s.priceCells(w, gi, end, k, &failed); gi < end {
+			p := &w.p
+			s.at(gi, p)
+			evalPointSafe(p, &w.bd, &w.fp, s.sess, &s.sc)
+			if p.Err != nil {
+				failed++
 			}
-			j++
+			k.take(gi, p)
+		}
+	}
+	return failed
+}
+
+// priceCells prices the cells [gi, end) through the worker's row and hands
+// them to k. It returns end, or the index of a cell whose pricing panicked;
+// that cell is not handed on. w.mi names the row only once PrepareRow
+// returns, so a panicking preparation leaves no half-built row in use.
+func (s *Space) priceCells(w *worker, gi, end int64, k sink, failed *int) (stop int64) {
+	defer func() {
+		if recover() != nil {
+			stop = gi
+		}
+	}()
+	nb := int64(len(s.opt.Batches))
+	mi, bi := gi/nb, gi%nb
+	p := &w.p
+	for ; gi < end; gi, bi = gi+1, bi+1 {
+		if bi == nb {
+			mi, bi = mi+1, 0
+		}
+		c := s.rows[mi][bi]
+		*p = Point{Fits: true}
+		if c.unfillable {
+			p.Err = errUnfillable
+		} else {
+			if mi != w.mi {
+				s.sess.PrepareRow(&w.row, s.mappings[mi])
+				w.mi = mi
+			}
+			if p.Err = s.sess.PriceRowCell(&w.row, s.aggs, int(bi), c.nub, &w.bd); p.Err == nil {
+				p.Breakdown = &w.bd
+				if s.sc.Memory != nil {
+					s.identify(gi, p) // the memory model needs the cell's identity
+					estimateMemorySafe(p, &w.fp, &s.sc)
+				}
+			}
 		}
 		if p.Err != nil {
-			failed++
+			*failed++
 		}
 		k.take(gi, p)
 	}
-	return failed
+	return end
 }

@@ -3,13 +3,18 @@ package explore
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"amped/internal/faults"
 	"amped/internal/memkit"
+	"amped/internal/model"
 	"amped/internal/parallel"
 	"amped/internal/precision"
+	"amped/internal/transformer"
 )
 
 // ubPanicEff panics on one microbatch size and is otherwise constant, so
@@ -26,8 +31,8 @@ func (e ubPanicEff) Eff(ub float64) float64 {
 // topCases are the spaces the executor's two sinks must agree on: failed
 // and pipeline-unfillable cells kept or dropped, duplicated batch sizes
 // (equal identities), a memory model (the !Fits bucket), a panicking
-// efficiency model (the batch salvage and scalar fallback) and a
-// single-worker pool whose columns are reused across several chunks.
+// efficiency model (the per-chunk recover and the scalar retry of the
+// poisoned cells) and a single worker whose row outlives its chunks.
 func topCases(t *testing.T) []struct {
 	name string
 	sc   Scenario
@@ -320,4 +325,105 @@ func TestSpaceConcurrentCalls(t *testing.T) {
 			t.Error(d)
 		}
 	}
+}
+
+// TestSpaceTopMatchesEvaluatePoint is the row path's bit-identity property:
+// every Space.Top survivor — over the whole space and over random
+// sub-ranges — carries the Breakdown Session.EvaluatePoint writes for the
+// same cell, bit for bit, and a survivor that failed pricing carries
+// EvaluatePoint's error. The spaces cover dense and MoE models with expert
+// parallelism, CP/VPP/SP mappings, roofline pricing on and off,
+// reliability, duplicated batch sizes and a memory model.
+func TestSpaceTopMatchesEvaluatePoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	base := Options{
+		Batches:          []int{1024, 4096, 8192},
+		Enumerate:        parallel.EnumerateOptions{PowerOfTwo: true},
+		MicrobatchTarget: 128,
+		KeepInvalid:      true,
+	}
+	glam := transformer.GLaM()
+	moe := cs1Scenario()
+	moe.Model = &glam
+	moeOpt := base
+	moeOpt.Enumerate.ExpertParallel = true
+	cpOpt := base
+	cpOpt.Enumerate = parallel.EnumerateOptions{PowerOfTwo: true, MaxCP: 2, MaxVPP: 2, SequenceParallel: true}
+	roof := cs1Scenario()
+	roof.Training.Roofline = true
+	rel := cs1Scenario()
+	rel.Training.Reliability = &faults.Spec{
+		AccelMTBF: 5e6, CheckpointBW: 2e9, RestartTime: 300, OptimizerBytesPerParam: 12,
+	}
+	dup := base
+	dup.Batches = []int{4096, 64, 4096, 8192, 64}
+	mem := topCases(t)[2].sc
+	for _, tc := range []struct {
+		name string
+		sc   Scenario
+		opt  Options
+	}{
+		{"dense", cs1Scenario(), base},
+		{"moe-ep", moe, moeOpt},
+		{"cp-vpp-sp", cs1Scenario(), cpOpt},
+		{"cp-vpp-roofline", roof, cpOpt},
+		{"reliability", rel, base},
+		{"duplicated-batches", cs1Scenario(), dup},
+		{"memory", mem, base},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sp, err := NewSpace(tc.sc, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := sp.Cells()
+			var checked int
+			for trial := 0; trial < 8; trial++ {
+				lo, hi := int64(0), total
+				if trial > 0 {
+					lo = rng.Int63n(total)
+					hi = lo + 1 + rng.Int63n(total-lo)
+				}
+				top, _, err := sp.Top(context.Background(), lo, hi, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range top {
+					var bd model.Breakdown
+					werr := sp.Session().EvaluatePoint(p.Mapping, p.Batch, p.ChosenMicrobatches(), &bd)
+					switch {
+					case p.Breakdown != nil:
+						if werr != nil || !sameBits(*p.Breakdown, bd) {
+							t.Fatalf("[%d,%d) %v: breakdown differs from EvaluatePoint (%v)", lo, hi, p, werr)
+						}
+						checked++
+					case !strings.Contains(p.Err.Error(), "infeasible") && fmt.Sprint(werr) != p.Err.Error():
+						t.Fatalf("[%d,%d) %v: error %q, EvaluatePoint says %v", lo, hi, p, p.Err, werr)
+					}
+				}
+			}
+			if checked == 0 {
+				t.Fatal("no survivor priced")
+			}
+		})
+	}
+}
+
+// sameBits reports whether two values are identical field by field, floats
+// compared by their bits.
+func sameBits[T any](a, b T) bool { return bitsEqual(reflect.ValueOf(a), reflect.ValueOf(b)) }
+
+func bitsEqual(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float32, reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !bitsEqual(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Equal(b)
 }

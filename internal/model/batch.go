@@ -8,10 +8,10 @@ import (
 )
 
 // BatchInput is a structure-of-arrays list of design points against one
-// compiled Session: column i of every slice describes the same point. The
-// sweep engine fills these columns chunk by chunk; anything producing many
-// points of one scenario (a shard server, a solver frontier expansion) can
-// do the same.
+// compiled Session: column i of every slice describes the same point.
+// Callers that already hold points as columns (the benchmark ladder, the
+// audit) price them here; the sweep executor prices row by row instead
+// (PrepareRow, PriceRowCell).
 type BatchInput struct {
 	// Mappings is the parallelism-configuration column.
 	Mappings []parallel.Mapping
@@ -43,13 +43,8 @@ func (in *BatchInput) validate() error {
 type PointCode uint8
 
 const (
-	// pointUnset is the zero value: a result slot EvaluateBatch has not
-	// written. A point's code is the last thing written to its slot, so
-	// callers recovering a panicked batch call (the sweep engine's chunk
-	// fallback) can salvage every slot whose code is set — see Evaluated.
-	pointUnset PointCode = iota
 	// PointOK marks a point that evaluated to a finite breakdown.
-	PointOK
+	PointOK PointCode = iota + 1
 	// PointBadMapping marks a mapping that does not tile the system.
 	PointBadMapping
 	// PointBadBatch marks a batch schedule that does not divide the mapping.
@@ -66,17 +61,9 @@ const (
 // OK reports whether the point evaluated successfully.
 func (c PointCode) OK() bool { return c == PointOK }
 
-// Evaluated reports whether EvaluateBatch reached this point's slot. The
-// code is the final write for a slot, so a true return means the slot's
-// other columns hold a complete result even when the call itself died in a
-// panic on a later point (a degenerate user-supplied efficiency model).
-func (c PointCode) Evaluated() bool { return c != pointUnset }
-
 // String names the code for reports.
 func (c PointCode) String() string {
 	switch c {
-	case pointUnset:
-		return "unset"
 	case PointOK:
 		return "ok"
 	case PointBadMapping:
@@ -107,19 +94,14 @@ type BatchOutput struct {
 	// except PointNonFinite which keeps the partial breakdown.
 	Breakdowns []Breakdown
 	// PerBatchSeconds and ExpectedTotalSeconds are the headline ranking
-	// metrics, extracted as dense columns so rankers and wire encoders never
-	// re-walk the breakdown structs. Zero for failed points.
+	// metrics as dense columns. Zero for failed points.
 	PerBatchSeconds      []float64
 	ExpectedTotalSeconds []float64
 }
 
 // resize fits every column to n points, reusing capacity when possible.
-// Codes is cleared back to the unset sentinel so a recycled output never
-// mistakes a previous chunk's slot for this call's result if the call dies
-// mid-loop; the other columns are only trusted where the code is set.
 func (o *BatchOutput) resize(n int) {
 	o.Codes = column(o.Codes, n)
-	clear(o.Codes)
 	o.Errs = column(o.Errs, n)
 	o.Breakdowns = column(o.Breakdowns, n)
 	o.PerBatchSeconds = column(o.PerBatchSeconds, n)
@@ -133,47 +115,36 @@ func column[T any](c []T, n int) []T {
 	return c[:n]
 }
 
-// fail records a failed point and zeroes its result columns so recycled
-// output storage never leaks a previous chunk's numbers.
-func (o *BatchOutput) fail(i int, code PointCode, err error) {
-	o.Codes[i] = code
-	o.Errs[i] = err
-	o.Breakdowns[i] = Breakdown{}
-	o.PerBatchSeconds[i] = 0
-	o.ExpectedTotalSeconds[i] = 0
-}
-
 // aggCacheSize bounds the per-call aggregate cache; batches beyond it fall
 // back to the session's own lookup (still correct, just one map access).
 const aggCacheSize = 32
 
 // aggCache memoizes the distinct global batches of one EvaluateBatch call
-// so each Eq. 2 aggregate is resolved once per chunk instead of once per
-// point. A linear scan beats a map here: chunks carry a handful of batch
-// sizes and the entries stay in cache. A nil cache (the one-cell scalar
-// paths) resolves every batch through the session.
+// so each Eq. 2 aggregate is resolved once per call instead of once per
+// point. A linear scan beats a map here: calls carry a handful of batch
+// sizes and the entries stay in cache.
 type aggCache struct {
 	n       int
 	batches [aggCacheSize]int
 	aggs    [aggCacheSize]batchAgg
 }
 
-func (c *aggCache) get(s *Session, batch int) batchAgg {
-	if c == nil {
-		return s.agg(batch)
-	}
+// get returns the memoized aggregate of batch, or nil — priceCell then
+// resolves it through the session once the cell validates — for a full
+// cache or a non-positive batch, which no cell prices.
+func (c *aggCache) get(s *Session, batch int) *batchAgg {
 	for i := 0; i < c.n; i++ {
 		if c.batches[i] == batch {
-			return c.aggs[i]
+			return &c.aggs[i]
 		}
 	}
-	a := s.agg(batch)
-	if c.n < aggCacheSize {
-		c.batches[c.n] = batch
-		c.aggs[c.n] = a
-		c.n++
+	if batch <= 0 || c.n == aggCacheSize {
+		return nil
 	}
-	return a
+	c.batches[c.n] = batch
+	c.aggs[c.n] = s.agg(batch)
+	c.n++
+	return &c.aggs[c.n-1]
 }
 
 // EvaluateBatch evaluates a whole chunk of design points against the
@@ -207,31 +178,65 @@ func (s *Session) EvaluateBatch(in BatchInput, out *BatchOutput) error {
 	var aggs aggCache
 	var run mappingRun
 	for i := 0; i < n; i++ {
-		mp := in.Mappings[i]
-		if i == 0 || mp != in.Mappings[i-1] {
-			run = s.prepareRun(mp)
+		if i == 0 || in.Mappings[i] != in.Mappings[i-1] {
+			run = s.prepareRun(in.Mappings[i])
 		}
 		nub := 0
 		if in.Microbatches != nil {
 			nub = in.Microbatches[i]
 		}
+		g := in.Batches[i]
 		bd := &out.Breakdowns[i]
-		code, err := s.priceCell(&run, in.Batches[i], nub, &aggs, false, bd)
+		code, err := s.priceCell(&run, g, nub, aggs.get(s, g), false, bd)
+		out.Codes[i], out.Errs[i] = code, err
+		out.PerBatchSeconds[i], out.ExpectedTotalSeconds[i] = 0, 0
 		switch code {
 		case PointOK:
-			out.Errs[i] = nil
 			out.PerBatchSeconds[i] = float64(bd.PerBatch())
 			out.ExpectedTotalSeconds[i] = float64(bd.ExpectedTotalTime())
 		case PointNonFinite:
 			// Keep the partial breakdown, like Session.Evaluate does.
-			out.Errs[i] = err
-			out.PerBatchSeconds[i] = 0
-			out.ExpectedTotalSeconds[i] = 0
 		default:
-			out.fail(i, code, err)
-			continue
+			// Zero it so recycled output never leaks a previous call's numbers.
+			*bd = Breakdown{}
 		}
-		out.Codes[i] = code
 	}
 	return nil
+}
+
+// Row is one mapping's prepared pricing run (validation verdicts, degrees
+// and every per-mapping hoist). A sweep worker prepares it once per mapping
+// it walks (PrepareRow) and prices the mapping's cells against it
+// (PriceRowCell).
+type Row struct{ run mappingRun }
+
+// PrepareRow validates mp and hoists its run constants into r.
+func (s *Session) PrepareRow(r *Row, mp parallel.Mapping) { r.run = s.prepareRun(mp) }
+
+// Aggregates is a sweep's batch list with each batch's Eq. 2 aggregate
+// resolved once, indexed by batch position. A non-positive batch keeps an
+// empty slot: its cells fail validation before the aggregate is read.
+type Aggregates struct {
+	batches []int
+	aggs    []batchAgg
+}
+
+// Aggregates resolves the aggregates of batches through the session.
+func (s *Session) Aggregates(batches []int) *Aggregates {
+	a := &Aggregates{batches: batches, aggs: make([]batchAgg, len(batches))}
+	for i, b := range batches {
+		if b > 0 {
+			a.aggs[i] = s.agg(b)
+		}
+	}
+	return a
+}
+
+// PriceRowCell prices the cell (r's mapping, batch position bi of a, raw
+// microbatch count nub) into out: the EvaluatePoint arithmetic on the same
+// hoists, so out and the error are bit-identical to EvaluatePoint's. a must
+// come from this session.
+func (s *Session) PriceRowCell(r *Row, a *Aggregates, bi, nub int, out *Breakdown) error {
+	_, err := s.priceCell(&r.run, a.batches[bi], nub, &a.aggs[bi], false, out)
+	return err
 }

@@ -2,7 +2,8 @@ package model
 
 import (
 	"errors"
-	"math"
+
+	"amped/internal/units"
 )
 
 // Validate checks the estimator's inputs for structural and mutual
@@ -27,7 +28,8 @@ func (e *Estimator) Validate() error {
 	if err := e.Training.Batch.Validate(e.Mapping); err != nil {
 		return err
 	}
-	return checkFit(e.Model, e.Mapping)
+	mpn := e.Mapping.Normalized()
+	return checkFit(e.Model, mpn.TP(), mpn.PP(), mpn.CP(), mpn.VPP)
 }
 
 // Evaluate runs the analytical model and returns the per-batch breakdown.
@@ -50,15 +52,15 @@ func (e *Estimator) Evaluate() (*Breakdown, error) {
 	return s.Evaluate(e.Mapping, e.Training.Batch.Global, e.Training.Batch.Microbatches)
 }
 
-// finite reports whether every duration in a breakdown's components is a
-// finite number.
-func finite(cs []Component) bool {
-	for _, c := range cs {
-		if math.IsInf(float64(c.Time), 0) || math.IsNaN(float64(c.Time)) {
-			return false
-		}
+// finite reports whether every duration is a finite number. t − t is 0
+// for a finite t and NaN for ±Inf and NaN, so the sum of the differences
+// is 0 exactly when every t is finite.
+func finite(ts ...units.Seconds) bool {
+	var z units.Seconds
+	for _, t := range ts {
+		z += t - t
 	}
-	return true
+	return z == 0
 }
 
 // MustEvaluate is Evaluate for callers that have already validated inputs

@@ -272,6 +272,15 @@ func (b *InferenceBreakdown) Components() []Component {
 	}
 }
 
+// finite reports whether every component of Components is a finite
+// number, reading the fields directly instead of building the list.
+func (b *InferenceBreakdown) finite() bool {
+	return finite(b.PrefillCompute, b.PrefillTPIntraComm, b.PrefillTPInterComm,
+		b.PrefillPPComm, b.PrefillCPComm, b.PrefillMoEComm,
+		b.DecodeCompute, b.DecodeTPIntraComm, b.DecodeTPInterComm,
+		b.DecodePPComm, b.DecodeCPComm, b.DecodeMoEComm)
+}
+
 // String summarizes the breakdown.
 func (b *InferenceBreakdown) String() string {
 	return fmt.Sprintf("TTFT %v, %v/token, %.1f tok/s (batch %d, eff %.1f%%)",
@@ -346,7 +355,7 @@ func (s *InferenceSession) EvaluateInferencePoint(mp parallel.Mapping, batch int
 		KVBytesPerSeq: memkit.KVCacheBytesPerSeq(s.full, run.mpn,
 			s.inf.PromptLen+s.inf.GenTokens, p.tr.Operands),
 	}
-	if !finite(out.Components()) {
+	if !out.finite() {
 		return errNonFinite
 	}
 	return nil

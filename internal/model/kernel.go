@@ -12,11 +12,12 @@ import (
 )
 
 // The pricing kernel. Every entry point — EvaluatePoint and LowerBound (a
-// one-cell run), EvaluateBatch, both inference phases and ProfileLayers —
-// prices through the same pieces over one mappingRun: prepareRun (the fit
-// check and the Eq. 6/10/11 hoists), fwdCompute (Eq. 2–4), fwdComm
-// (Eq. 5–7, 9) and, for training cells, priceCell (Eq. 1, 8, 12, the
-// gradient overlap and the breakdown).
+// one-cell run), EvaluateBatch, the sweep executor's row API (PrepareRow,
+// then PriceRowCell per cell against the positional Aggregates), both
+// inference phases and ProfileLayers — prices through the same pieces over
+// one mappingRun: prepareRun (the fit check and the Eq. 6/10/11 hoists),
+// fwdCompute (Eq. 2–4), fwdComm (Eq. 5–7, 9) and, for training cells,
+// priceCell (Eq. 1, 8, 12, the gradient overlap and the breakdown).
 
 // mappingRun holds everything hoisted out of the per-cell path for one
 // mapping: validation verdicts, the normalized degrees, the
@@ -78,9 +79,8 @@ func (a allReduce) time(latTerms, elems, bits float64) float64 {
 // checkFit reports whether the model splits the way the mapping asks: TP
 // within the head count, PP within the layer count, CP within the sequence
 // length, and a virtual pipeline only over PP > 1 with a chunk per layer.
-func checkFit(m *transformer.Model, mp parallel.Mapping) error {
-	mpn := mp.Normalized()
-	tp, pp, cp, vpp := mpn.TP(), mpn.PP(), mpn.CP(), mpn.VPP
+// It takes the normalized degree products (vpp at least 1).
+func checkFit(m *transformer.Model, tp, pp, cp, vpp int) error {
 	switch {
 	case tp > m.Heads:
 		return fmt.Errorf("model: TP degree %d exceeds %d attention heads", tp, m.Heads)
@@ -97,6 +97,8 @@ func checkFit(m *transformer.Model, mp parallel.Mapping) error {
 }
 
 // prepareRun validates a mapping once and precomputes its run constants.
+// The mapping is normalized once and every degree product is read off that
+// one copy.
 func (s *Session) prepareRun(mp parallel.Mapping) mappingRun {
 	var r mappingRun
 	if err := mp.Validate(s.sys); err != nil {
@@ -104,14 +106,14 @@ func (s *Session) prepareRun(mp parallel.Mapping) mappingRun {
 		return r
 	}
 	mpn := mp.Normalized()
-	r.fitErr = checkFit(s.model, mpn)
+	tp, cp := mpn.TPIntra*mpn.TPInter, mpn.CPIntra*mpn.CPInter
+	r.pp, r.dp = mpn.PPIntra*mpn.PPInter, mpn.DPIntra*mpn.DPInter
+	r.fitErr = checkFit(s.model, tp, r.pp, cp, mpn.VPP)
 	r.mpn = mpn
-	r.workersInt = mpn.Workers()
+	r.workersInt = tp * r.pp * r.dp * cp
 	r.workers = float64(r.workersInt)
-	r.pp = mpn.PP()
-	r.dp = mpn.DP()
-	r.tpF = float64(mpn.TP())
-	r.cpF = float64(mpn.CP())
+	r.tpF = float64(tp)
+	r.cpF = float64(cp)
 	r.vppF = float64(mpn.VPP)
 	if r.pp > 1 {
 		r.rPP = s.tr.BubbleRatio * float64(r.pp-1)
@@ -125,7 +127,7 @@ func (s *Session) prepareRun(mp parallel.Mapping) mappingRun {
 	// The all-reduce is linear in the element count, so the layer loop
 	// collapses to the precomputed parameter aggregate.
 	if r.dp > 1 {
-		shard := 1 / float64(mpn.TP()*mpn.PP())
+		shard := 1 / float64(tp*r.pp)
 		ngSum := s.gradParamsPlain
 		if r.moeActive {
 			ngSum = s.gradParamsEP
@@ -217,12 +219,14 @@ func (s *Session) fwdComm(run *mappingRun, b, width float64, relaxed bool) (tpIn
 
 // priceCell prices one training cell — a global batch g and a raw
 // microbatch count nub (0 derives the default) on a prepared mapping run —
-// into out. It checks the batch schedule before the model-fit bounds, so a
-// cell failing both reports the batch error. A failing cell leaves out
-// untouched; a non-finite result keeps the partial breakdown. aggs memoizes
-// the Eq. 2 aggregates across a batched call (nil resolves each through the
-// session). relaxed drops the Eq. 9 MoE term for LowerBound.
-func (s *Session) priceCell(run *mappingRun, g, nub int, aggs *aggCache, relaxed bool, out *Breakdown) (PointCode, error) {
+// into out, field by field. It checks the batch schedule before the
+// model-fit bounds, so a cell failing both reports the batch error. A
+// failing cell leaves out untouched; a non-finite result keeps the partial
+// breakdown. agg is g's Eq. 2 aggregate when the caller resolved it up
+// front (a sweep's positional table, a batched call's memo); nil resolves
+// it through the session once the cell validates. relaxed drops the Eq. 9
+// MoE term for LowerBound.
+func (s *Session) priceCell(run *mappingRun, g, nub int, agg *batchAgg, relaxed bool, out *Breakdown) (PointCode, error) {
 	if run.err != nil {
 		return PointBadMapping, run.err
 	}
@@ -259,8 +263,11 @@ func (s *Session) priceCell(run *mappingRun, g, nub int, aggs *aggCache, relaxed
 
 	// Eq. 2–4: compute over the cached per-batch aggregate.
 	cMAC := 1 / (s.peakMAC * eff)
-	agg := aggs.get(s, g)
-	ufTotal := s.fwdCompute(&agg, cMAC, run)
+	if agg == nil {
+		a := s.agg(g)
+		agg = &a
+	}
+	ufTotal := s.fwdCompute(agg, cMAC, run)
 	uwTotal := s.updateParams * cMAC * s.macScale
 	ubTotal := tr.BackwardComputeFactor * ufTotal
 
@@ -291,29 +298,25 @@ func (s *Session) priceCell(run *mappingRun, g, nub int, aggs *aggCache, relaxed
 	}
 	zeroExtra := tr.ZeROOverhead * (1 + bf) * exposed * fwdTotal
 
-	*out = Breakdown{
-		ComputeForward:  units.Seconds(ufTotal / run.workers),
-		ComputeBackward: units.Seconds(ubTotal / run.workers),
-		WeightUpdate:    units.Seconds(uwTotal / run.workers),
-		TPIntraComm:     units.Seconds(commScale * tpIntra),
-		TPInterComm:     units.Seconds(commScale * tpInter),
-		PPComm:          units.Seconds(commScale * ppComm),
-		CPComm:          units.Seconds(commScale * cpComm),
-		MoEComm:         units.Seconds(commScale * moe),
-		ZeROComm:        units.Seconds(zeroExtra),
-		GradIntraComm:   units.Seconds(gradIntra),
-		GradInterComm:   units.Seconds(gradInter),
-		Bubble:          units.Seconds(bubble),
-		Microbatch:      ub,
-		Efficiency:      eff,
-		Workers:         run.workersInt,
-		NumBatches:      tr.NumBatches,
-		ModelFLOPs:      agg.flops,
-	}
-	if s.relSpec != nil {
-		out.Reliability = run.rel
-	}
-	if !finite(out.Components()) {
+	out.ComputeForward = units.Seconds(ufTotal / run.workers)
+	out.ComputeBackward = units.Seconds(ubTotal / run.workers)
+	out.WeightUpdate = units.Seconds(uwTotal / run.workers)
+	out.TPIntraComm = units.Seconds(commScale * tpIntra)
+	out.TPInterComm = units.Seconds(commScale * tpInter)
+	out.PPComm = units.Seconds(commScale * ppComm)
+	out.CPComm = units.Seconds(commScale * cpComm)
+	out.MoEComm = units.Seconds(commScale * moe)
+	out.ZeROComm = units.Seconds(zeroExtra)
+	out.GradIntraComm = units.Seconds(gradIntra)
+	out.GradInterComm = units.Seconds(gradInter)
+	out.Bubble = units.Seconds(bubble)
+	out.Microbatch = ub
+	out.Efficiency = eff
+	out.Workers = run.workersInt
+	out.NumBatches = tr.NumBatches
+	out.ModelFLOPs = agg.flops
+	out.Reliability = run.rel // zero without a reliability spec
+	if !out.finite() {
 		return PointNonFinite, errNonFinite
 	}
 	return PointOK, nil

@@ -101,10 +101,20 @@ func referenceEvaluate(e *Estimator) (*Breakdown, error) {
 		NumBatches:      tr.NumBatches,
 		ModelFLOPs:      units.FLOPs(float64(macTotal) * 3 * units.FLOPsPerMAC),
 	}
-	if !finite(bd.Components()) {
+	if !componentsFinite(bd.Components()) {
 		return bd, errors.New("model: evaluation produced non-finite time (unusable link or degenerate mapping)")
 	}
 	return bd, nil
+}
+
+// componentsFinite is the legacy finiteness check over the component list.
+func componentsFinite(cs []Component) bool {
+	for _, c := range cs {
+		if !finite(c.Time) {
+			return false
+		}
+	}
+	return true
 }
 
 // The legacy layer-looped communication helpers referenceEvaluate prices

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"amped/internal/faults"
@@ -181,5 +182,49 @@ func TestScenarioKeyReliability(t *testing.T) {
 	s2.RestartTime = 600
 	if k3 := ScenarioKey(&m, &sys, Training{Reliability: s2}, nil); k3 == k1 {
 		t.Error("different specs collided")
+	}
+}
+
+// TestPriceCellWritesEveryField checks that pricing a cell overwrites every
+// field of a reused Breakdown, reliability included whether the spec is on
+// or off: a breakdown filled with a sentinel in every field, priced, must
+// equal one priced from zero, bit for bit. The kernel writes the breakdown
+// field by field, so a field it forgot would keep the previous cell's value.
+func TestPriceCellWritesEveryField(t *testing.T) {
+	m := transformer.Megatron145B()
+	sys := hardware.CaseStudy1System()
+	mp := parallel.Mapping{TPIntra: 8, PPInter: 2, DPInter: 64}
+	for _, rel := range []*faults.Spec{nil, testRelSpec()} {
+		sess, err := Compile(&m, &sys, Training{Reliability: rel}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got Breakdown
+		if err := sess.EvaluatePoint(mp, 8192, 0, &want); err != nil {
+			t.Fatal(err)
+		}
+		fillSentinel(reflect.ValueOf(&got).Elem())
+		if err := sess.EvaluatePoint(mp, 8192, 0, &got); err != nil {
+			t.Fatal(err)
+		}
+		if kernelRecord(got, nil) != kernelRecord(want, nil) {
+			t.Errorf("reliability %v: a reused breakdown kept a field of its previous value", rel != nil)
+		}
+	}
+}
+
+// fillSentinel sets every number in v, nested structs included, to -7.
+func fillSentinel(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillSentinel(v.Field(i))
+		}
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(-7)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(-7)
+	default:
+		panic("fillSentinel: unhandled kind " + v.Kind().String())
 	}
 }

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"amped/internal/efficiency"
@@ -9,6 +10,7 @@ import (
 	"amped/internal/parallel"
 	"amped/internal/topology"
 	"amped/internal/transformer"
+	"amped/internal/units"
 )
 
 // relClose asserts two floats agree to double-precision round-off: the
@@ -253,5 +255,48 @@ func TestSessionAccessors(t *testing.T) {
 	}
 	if got := sess.Training().BubbleRatio; got != 1 {
 		t.Errorf("Training() lost the defaults: bubble ratio %v", got)
+	}
+}
+
+// TestBreakdownFinite checks the kernels' field-wise finiteness check
+// against the component lists: every units.Seconds field of a breakdown is
+// one of its Components, and setting any one of them to ±Inf or NaN — the
+// rest at the largest finite magnitude — makes the breakdown non-finite.
+func TestBreakdownFinite(t *testing.T) {
+	var train Breakdown
+	var serve InferenceBreakdown
+	for _, tc := range []struct {
+		name       string
+		b          any // the breakdown, by pointer
+		finite     func() bool
+		components int
+	}{
+		{"training", &train, train.finite, len(train.Components())},
+		{"inference", &serve, serve.finite, len(serve.Components())},
+	} {
+		v := reflect.ValueOf(tc.b).Elem()
+		var secs []int
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).Type() == reflect.TypeOf(units.Seconds(0)) {
+				secs = append(secs, i)
+			}
+		}
+		if len(secs) != tc.components {
+			t.Fatalf("%s: %d Seconds fields, %d components", tc.name, len(secs), tc.components)
+		}
+		for _, i := range secs {
+			for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+				for k, j := range secs {
+					v.Field(j).SetFloat(math.MaxFloat64 * float64(1-2*(k%2)))
+				}
+				if !tc.finite() {
+					t.Fatalf("%s: largest finite values reported non-finite", tc.name)
+				}
+				v.Field(i).SetFloat(bad)
+				if tc.finite() {
+					t.Fatalf("%s: %s = %v reported finite", tc.name, v.Type().Field(i).Name, bad)
+				}
+			}
+		}
 	}
 }

@@ -276,6 +276,14 @@ func (b *Breakdown) Components() []Component {
 	}
 }
 
+// finite reports whether every component of Components is a finite
+// number, reading the fields directly instead of building the list.
+func (b *Breakdown) finite() bool {
+	return finite(b.ComputeForward, b.ComputeBackward, b.WeightUpdate,
+		b.TPIntraComm, b.TPInterComm, b.PPComm, b.CPComm, b.MoEComm,
+		b.ZeROComm, b.GradIntraComm, b.GradInterComm, b.Bubble)
+}
+
 // Component is one named contribution to the per-batch time.
 type Component struct {
 	Name string

@@ -178,10 +178,11 @@ func (m Mapping) Validate(sys *hardware.System) error {
 			return fmt.Errorf("parallel: %s degree %d must be >= 1", d.name, d.v)
 		}
 	}
-	if got, want := n.IntraDegree(), sys.AccelsPerNode; got != want {
+	// Products off n: IntraDegree and InterDegree would normalize again.
+	if got, want := n.TPIntra*n.PPIntra*n.DPIntra*n.CPIntra, sys.AccelsPerNode; got != want {
 		return fmt.Errorf("parallel: mapping %v uses %d accelerators per node, node has %d", m, got, want)
 	}
-	if got, want := n.InterDegree(), sys.Nodes; got != want {
+	if got, want := n.TPInter*n.PPInter*n.DPInter*n.CPInter, sys.Nodes; got != want {
 		return fmt.Errorf("parallel: mapping %v spans %d nodes, system has %d", m, got, want)
 	}
 	return nil
