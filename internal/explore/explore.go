@@ -44,9 +44,9 @@ type Scenario struct {
 	// Session, when non-nil, supplies a pre-compiled session and the sweep
 	// skips model.Compile; the session's own model, system, training recipe
 	// and efficiency model override the fields above so the two can never
-	// disagree. The sweep leaves a supplied session untouched (no Prepare),
-	// so one cached session can serve any number of concurrent sweeps —
-	// the serving layer's session-cache path.
+	// disagree. A compiled session is immutable apart from its concurrent
+	// aggregate memo, so one cached session can serve any number of
+	// concurrent sweeps — the serving layer's session-cache path.
 	Session *model.Session
 }
 
@@ -279,21 +279,28 @@ func resolveMappings(sc *Scenario, opt Options) ([]parallel.Mapping, error) {
 	if len(opt.Batches) == 0 {
 		return nil, errors.New("explore: no batch sizes to sweep")
 	}
-	mappings := opt.Mappings
-	if len(mappings) == 0 {
-		en := opt.Enumerate
-		if en.MaxTP == 0 {
-			en.MaxTP = sc.Model.Heads
-		}
-		if en.MaxPP == 0 {
-			en.MaxPP = sc.Model.Layers
-		}
-		mappings = parallel.Enumerate(sc.System, en)
-	}
+	mappings := MappingList(sc.Model, sc.System, opt.Mappings, opt.Enumerate)
 	if len(mappings) == 0 {
 		return nil, errors.New("explore: no mappings to evaluate")
 	}
 	return mappings, nil
+}
+
+// MappingList is the mapping-list rule every search shares: an explicit
+// list wins; otherwise every mapping parallel.Enumerate finds for sys, with
+// MaxTP and MaxPP defaulting to the model's head and layer counts. An empty
+// result is left to the caller to report.
+func MappingList(m *transformer.Model, sys *hardware.System, explicit []parallel.Mapping, en parallel.EnumerateOptions) []parallel.Mapping {
+	if len(explicit) > 0 {
+		return explicit
+	}
+	if en.MaxTP == 0 {
+		en.MaxTP = m.Heads
+	}
+	if en.MaxPP == 0 {
+		en.MaxPP = m.Layers
+	}
+	return parallel.Enumerate(sys, en)
 }
 
 // Cells reports the size of the canonical cell enumeration for a scenario

@@ -36,12 +36,11 @@ func OptimalMicrobatches(est model.Estimator) (int, *model.Breakdown, error) {
 	}
 
 	// All candidates share the scenario, so compile it once and reuse the
-	// session (and its cached per-batch aggregates) across the divisor scan.
+	// session (and its memoized per-batch aggregate) across the divisor scan.
 	sess, err := model.Compile(est.Model, est.System, est.Training, est.Eff)
 	if err != nil {
 		return 0, nil, err
 	}
-	sess.Prepare(est.Training.Batch.Global)
 
 	bestN := 0
 	var bestBD, scratch model.Breakdown

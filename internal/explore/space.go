@@ -69,11 +69,10 @@ func NewSpace(sc Scenario, opt Options) (*Space, error) {
 		return nil, err
 	}
 	// Compile the scenario once: invariants validated, Eq. 3–4 constants
-	// hoisted, per-batch op aggregates cached — every worker then evaluates
-	// points in O(1) with zero allocations on the hot path. A supplied
-	// session skips both Compile and Prepare: it may be shared with other
-	// sweeps running right now, and Prepare is single-writer. Unprepared
-	// batches memoize safely through the session's side table.
+	// hoisted — every worker then evaluates points in O(1) with zero
+	// allocations on the hot path. A supplied session skips Compile; it may
+	// be shared with other sweeps running right now, which is safe because
+	// a compiled session only writes its concurrent aggregate memo.
 	sess := sc.Session
 	if sess == nil {
 		eff := sc.Eff
@@ -84,7 +83,6 @@ func NewSpace(sc Scenario, opt Options) (*Space, error) {
 		if err != nil {
 			return nil, err
 		}
-		sess.Prepare(opt.Batches...)
 	}
 	return &Space{
 		sc: sc, opt: opt, sess: sess, aggs: sess.Aggregates(opt.Batches), mappings: mappings,

@@ -89,14 +89,18 @@ func (p *Pipeline) Validate() error {
 	return p.Interconnect.Validate()
 }
 
+// operands resolves the pipeline's precisions (zero value = Mixed16).
+func (p *Pipeline) operands() precision.Operands {
+	if p.Operands == (precision.Operands{}) {
+		return precision.Mixed16()
+	}
+	return p.Operands
+}
+
 // stageRate returns a stage's effective MAC throughput for the pipeline's
 // operands at the given efficiency: peak x TP / precision passes.
 func (p *Pipeline) stageRate(s Stage, eff float64) float64 {
-	operands := p.Operands
-	if operands == (precision.Operands{}) {
-		operands = precision.Mixed16()
-	}
-	scale := float64(operands.MACScale(s.Accel.MACPrecision))
+	scale := float64(p.operands().MACScale(s.Accel.MACPrecision))
 	return float64(s.Accel.MACRate(eff)) * float64(s.TP) / scale
 }
 
@@ -220,7 +224,9 @@ type microbatch struct {
 
 // perMicrobatch validates the pipeline and its layer assignment, defaults
 // N_ub to the stage count and clamps it to the global batch, and prices one
-// microbatch's layer work, efficiency and stage-boundary transfer.
+// microbatch's layer work, efficiency and stage-boundary transfer (the
+// activations at the operands' activation width, like the homogeneous
+// model's Eq. 7).
 func (p *Pipeline) perMicrobatch() (microbatch, error) {
 	if err := p.Validate(); err != nil {
 		return microbatch{}, err
@@ -244,7 +250,8 @@ func (p *Pipeline) perMicrobatch() (microbatch, error) {
 		nub = p.Batch.Global
 	}
 	ub := float64(p.Batch.Global) / float64(nub)
-	actBits := float64(p.Model.ActivationsPerLayer(p.Batch.Global)) / float64(nub) * 16
+	actBits := float64(p.Model.ActivationsPerLayer(p.Batch.Global)) / float64(nub) *
+		float64(p.operands().Act.Bits())
 	return microbatch{
 		count:     nub,
 		eff:       effModel.Eff(ub),
@@ -272,40 +279,51 @@ func (p *Pipeline) StageTimes() (*StageProfile, error) {
 	return prof, nil
 }
 
-// Simulate executes the balanced pipeline's schedule with pipesim.Run,
-// expressing the stages' unequal speeds through StageScale: the reference
-// forward time is the slowest stage's, and every stage is scaled by
-// fwd_i / fwd_ref (the backward, at Evaluate's fixed 2x forward, scales
-// identically). Each task starts at max(its stage's previous finish, its
-// producer's finish + the stage-boundary transfer). It returns the
-// schedule's result alongside the profile that parameterized it.
-func (p *Pipeline) Simulate(sched pipesim.Schedule) (*pipesim.Result, *StageProfile, error) {
-	prof, err := p.StageTimes()
-	if err != nil {
-		return nil, nil, err
-	}
+// RunConfig expresses the profile as a pipesim schedule execution, the
+// stages' unequal speeds carried by StageScale: the reference forward time
+// is the slowest stage's, and every stage is scaled by fwd_i / fwd_ref
+// (the backward, at Evaluate's fixed 2x forward, scales identically). Stage
+// i's forward therefore runs FwdTime·StageScale[i] and its backward
+// BwdTime·StageScale[i] — the durations every reader of the profile shares.
+func (p *StageProfile) RunConfig(sched pipesim.Schedule) (pipesim.Config, error) {
 	var fRef units.Seconds
-	for _, f := range prof.Fwd {
+	for _, f := range p.Fwd {
 		if f > fRef {
 			fRef = f
 		}
 	}
 	if fRef <= 0 {
-		return nil, nil, errors.New("hetero: degenerate stage times (zero forward compute)")
+		return pipesim.Config{}, errors.New("hetero: degenerate stage times (zero forward compute)")
 	}
-	scale := make([]float64, len(prof.Fwd))
-	for i, f := range prof.Fwd {
+	scale := make([]float64, len(p.Fwd))
+	for i, f := range p.Fwd {
 		scale[i] = float64(f) / float64(fRef)
 	}
-	res, err := pipesim.Run(pipesim.Config{
-		Stages:       len(prof.Fwd),
-		Microbatches: prof.Microbatches,
+	return pipesim.Config{
+		Stages:       len(p.Fwd),
+		Microbatches: p.Microbatches,
 		FwdTime:      eventsim.Time(fRef),
 		BwdTime:      eventsim.Time(2 * fRef),
-		CommTime:     eventsim.Time(prof.Comm),
+		CommTime:     eventsim.Time(p.Comm),
 		Schedule:     sched,
 		StageScale:   scale,
-	})
+	}, nil
+}
+
+// Simulate executes the balanced pipeline's schedule with pipesim.Run over
+// the profile's RunConfig. Each task starts at max(its stage's previous
+// finish, its producer's finish + the stage-boundary transfer). It returns
+// the schedule's result alongside the profile that parameterized it.
+func (p *Pipeline) Simulate(sched pipesim.Schedule) (*pipesim.Result, *StageProfile, error) {
+	prof, err := p.StageTimes()
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg, err := prof.RunConfig(sched)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := pipesim.Run(cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,10 +1,12 @@
 package hetero
 
 import (
+	"math"
 	"testing"
 
 	"amped/internal/hardware"
 	"amped/internal/parallel"
+	"amped/internal/precision"
 	"amped/internal/transformer"
 )
 
@@ -207,5 +209,36 @@ func TestValidateRejections(t *testing.T) {
 	}
 	if err := small.Validate(); err == nil {
 		t.Error("13 stages for 12 layers accepted")
+	}
+}
+
+// TestStageCommActivationWidth pins the stage-boundary transfer to the
+// operands' activation width, as the homogeneous model's Eq. 7 prices it:
+// FP32 activations move twice the bits of the Mixed16 default, so the
+// volume term of StageProfile.Comm (Comm minus the link latency) doubles.
+func TestStageCommActivationWidth(t *testing.T) {
+	volume := func(ops precision.Operands) float64 {
+		t.Helper()
+		p := mixedPipeline()
+		p.Operands = ops
+		p, err := p.Balance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, err := p.StageTimes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(prof.Comm) - float64(p.Interconnect.Latency)
+	}
+	def, mixed, fp32 := volume(precision.Operands{}), volume(precision.Mixed16()), volume(precision.Uniform(precision.FP32))
+	if def != mixed {
+		t.Errorf("zero-value operands volume %g != Mixed16's %g", def, mixed)
+	}
+	if def <= 0 {
+		t.Fatalf("degenerate transfer volume %g", def)
+	}
+	if r := fp32 / def; math.Abs(r-2) > 1e-9 {
+		t.Errorf("FP32 activation volume is %gx the Mixed16 one, want 2x", r)
 	}
 }

@@ -38,74 +38,26 @@ func (in *BatchInput) validate() error {
 	return nil
 }
 
-// PointCode classifies one batched point's outcome without forcing callers
-// to inspect error values on the hot path.
-type PointCode uint8
-
-const (
-	// PointOK marks a point that evaluated to a finite breakdown.
-	PointOK PointCode = iota + 1
-	// PointBadMapping marks a mapping that does not tile the system.
-	PointBadMapping
-	// PointBadBatch marks a batch schedule that does not divide the mapping.
-	PointBadBatch
-	// PointBadModelFit marks TP exceeding the head count or PP exceeding the
-	// layer count.
-	PointBadModelFit
-	// PointNonFinite marks an evaluation that produced a non-finite time
-	// (unusable link or degenerate mapping); the breakdown column keeps the
-	// partial result, mirroring Session.Evaluate's contract.
-	PointNonFinite
-)
-
-// OK reports whether the point evaluated successfully.
-func (c PointCode) OK() bool { return c == PointOK }
-
-// String names the code for reports.
-func (c PointCode) String() string {
-	switch c {
-	case PointOK:
-		return "ok"
-	case PointBadMapping:
-		return "bad-mapping"
-	case PointBadBatch:
-		return "bad-batch"
-	case PointBadModelFit:
-		return "bad-model-fit"
-	case PointNonFinite:
-		return "non-finite"
-	}
-	return "unknown"
-}
-
 // BatchOutput is the structure-of-arrays result of EvaluateBatch. Columns
 // are resized (reusing capacity) to the input length on every call, so one
 // BatchOutput can be recycled across chunks without per-chunk allocation.
 type BatchOutput struct {
-	// Codes classifies every point; Codes[i].OK() gates the other columns.
-	Codes []PointCode
-	// Errs carries the per-point error for failed points (nil when OK). The
-	// error values are equal in message to what EvaluatePoint returns for
-	// the same point, and are shared across the points of one mapping run
-	// rather than allocated per point.
+	// Errs carries the per-point error (nil on success). The error values
+	// are equal in message to what EvaluatePoint returns for the same
+	// point, and are shared across the points of one mapping run rather
+	// than allocated per point.
 	Errs []error
 	// Breakdowns is the full per-point result column — bit-identical to what
 	// EvaluatePoint writes for the same point. Failed points are zeroed,
-	// except PointNonFinite which keeps the partial breakdown.
+	// except a non-finite evaluation, which keeps the partial breakdown
+	// (Session.Evaluate's contract).
 	Breakdowns []Breakdown
-	// PerBatchSeconds and ExpectedTotalSeconds are the headline ranking
-	// metrics as dense columns. Zero for failed points.
-	PerBatchSeconds      []float64
-	ExpectedTotalSeconds []float64
 }
 
 // resize fits every column to n points, reusing capacity when possible.
 func (o *BatchOutput) resize(n int) {
-	o.Codes = column(o.Codes, n)
 	o.Errs = column(o.Errs, n)
 	o.Breakdowns = column(o.Breakdowns, n)
-	o.PerBatchSeconds = column(o.PerBatchSeconds, n)
-	o.ExpectedTotalSeconds = column(o.ExpectedTotalSeconds, n)
 }
 
 func column[T any](c []T, n int) []T {
@@ -115,38 +67,6 @@ func column[T any](c []T, n int) []T {
 	return c[:n]
 }
 
-// aggCacheSize bounds the per-call aggregate cache; batches beyond it fall
-// back to the session's own lookup (still correct, just one map access).
-const aggCacheSize = 32
-
-// aggCache memoizes the distinct global batches of one EvaluateBatch call
-// so each Eq. 2 aggregate is resolved once per call instead of once per
-// point. A linear scan beats a map here: calls carry a handful of batch
-// sizes and the entries stay in cache.
-type aggCache struct {
-	n       int
-	batches [aggCacheSize]int
-	aggs    [aggCacheSize]batchAgg
-}
-
-// get returns the memoized aggregate of batch, or nil — priceCell then
-// resolves it through the session once the cell validates — for a full
-// cache or a non-positive batch, which no cell prices.
-func (c *aggCache) get(s *Session, batch int) *batchAgg {
-	for i := 0; i < c.n; i++ {
-		if c.batches[i] == batch {
-			return &c.aggs[i]
-		}
-	}
-	if batch <= 0 || c.n == aggCacheSize {
-		return nil
-	}
-	c.batches[c.n] = batch
-	c.aggs[c.n] = s.agg(batch)
-	c.n++
-	return &c.aggs[c.n-1]
-}
-
 // EvaluateBatch evaluates a whole chunk of design points against the
 // compiled scenario in one call — the batched sibling of EvaluatePoint.
 // Per-point results are bit-identical to the scalar path (the same float
@@ -154,14 +74,13 @@ func (c *aggCache) get(s *Session, batch int) *batchAgg {
 // changes is the dispatch: config resolution, mapping validation, the
 // collective-topology constants, the batch-independent gradient all-reduce
 // and the reliability expectation are resolved once per run of consecutive
-// equal mappings, and the Eq. 2 per-batch aggregate once per distinct batch
-// per call. Feed it mapping-major columns (the sweep's natural order) and
-// the amortized per-point cost drops well below the scalar path's.
+// equal mappings. Feed it mapping-major columns (the sweep's natural order)
+// and the amortized per-point cost drops below the scalar path's.
 //
 // The error return covers malformed input columns only; per-point failures
-// land in out.Codes/out.Errs, carrying the same messages the scalar path
-// would return. The caller owns out; its columns are resized in place and
-// may be recycled across calls.
+// land in out.Errs, carrying the same messages the scalar path would
+// return. The caller owns out; its columns are resized in place and may be
+// recycled across calls.
 func (s *Session) EvaluateBatch(in BatchInput, out *BatchOutput) error {
 	if out == nil {
 		return errors.New("model: nil batch output")
@@ -171,11 +90,7 @@ func (s *Session) EvaluateBatch(in BatchInput, out *BatchOutput) error {
 	}
 	n := in.Len()
 	out.resize(n)
-	if n == 0 {
-		return nil
-	}
 
-	var aggs aggCache
 	var run mappingRun
 	for i := 0; i < n; i++ {
 		if i == 0 || in.Mappings[i] != in.Mappings[i-1] {
@@ -185,20 +100,11 @@ func (s *Session) EvaluateBatch(in BatchInput, out *BatchOutput) error {
 		if in.Microbatches != nil {
 			nub = in.Microbatches[i]
 		}
-		g := in.Batches[i]
-		bd := &out.Breakdowns[i]
-		code, err := s.priceCell(&run, g, nub, aggs.get(s, g), false, bd)
-		out.Codes[i], out.Errs[i] = code, err
-		out.PerBatchSeconds[i], out.ExpectedTotalSeconds[i] = 0, 0
-		switch code {
-		case PointOK:
-			out.PerBatchSeconds[i] = float64(bd.PerBatch())
-			out.ExpectedTotalSeconds[i] = float64(bd.ExpectedTotalTime())
-		case PointNonFinite:
-			// Keep the partial breakdown, like Session.Evaluate does.
-		default:
+		err := s.priceCell(&run, in.Batches[i], nub, nil, false, &out.Breakdowns[i])
+		out.Errs[i] = err
+		if err != nil && err != errNonFinite {
 			// Zero it so recycled output never leaks a previous call's numbers.
-			*bd = Breakdown{}
+			out.Breakdowns[i] = Breakdown{}
 		}
 	}
 	return nil
@@ -214,16 +120,17 @@ type Row struct{ run mappingRun }
 func (s *Session) PrepareRow(r *Row, mp parallel.Mapping) { r.run = s.prepareRun(mp) }
 
 // Aggregates is a sweep's batch list with each batch's Eq. 2 aggregate
-// resolved once, indexed by batch position. A non-positive batch keeps an
-// empty slot: its cells fail validation before the aggregate is read.
+// looked up in the session's memo once, indexed by batch position. A
+// non-positive batch keeps a nil slot: its cells fail validation before the
+// aggregate is read.
 type Aggregates struct {
 	batches []int
-	aggs    []batchAgg
+	aggs    []*batchAgg
 }
 
-// Aggregates resolves the aggregates of batches through the session.
+// Aggregates resolves the aggregates of batches through the session's memo.
 func (s *Session) Aggregates(batches []int) *Aggregates {
-	a := &Aggregates{batches: batches, aggs: make([]batchAgg, len(batches))}
+	a := &Aggregates{batches: batches, aggs: make([]*batchAgg, len(batches))}
 	for i, b := range batches {
 		if b > 0 {
 			a.aggs[i] = s.agg(b)
@@ -237,6 +144,5 @@ func (s *Session) Aggregates(batches []int) *Aggregates {
 // hoists, so out and the error are bit-identical to EvaluatePoint's. a must
 // come from this session.
 func (s *Session) PriceRowCell(r *Row, a *Aggregates, bi, nub int, out *Breakdown) error {
-	_, err := s.priceCell(&r.run, a.batches[bi], nub, &a.aggs[bi], false, out)
-	return err
+	return s.priceCell(&r.run, a.batches[bi], nub, a.aggs[bi], false, out)
 }

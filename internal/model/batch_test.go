@@ -22,8 +22,8 @@ func batchTrainings() []Training {
 // including non-dividing batches, TP/PP bound violations and mappings that
 // do not tile the system — EvaluateBatch must reproduce EvaluatePoint
 // bit-for-bit: same breakdown bits on success, same error message on
-// failure. Both the Prepared and the unprepared (dyn side-table) aggregate
-// paths are exercised.
+// failure. The batch call runs first on a fresh session, so every aggregate
+// it reads is built on first touch inside the call.
 func TestEvaluateBatchBitIdenticalToScalar(t *testing.T) {
 	models := []transformer.Model{
 		transformer.Megatron145B(),
@@ -52,59 +52,42 @@ func TestEvaluateBatchBitIdenticalToScalar(t *testing.T) {
 			append([]parallel.Mapping{broken}, mappings[len(mappings)/2:]...)...)
 
 		for ti, tr := range batchTrainings() {
-			for _, prepared := range []bool{true, false} {
-				sess, err := Compile(&m, &sys, tr, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if prepared {
-					sess.Prepare(batches...)
-				}
+			sess, err := Compile(&m, &sys, tr, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				var in BatchInput
-				for _, mp := range mappings {
-					for _, b := range batches {
-						in.Mappings = append(in.Mappings, mp)
-						in.Batches = append(in.Batches, b)
-						in.Microbatches = append(in.Microbatches, 0)
-					}
+			var in BatchInput
+			for _, mp := range mappings {
+				for _, b := range batches {
+					in.Mappings = append(in.Mappings, mp)
+					in.Batches = append(in.Batches, b)
+					in.Microbatches = append(in.Microbatches, 0)
 				}
-				var out BatchOutput
-				if err := sess.EvaluateBatch(in, &out); err != nil {
-					t.Fatal(err)
-				}
+			}
+			var out BatchOutput
+			if err := sess.EvaluateBatch(in, &out); err != nil {
+				t.Fatal(err)
+			}
 
-				var want Breakdown
-				for i := range in.Mappings {
-					scalarErr := sess.EvaluatePoint(in.Mappings[i], in.Batches[i], in.Microbatches[i], &want)
-					id := in.Mappings[i].String()
-					if scalarErr != nil {
-						if out.Codes[i] == PointOK {
-							t.Fatalf("%s tr%d %s B=%d: scalar failed (%v), batch succeeded",
-								m.Name, ti, id, in.Batches[i], scalarErr)
-						}
-						if out.Errs[i] == nil || out.Errs[i].Error() != scalarErr.Error() {
-							t.Fatalf("%s tr%d %s B=%d: error mismatch: scalar=%q batch=%v",
-								m.Name, ti, id, in.Batches[i], scalarErr, out.Errs[i])
-						}
-						continue
+			var want Breakdown
+			for i := range in.Mappings {
+				scalarErr := sess.EvaluatePoint(in.Mappings[i], in.Batches[i], in.Microbatches[i], &want)
+				id := in.Mappings[i].String()
+				if scalarErr != nil {
+					if out.Errs[i] == nil || out.Errs[i].Error() != scalarErr.Error() {
+						t.Fatalf("%s tr%d %s B=%d: error mismatch: scalar=%q batch=%v",
+							m.Name, ti, id, in.Batches[i], scalarErr, out.Errs[i])
 					}
-					if !out.Codes[i].OK() {
-						t.Fatalf("%s tr%d %s B=%d: scalar succeeded, batch code=%v err=%v",
-							m.Name, ti, id, in.Batches[i], out.Codes[i], out.Errs[i])
-					}
-					if out.Breakdowns[i] != want {
-						t.Fatalf("%s tr%d %s B=%d: batch breakdown diverged bit-wise from scalar:\nbatch:  %+v\nscalar: %+v",
-							m.Name, ti, id, in.Batches[i], out.Breakdowns[i], want)
-					}
-					if got := float64(want.PerBatch()); out.PerBatchSeconds[i] != got {
-						t.Fatalf("%s tr%d %s B=%d: PerBatchSeconds column %v != %v",
-							m.Name, ti, id, in.Batches[i], out.PerBatchSeconds[i], got)
-					}
-					if got := float64(want.ExpectedTotalTime()); out.ExpectedTotalSeconds[i] != got {
-						t.Fatalf("%s tr%d %s B=%d: ExpectedTotalSeconds column %v != %v",
-							m.Name, ti, id, in.Batches[i], out.ExpectedTotalSeconds[i], got)
-					}
+					continue
+				}
+				if out.Errs[i] != nil {
+					t.Fatalf("%s tr%d %s B=%d: scalar succeeded, batch err=%v",
+						m.Name, ti, id, in.Batches[i], out.Errs[i])
+				}
+				if out.Breakdowns[i] != want {
+					t.Fatalf("%s tr%d %s B=%d: batch breakdown diverged bit-wise from scalar:\nbatch:  %+v\nscalar: %+v",
+						m.Name, ti, id, in.Batches[i], out.Breakdowns[i], want)
 				}
 			}
 		}
@@ -134,15 +117,16 @@ func TestEvaluateBatchExplicitMicrobatches(t *testing.T) {
 	var want Breakdown
 	for i := range in.Mappings {
 		scalarErr := sess.EvaluatePoint(in.Mappings[i], in.Batches[i], in.Microbatches[i], &want)
-		if (scalarErr == nil) != out.Codes[i].OK() {
-			t.Fatalf("point %d: scalar err %v, batch code %v", i, scalarErr, out.Codes[i])
+		if (scalarErr == nil) != (out.Errs[i] == nil) ||
+			scalarErr != nil && scalarErr.Error() != out.Errs[i].Error() {
+			t.Fatalf("point %d: scalar err %v, batch err %v", i, scalarErr, out.Errs[i])
 		}
 		if scalarErr == nil && out.Breakdowns[i] != want {
 			t.Fatalf("point %d: breakdown diverged", i)
 		}
 	}
-	if out.Codes[3] != PointBadBatch {
-		t.Errorf("non-dividing microbatch count: code = %v, want %v", out.Codes[3], PointBadBatch)
+	if out.Errs[3] == nil {
+		t.Error("non-dividing microbatch count accepted")
 	}
 }
 
@@ -182,18 +166,18 @@ func TestEvaluateBatchColumnValidation(t *testing.T) {
 	}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !out.Codes[0].OK() || out.Breakdowns[0].PerBatch() <= 0 {
-		t.Fatalf("valid point failed: code=%v err=%v", out.Codes[0], out.Errs[0])
+	if out.Errs[0] != nil || out.Breakdowns[0].PerBatch() <= 0 {
+		t.Fatalf("valid point failed: %v", out.Errs[0])
 	}
 	if err := sess.EvaluateBatch(BatchInput{
 		Mappings: []parallel.Mapping{mp}, Batches: []int{8191},
 	}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Codes[0] != PointBadBatch {
-		t.Fatalf("code = %v, want %v", out.Codes[0], PointBadBatch)
+	if out.Errs[0] == nil {
+		t.Fatal("indivisible batch accepted")
 	}
-	if out.Breakdowns[0] != (Breakdown{}) || out.PerBatchSeconds[0] != 0 {
+	if out.Breakdowns[0] != (Breakdown{}) {
 		t.Error("recycled output leaked the previous chunk's breakdown")
 	}
 
@@ -201,8 +185,8 @@ func TestEvaluateBatchColumnValidation(t *testing.T) {
 	if err := sess.EvaluateBatch(BatchInput{}, &out); err != nil {
 		t.Errorf("empty input: %v", err)
 	}
-	if len(out.Codes) != 0 {
-		t.Errorf("empty input left %d codes", len(out.Codes))
+	if len(out.Errs) != 0 || len(out.Breakdowns) != 0 {
+		t.Errorf("empty input left %d errors, %d breakdowns", len(out.Errs), len(out.Breakdowns))
 	}
 }
 
@@ -241,7 +225,7 @@ func TestEvaluateBatchReliabilityGating(t *testing.T) {
 	if out.Breakdowns[0].Reliability != want.Reliability {
 		t.Errorf("batch expectation %+v != scalar %+v", out.Breakdowns[0].Reliability, want.Reliability)
 	}
-	if out.ExpectedTotalSeconds[0] != float64(want.ExpectedTotalTime()) {
-		t.Error("ExpectedTotalSeconds column ignored the failure inflation")
+	if out.Breakdowns[0] != want {
+		t.Error("batch breakdown diverged bit-wise from the scalar reliability breakdown")
 	}
 }

@@ -46,15 +46,15 @@ func (inf Inference) Validate(m *transformer.Model) error {
 // recipe, efficiency, workload) tuple with every point-invariant hoisted,
 // mirroring Session for the training workload. The prefill phase reuses a
 // full training Session compiled at the prompt length — same hoists, same
-// cached per-batch aggregates, same roofline pricing — while the decode
-// phase keeps its own aggregate table built from the per-token decode op
+// memoized per-batch aggregates, same roofline pricing — while the decode
+// phase keeps its own aggregate memo built from the per-token decode op
 // counts at the mean cache depth, with the KV-cache reads folded into the
 // attention class's streamed activation bytes so fwdCompute prices them
 // against memory bandwidth unchanged. EvaluateInferencePoint runs in O(1)
-// with zero heap allocations for Prepared batches.
+// with zero heap allocations once a batch's aggregates are memoized.
 //
-// An InferenceSession is immutable after Prepare and safe for concurrent
-// use; un-Prepared batches memoize through concurrent-safe side tables.
+// An InferenceSession is immutable after CompileInference and safe for
+// concurrent use: both phases memoize each batch on first touch.
 type InferenceSession struct {
 	// pre is the prefill scenario: the model truncated to the prompt length
 	// (AtSeqLen clamps a longer sliding window too), compiled exactly as a
@@ -73,7 +73,7 @@ type InferenceSession struct {
 	// unwindowed attention).
 	kmean int
 
-	// dec caches the decode-step operation aggregates by global batch,
+	// dec memoizes the decode-step operation aggregates by global batch,
 	// exactly like the training aggregates.
 	dec aggMemo
 }
@@ -102,7 +102,7 @@ func CompileInference(m *transformer.Model, sys *hardware.System, tr Training, e
 		inf:   inf,
 		kmean: inf.PromptLen + (inf.GenTokens+1)/2,
 	}
-	s.dec.init(s.computeDecodeAgg)
+	s.dec.compute = s.computeDecodeAgg
 	return s, nil
 }
 
@@ -128,15 +128,6 @@ func (s *InferenceSession) Inference() Inference { return s.inf }
 // ones and from each other by prompt/generation shape.
 func (s *InferenceSession) Key() string {
 	return InferenceScenarioKey(s.full, s.pre.sys, s.pre.tr, s.pre.eff, s.inf)
-}
-
-// Prepare precomputes the prefill and decode aggregates for the given
-// global batch sizes so EvaluateInferencePoint runs allocation-free for
-// them. Not safe to call concurrently with EvaluateInferencePoint.
-func (s *InferenceSession) Prepare(batches ...int) *InferenceSession {
-	s.pre.Prepare(batches...)
-	s.dec.prepare(batches)
-	return s
 }
 
 // computeDecodeAgg builds the decode-step aggregate for one global batch:
@@ -289,8 +280,8 @@ func (b *InferenceBreakdown) String() string {
 
 // EvaluateInferencePoint evaluates one serving design point — a parallelism
 // mapping and a global concurrent-sequence count — writing the breakdown
-// into out. The caller owns out; for Prepared batches the hot path performs
-// no heap allocations.
+// into out. The caller owns out; once the batch's aggregates are memoized
+// the hot path performs no heap allocations.
 func (s *InferenceSession) EvaluateInferencePoint(mp parallel.Mapping, batch int, out *InferenceBreakdown) error {
 	p := s.pre
 	run := p.prepareRun(mp)
@@ -318,7 +309,7 @@ func (s *InferenceSession) EvaluateInferencePoint(mp parallel.Mapping, batch int
 	// token crosses every stage boundary; interleaving does not shorten a
 	// single pass's traversal.
 	aggP := p.agg(batch)
-	ufPre := p.fwdCompute(&aggP, cMAC, &run)
+	ufPre := p.fwdCompute(aggP, cMAC, &run)
 	tpIntraPre, tpInterPre, ppHopPre, cpPre, moePre := p.fwdComm(&run, br, p.seqHidden, false)
 	ppPre := ppHopPre * float64(run.pp-1)
 
@@ -327,7 +318,7 @@ func (s *InferenceSession) EvaluateInferencePoint(mp parallel.Mapping, batch int
 	// Eq. 7: concurrent decode waves keep the stages busy, so each step pays
 	// one boundary crossing (per virtual chunk), not the full traversal.
 	aggD := s.dec.get(batch)
-	ufDec := p.fwdCompute(&aggD, cMAC, &run)
+	ufDec := p.fwdCompute(aggD, cMAC, &run)
 	tpIntraDec, tpInterDec, ppHopDec, cpDec, moeDec := p.fwdComm(&run, br, float64(s.full.Hidden), false)
 	ppDec := ppHopDec * run.vppF
 

@@ -108,7 +108,6 @@ func TestInferenceEvaluateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.Prepare(8)
 	mp := parallel.Mapping{TPIntra: 2, DPInter: 2}
 	var bd InferenceBreakdown
 	allocs := testing.AllocsPerRun(200, func() {

@@ -17,7 +17,9 @@ import (
 // inference phases and ProfileLayers — prices through the same pieces over
 // one mappingRun: prepareRun (the fit check and the Eq. 6/10/11 hoists),
 // fwdCompute (Eq. 2–4), fwdComm (Eq. 5–7, 9) and, for training cells,
-// priceCell (Eq. 1, 8, 12, the gradient overlap and the breakdown).
+// priceCell (Eq. 1, 8, 12, the gradient overlap and the breakdown). Every
+// Eq. 2 aggregate comes from the session's one memo (aggMemo), which is the
+// only state a compiled session writes after Compile.
 
 // mappingRun holds everything hoisted out of the per-cell path for one
 // mapping: validation verdicts, the normalized degrees, the
@@ -223,12 +225,12 @@ func (s *Session) fwdComm(run *mappingRun, b, width float64, relaxed bool) (tpIn
 // model-fit bounds, so a cell failing both reports the batch error. A
 // failing cell leaves out untouched; a non-finite result keeps the partial
 // breakdown. agg is g's Eq. 2 aggregate when the caller resolved it up
-// front (a sweep's positional table, a batched call's memo); nil resolves
-// it through the session once the cell validates. relaxed drops the Eq. 9
-// MoE term for LowerBound.
-func (s *Session) priceCell(run *mappingRun, g, nub int, agg *batchAgg, relaxed bool, out *Breakdown) (PointCode, error) {
+// front (a sweep's positional Aggregates); nil resolves it through the
+// session's memo once the cell validates. relaxed drops the Eq. 9 MoE term
+// for LowerBound.
+func (s *Session) priceCell(run *mappingRun, g, nub int, agg *batchAgg, relaxed bool, out *Breakdown) error {
 	if run.err != nil {
-		return PointBadMapping, run.err
+		return run.err
 	}
 	// Inline of parallel.Batch.Validate + MicrobatchesOrDefault + Microbatch
 	// over the run's pre-normalized degrees. Failures take the slow path
@@ -250,10 +252,10 @@ func (s *Session) priceCell(run *mappingRun, g, nub int, agg *batchAgg, relaxed 
 		bad = per%nubD != 0
 	}
 	if bad {
-		return PointBadBatch, parallel.Batch{Global: g, Microbatches: nub}.Validate(run.mpn)
+		return parallel.Batch{Global: g, Microbatches: nub}.Validate(run.mpn)
 	}
 	if run.fitErr != nil {
-		return PointBadModelFit, run.fitErr
+		return run.fitErr
 	}
 
 	tr := &s.tr
@@ -261,11 +263,10 @@ func (s *Session) priceCell(run *mappingRun, g, nub int, agg *batchAgg, relaxed 
 	eff := s.eff.Eff(ub)
 	nubF := float64(nubD)
 
-	// Eq. 2–4: compute over the cached per-batch aggregate.
+	// Eq. 2–4: compute over the memoized per-batch aggregate.
 	cMAC := 1 / (s.peakMAC * eff)
 	if agg == nil {
-		a := s.agg(g)
-		agg = &a
+		agg = s.agg(g)
 	}
 	ufTotal := s.fwdCompute(agg, cMAC, run)
 	uwTotal := s.updateParams * cMAC * s.macScale
@@ -317,9 +318,9 @@ func (s *Session) priceCell(run *mappingRun, g, nub int, agg *batchAgg, relaxed 
 	out.ModelFLOPs = agg.flops
 	out.Reliability = run.rel // zero without a reliability spec
 	if !out.finite() {
-		return PointNonFinite, errNonFinite
+		return errNonFinite
 	}
-	return PointOK, nil
+	return nil
 }
 
 func max2(a, b float64) float64 {

@@ -223,8 +223,9 @@ func infScenarios() []infScenario {
 }
 
 // kernelResults prices every golden cell through every public entry point
-// of the pricing kernel: EvaluatePoint, LowerBound and EvaluateBatch for
-// training, EvaluateInferencePoint for serving.
+// of the pricing kernel: EvaluatePoint and LowerBound for training (each
+// EvaluateBatch cell must reproduce its EvaluatePoint record exactly),
+// EvaluateInferencePoint for serving.
 func kernelResults(t *testing.T) map[string]string {
 	t.Helper()
 	got := map[string]string{}
@@ -251,12 +252,10 @@ func kernelResults(t *testing.T) map[string]string {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
 		for i, c := range sc.cells {
-			cell := struct {
-				Code                   PointCode
-				Bd                     Breakdown
-				PerBatch, ExpectedTime float64
-			}{out.Codes[i], out.Breakdowns[i], out.PerBatchSeconds[i], out.ExpectedTotalSeconds[i]}
-			got[sc.name+"/"+c.name+"/batch"] = kernelRecord(cell, out.Errs[i])
+			key := sc.name + "/" + c.name + "/point"
+			if rec := kernelRecord(out.Breakdowns[i], out.Errs[i]); rec != got[key] {
+				t.Errorf("%s: EvaluateBatch record %q != EvaluatePoint's %q", key, rec, got[key])
+			}
 		}
 	}
 	for _, sc := range infScenarios() {

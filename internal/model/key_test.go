@@ -71,9 +71,9 @@ func TestSessionKeyMatchesScenarioKey(t *testing.T) {
 }
 
 func TestSessionConcurrentUnpreparedEvaluation(t *testing.T) {
-	// A shared, never-Prepared session must be safe (and converge to the
-	// memoized fast path) under concurrent evaluation — the serving layer
-	// hands one cached session to many requests with no Prepare window.
+	// A shared session must be safe (and converge to the memoized fast
+	// path) under concurrent evaluation — the serving layer hands one
+	// cached session to many requests at once.
 	m := transformer.Megatron145B()
 	sys := hardware.CaseStudy1System()
 	sess, err := Compile(&m, &sys, Training{NumBatches: 1}, nil)

@@ -42,7 +42,7 @@ func (e *Estimator) ProfileLayers() ([]LayerProfile, error) {
 	batch := e.Training.Batch.Global
 	run := s.prepareRun(e.Mapping)
 	var bd Breakdown
-	if _, err := s.priceCell(&run, batch, e.Training.Batch.Microbatches, nil, false, &bd); err != nil {
+	if err := s.priceCell(&run, batch, e.Training.Batch.Microbatches, nil, false, &bd); err != nil {
 		return nil, err
 	}
 

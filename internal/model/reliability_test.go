@@ -147,7 +147,6 @@ func TestReliabilityAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.Prepare(8192)
 	mp := parallel.Mapping{TPIntra: 8, PPInter: 2, DPInter: 64}
 	var out Breakdown
 	if allocs := testing.AllocsPerRun(100, func() {

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"amped/internal/collective"
@@ -177,7 +178,6 @@ func TestEvaluatePointAllocsRoofline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.Prepare(8192)
 	var out Breakdown
 	mp := parallel.Mapping{TPIntra: 8, PPInter: 2, DPInter: 32, CPInter: 2, VPP: 2, SequenceParallel: true}
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -276,24 +276,26 @@ func TestNewDimensionValidation(t *testing.T) {
 		sess *Session
 		mp   parallel.Mapping
 		b    int
+		want string // the model-fit error's text
 	}{
-		{"cp over seq len", bigSess, parallel.Mapping{DPIntra: 2, CPInter: 32}, 64},
-		{"vpp without pp", sess, parallel.Mapping{DPIntra: 2, DPInter: 2, VPP: 2}, 8},
-		{"pp*vpp over layers", sess, parallel.Mapping{DPIntra: 2, PPInter: 2, VPP: 2}, 8},
+		{"cp over seq len", bigSess, parallel.Mapping{DPIntra: 2, CPInter: 32}, 64, "exceeds sequence length"},
+		{"vpp without pp", sess, parallel.Mapping{DPIntra: 2, DPInter: 2, VPP: 2}, 8, "requires PP > 1"},
+		{"pp*vpp over layers", sess, parallel.Mapping{DPIntra: 2, PPInter: 2, VPP: 2}, 8, "x VPP 2 exceeds"},
 	}
 	var out Breakdown
 	for _, c := range cases {
-		if err := c.sess.EvaluatePoint(c.mp, c.b, 1, &out); err == nil {
-			t.Errorf("%s accepted by EvaluatePoint", c.name)
+		pointErr := c.sess.EvaluatePoint(c.mp, c.b, 1, &out)
+		if pointErr == nil || !strings.Contains(pointErr.Error(), c.want) {
+			t.Fatalf("%s: EvaluatePoint error %v, want the model-fit error %q", c.name, pointErr, c.want)
 		}
 		var bout BatchOutput
 		if err := c.sess.EvaluateBatch(BatchInput{
-			Mappings: []parallel.Mapping{c.mp}, Batches: []int{c.b},
+			Mappings: []parallel.Mapping{c.mp}, Batches: []int{c.b}, Microbatches: []int{1},
 		}, &bout); err != nil {
 			t.Fatalf("%s: batch call failed: %v", c.name, err)
 		}
-		if bout.Codes[0] != PointBadModelFit {
-			t.Errorf("%s: batch code %v, want bad-model-fit", c.name, bout.Codes[0])
+		if bout.Errs[0] == nil || bout.Errs[0].Error() != pointErr.Error() {
+			t.Errorf("%s: batch error %v, want EvaluatePoint's %q", c.name, bout.Errs[0], pointErr)
 		}
 	}
 }

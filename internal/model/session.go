@@ -20,14 +20,13 @@ import (
 // of (mapping, batch) cells against the same scenario; Compile validates the
 // invariants once, precomputes the reciprocal throughputs and precision
 // scales of Eq. 3–4, the parameter aggregates of Eq. 11–12 and the
-// communication link constants, and caches the per-batch operation
-// aggregates of Eq. 2 in a small keyed table — after which EvaluatePoint
-// runs in O(1) time with zero heap allocations per point.
+// communication link constants, and memoizes the per-batch operation
+// aggregates of Eq. 2 on first touch — after which EvaluatePoint runs in
+// O(1) time with zero heap allocations per point.
 //
-// A Session is immutable after Prepare and safe for concurrent use by any
-// number of goroutines; evaluating batches that were never Prepared is also
-// concurrent-safe (they memoize through a side table at O(L) first-touch
-// cost). Prepare itself must not race with EvaluatePoint.
+// A Session is immutable after Compile and safe for concurrent use by any
+// number of goroutines: the first evaluation of a batch pays O(L) to build
+// its aggregate, every later one on any goroutine reads the memo.
 type Session struct {
 	model *transformer.Model
 	sys   *hardware.System
@@ -87,48 +86,28 @@ type Session struct {
 	accelsPerNode  int
 	nicsPerNode    int
 
-	// aggs caches the Eq. 2 per-batch operation aggregates.
+	// aggs memoizes the Eq. 2 per-batch operation aggregates.
 	aggs aggMemo
 }
 
-// aggMemo caches one phase's per-batch operation aggregates, keyed by the
-// global batch size. prepared holds what Prepare computed and is read-only
-// afterwards; dyn memoizes every other batch on first touch, so long-lived
-// shared sessions (the serving layer's cache hands one session to many
-// concurrent requests without a Prepare window) converge to O(1) per point
-// anyway. Concurrent-safe after Prepare; dyn stores are idempotent.
+// aggMemo memoizes one phase's per-batch operation aggregates, keyed by the
+// global batch size. Each batch is computed on first touch and published
+// with LoadOrStore, so goroutines racing on a new batch all return the one
+// stored pointer; the aggregate it points to is never written again.
 type aggMemo struct {
-	compute  func(batch int) batchAgg
-	prepared map[int]batchAgg
-	dyn      sync.Map
+	compute func(batch int) batchAgg
+	byBatch sync.Map // int -> *batchAgg
 }
 
-func (m *aggMemo) init(compute func(batch int) batchAgg) {
-	m.compute = compute
-	m.prepared = make(map[int]batchAgg)
-}
-
-func (m *aggMemo) prepare(batches []int) {
-	for _, b := range batches {
-		if _, ok := m.prepared[b]; !ok {
-			m.prepared[b] = m.compute(b)
-		}
-	}
-}
-
-// get returns the aggregate for a batch. Batches never Prepared are
-// computed once and memoized on the side table: the first evaluation of a
-// new batch pays O(L) (and one small allocation), every later one O(1).
-func (m *aggMemo) get(batch int) batchAgg {
-	if a, ok := m.prepared[batch]; ok {
-		return a
-	}
-	if v, ok := m.dyn.Load(batch); ok {
-		return v.(batchAgg)
+// get returns the aggregate of a batch: O(1) once memoized, O(L) and one
+// small allocation on the first touch.
+func (m *aggMemo) get(batch int) *batchAgg {
+	if v, ok := m.byBatch.Load(batch); ok {
+		return v.(*batchAgg)
 	}
 	a := m.compute(batch)
-	m.dyn.Store(batch, a)
-	return a
+	v, _ := m.byBatch.LoadOrStore(batch, &a)
+	return v.(*batchAgg)
 }
 
 // Roofline op classes. The per-sublayer roofline t_op = max(work/peak,
@@ -215,7 +194,7 @@ func Compile(m *transformer.Model, sys *hardware.System, tr Training, eff effici
 		actBytesF:   tr.Operands.ActBytesF(),
 		paramBytesF: tr.Operands.ParamBytesF(),
 	}
-	s.aggs.init(s.computeAgg)
+	s.aggs.compute = s.computeAgg
 	if tr.Roofline && sys.Accel.MemBW > 0 {
 		s.roofline = true
 		s.invMemBW = 1 / sys.Accel.MemBWBytes()
@@ -282,16 +261,6 @@ func (s *Session) Training() Training { return s.tr }
 
 // Eff returns the compiled microbatch-efficiency model.
 func (s *Session) Eff() efficiency.Model { return s.eff }
-
-// Prepare precomputes the per-batch operation aggregates for the given
-// global batch sizes so EvaluatePoint runs in O(1) for them. Batches not
-// prepared are still evaluated correctly (and allocation-free), at O(L)
-// cost per point. Prepare is not safe to call concurrently with
-// EvaluatePoint; sweeps call it once before fanning out.
-func (s *Session) Prepare(batches ...int) *Session {
-	s.aggs.prepare(batches)
-	return s
-}
 
 // addLayer accumulates one block into the aggregate: its op sums (macs,
 // nonlin, in the exact per-layer OpSums order) and its sublayer ops into
@@ -369,8 +338,8 @@ func gradOverlapScale(o, total, tb, buckets float64) float64 {
 	return (makespan - tb) / total
 }
 
-// agg returns the cached Eq. 2 aggregate for a global batch.
-func (s *Session) agg(batch int) batchAgg { return s.aggs.get(batch) }
+// agg returns the memoized Eq. 2 aggregate for a global batch.
+func (s *Session) agg(batch int) *batchAgg { return s.aggs.get(batch) }
 
 // EvaluatePoint evaluates one design point of the compiled scenario — a
 // parallelism mapping, a global batch size and a microbatch count
@@ -379,8 +348,7 @@ func (s *Session) agg(batch int) batchAgg { return s.aggs.get(batch) }
 // path performs no heap allocations.
 func (s *Session) EvaluatePoint(mp parallel.Mapping, batch, microbatches int, out *Breakdown) error {
 	run := s.prepareRun(mp)
-	_, err := s.priceCell(&run, batch, microbatches, nil, false, out)
-	return err
+	return s.priceCell(&run, batch, microbatches, nil, false, out)
 }
 
 // LowerBound returns an admissible lower bound on the point's expected total
@@ -397,7 +365,7 @@ func (s *Session) EvaluatePoint(mp parallel.Mapping, batch, microbatches int, ou
 func (s *Session) LowerBound(mp parallel.Mapping, batch, microbatches int) (float64, error) {
 	run := s.prepareRun(mp)
 	var bd Breakdown
-	if _, err := s.priceCell(&run, batch, microbatches, nil, true, &bd); err != nil {
+	if err := s.priceCell(&run, batch, microbatches, nil, true, &bd); err != nil {
 		return 0, err
 	}
 	return float64(bd.ExpectedTotalTime()), nil

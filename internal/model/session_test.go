@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"amped/internal/efficiency"
@@ -83,7 +84,6 @@ func TestSessionMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sess.Prepare(batches...)
 				var got Breakdown
 				for _, mp := range mappings {
 					for _, b := range batches {
@@ -198,8 +198,8 @@ func TestSessionValidation(t *testing.T) {
 }
 
 // TestEvaluatePointAllocs is the allocation regression gate for the sweep
-// hot path: zero heap allocations per point, both for prepared batches
-// (O(1) table hit) and unprepared ones (O(L) on-the-fly aggregate).
+// hot path: zero heap allocations per point once the batch's aggregate is
+// memoized (AllocsPerRun's warm-up call makes the first touch).
 func TestEvaluatePointAllocs(t *testing.T) {
 	m := transformer.Megatron145B()
 	sys := hardware.CaseStudy1System()
@@ -207,22 +207,14 @@ func TestEvaluatePointAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.Prepare(8192)
 	mp := parallel.Mapping{TPIntra: 8, PPInter: 2, DPInter: 64}
 	var out Breakdown
-	if allocs := testing.AllocsPerRun(100, func() {
-		if err := sess.EvaluatePoint(mp, 8192, 64, &out); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("prepared-batch EvaluatePoint allocates %v times per point, want 0", allocs)
-	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		if err := sess.EvaluatePoint(mp, 4096, 64, &out); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("unprepared-batch EvaluatePoint allocates %v times per point, want 0", allocs)
+		t.Errorf("EvaluatePoint allocates %v times per point, want 0", allocs)
 	}
 
 	// MoE with expert parallelism exercises the Eq. 9 branch.
@@ -231,7 +223,6 @@ func TestEvaluatePointAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs.Prepare(4096)
 	ep := parallel.Mapping{TPIntra: 8, DPInter: 128, ExpertParallel: true}
 	if allocs := testing.AllocsPerRun(100, func() {
 		if err := gs.EvaluatePoint(ep, 4096, 1, &out); err != nil {
@@ -239,6 +230,67 @@ func TestEvaluatePointAllocs(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("MoE EvaluatePoint allocates %v times per point, want 0", allocs)
+	}
+}
+
+// TestAggMemoFirstTouchRace races 8 goroutines onto one batch that a fresh
+// session has never seen, so they build its Eq. 2 aggregate concurrently:
+// every goroutine must price the cell bit-identically to a session that
+// evaluated it alone, and the memo must settle on one aggregate pointer
+// that every goroutine read back. A first touch is a short window, so the
+// race is rerun on 64 fresh sessions.
+func TestAggMemoFirstTouchRace(t *testing.T) {
+	m := transformer.GLaM()
+	sys := hardware.CaseStudy1System()
+	tr := Training{Roofline: true}
+	mp := parallel.Mapping{TPIntra: 8, PPInter: 2, DPInter: 64, ExpertParallel: true}
+	const batch = 2048
+	solo, err := Compile(&m, &sys, tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want Breakdown
+	if err := solo.EvaluatePoint(mp, batch, 0, &want); err != nil {
+		t.Fatal(err)
+	}
+
+	const workers = 8
+	for round := 0; round < 64; round++ {
+		sess, err := Compile(&m, &sys, tr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			wg    sync.WaitGroup
+			start = make(chan struct{})
+			bds   [workers]Breakdown
+			errs  [workers]error
+			ptrs  [workers]*batchAgg
+		)
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				errs[i] = sess.EvaluatePoint(mp, batch, 0, &bds[i])
+				ptrs[i] = sess.agg(batch)
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		final := sess.agg(batch)
+		for i := 0; i < workers; i++ {
+			if errs[i] != nil {
+				t.Fatalf("round %d goroutine %d: %v", round, i, errs[i])
+			}
+			if bds[i] != want {
+				t.Fatalf("round %d goroutine %d: breakdown diverged bit-wise from a solo evaluation:\n got %+v\nwant %+v",
+					round, i, bds[i], want)
+			}
+			if ptrs[i] != final {
+				t.Fatalf("round %d goroutine %d read aggregate %p, memo settled on %p", round, i, ptrs[i], final)
+			}
+		}
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"amped/internal/pipesim"
 	"amped/internal/precision"
 	"amped/internal/transformer"
-	"amped/internal/units"
 )
 
 // Pool is one homogeneous accelerator pool of a mixed fleet.
@@ -285,8 +284,8 @@ const heteroBoundGuard = 1 - 1e-12
 // stage s opens with F0 and closes with a backward, so fill, work and drain
 // chain into one path of the recurrence pipesim executes (start = max(stage
 // free, producer finish + hop)), and the makespan is at least every such
-// path. Durations are the exact scaled values the executor uses (fRef ×
-// stage scale), times the rounding guard.
+// path. Durations are the executor's own (the profile's RunConfig: forward
+// and backward times × stage scale), times the rounding guard.
 func (sp *HeteroSpace) bound(c *HeteroCell) (float64, error) {
 	pl, err := sp.pipeline(c)
 	if err != nil {
@@ -296,22 +295,16 @@ func (sp *HeteroSpace) bound(c *HeteroCell) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var fRef units.Seconds
-	for _, f := range prof.Fwd {
-		if f > fRef {
-			fRef = f
-		}
+	cfg, err := prof.RunConfig(sp.schedule())
+	if err != nil {
+		return 0, err
 	}
-	if fRef <= 0 {
-		return 0, errors.New("plan: degenerate hetero stage times")
-	}
-	m := float64(prof.Microbatches)
-	comm := float64(prof.Comm)
+	m := float64(cfg.Microbatches)
+	comm := float64(cfg.CommTime)
 	var lb, fillF, drainB float64
-	for _, f := range prof.Fwd {
-		scale := float64(f) / float64(fRef)
-		fs := float64(fRef) * scale
-		bs := float64(2*fRef) * scale
+	for _, scale := range cfg.StageScale {
+		fs := float64(cfg.FwdTime) * scale
+		bs := float64(cfg.BwdTime) * scale
 		if cand := fillF + m*(fs+bs) + drainB; cand > lb {
 			lb = cand
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"amped/internal/explore"
 	"amped/internal/memkit"
 	"amped/internal/model"
 	"amped/internal/parallel"
@@ -72,17 +73,7 @@ func SolveInference(sess *model.InferenceSession, opt InferenceOptions) (*Infere
 	if opt.Batch <= 0 {
 		return nil, fmt.Errorf("plan: serving batch %d must be positive", opt.Batch)
 	}
-	mappings := opt.Mappings
-	if len(mappings) == 0 {
-		en := opt.Enumerate
-		if en.MaxTP == 0 {
-			en.MaxTP = sess.Model().Heads
-		}
-		if en.MaxPP == 0 {
-			en.MaxPP = sess.Model().Layers
-		}
-		mappings = parallel.Enumerate(sess.System(), en)
-	}
+	mappings := explore.MappingList(sess.Model(), sess.System(), opt.Mappings, opt.Enumerate)
 	if len(mappings) == 0 {
 		return nil, errors.New("plan: no mappings to rank")
 	}

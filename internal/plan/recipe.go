@@ -239,9 +239,5 @@ func compileZeRO3(base *model.Session, batch int) (*model.Session, error) {
 	}
 	tr := base.Training()
 	tr.ZeROOverhead = overhead
-	sess, err := model.Compile(base.Model(), base.System(), tr, base.Eff())
-	if err != nil {
-		return nil, err
-	}
-	return sess.Prepare(batch), nil
+	return model.Compile(base.Model(), base.System(), tr, base.Eff())
 }
