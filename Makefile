@@ -61,6 +61,7 @@ audit:
 	$(GO) test -run '^$$' -fuzz FuzzParseQuantity -fuzztime $(FUZZTIME) ./internal/units
 	$(GO) test -run '^$$' -fuzz FuzzSchedule -fuzztime $(FUZZTIME) ./internal/pipesim
 	$(GO) test -run '^$$' -fuzz FuzzDisagg -fuzztime $(FUZZTIME) ./internal/pipesim
+	$(GO) test -run '^$$' -fuzz FuzzEnumerate -fuzztime $(FUZZTIME) ./internal/parallel
 	$(GO) test -race -count=1 -run Shard ./internal/serve
 	$(GO) test -race -count=1 ./internal/serve ./internal/obs
 	$(GO) test -race -count=1 ./internal/plan

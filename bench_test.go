@@ -531,6 +531,34 @@ func BenchmarkSpaceTop(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
 }
 
+// enumerateSink keeps BenchmarkEnumerate's result alive.
+var enumerateSink []parallel.Mapping
+
+// BenchmarkEnumerate times parallel.Enumerate on the Case Study I machine
+// under Megatron 145B's TP and PP caps (96 heads, 80 layers): power-of-two
+// mappings with CP and VPP up to 2 (1,390 mappings, the space of
+// BenchmarkSpaceTop), and every divisor with CP up to 2 and VPP up to 8
+// (5,374). An exactly sized result makes B/op mappings × sizeof(Mapping)
+// and allocs/op independent of the mapping count.
+func BenchmarkEnumerate(b *testing.B) {
+	sys := amped.CaseStudy1System()
+	for _, c := range []struct {
+		name string
+		opt  parallel.EnumerateOptions
+	}{
+		{"cs1-cpvpp2", parallel.EnumerateOptions{PowerOfTwo: true, MaxCP: 2, MaxVPP: 2, MaxTP: 96, MaxPP: 80}},
+		{"cs1-divisors-cp2-vpp8", parallel.EnumerateOptions{MaxCP: 2, MaxVPP: 8, MaxTP: 96, MaxPP: 80}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				enumerateSink = parallel.Enumerate(&sys, c.opt)
+			}
+			b.ReportMetric(float64(len(enumerateSink)), "mappings")
+		})
+	}
+}
+
 // BenchmarkSweepMegatron530B sweeps the Table II 530B configuration with
 // non-power-of-two mappings admitted (the larger enumeration the fast path
 // is meant to unlock).

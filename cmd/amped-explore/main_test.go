@@ -210,3 +210,16 @@ func TestExploreInterrupted(t *testing.T) {
 		t.Errorf("interrupted output not labeled partial:\n%s", buf.String())
 	}
 }
+
+// TestExploreRefusesMaxVPPAboveLayers checks that -max-vpp above the
+// model's layer count fails the sweep, -solve and the serving search
+// instead of enumerating one variant per chunk count.
+func TestExploreRefusesMaxVPPAboveLayers(t *testing.T) {
+	for _, mode := range [][]string{nil, {"-solve"}, {"-workload", "inference"}} {
+		var buf bytes.Buffer
+		args := append([]string{"-batches", "8192", "-max-vpp", "100000000"}, mode...)
+		if err := run(args, &buf); err == nil || !strings.Contains(err.Error(), "layers") {
+			t.Errorf("%v: err = %v, want a refusal naming the layer count", args, err)
+		}
+	}
+}

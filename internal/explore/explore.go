@@ -279,6 +279,9 @@ func resolveMappings(sc *Scenario, opt Options) ([]parallel.Mapping, error) {
 	if len(opt.Batches) == 0 {
 		return nil, errors.New("explore: no batch sizes to sweep")
 	}
+	if err := CheckEnumerate(sc.Model, opt.Enumerate); err != nil {
+		return nil, err
+	}
 	mappings := MappingList(sc.Model, sc.System, opt.Mappings, opt.Enumerate)
 	if len(mappings) == 0 {
 		return nil, errors.New("explore: no mappings to evaluate")
@@ -286,11 +289,27 @@ func resolveMappings(sc *Scenario, opt Options) ([]parallel.Mapping, error) {
 	return mappings, nil
 }
 
+// CheckEnumerate refuses enumeration options whose virtual-pipeline cap
+// exceeds the model's layer count. Every VPP value adds one variant of each
+// pipelined mapping, so an unchecked cap sizes the list without bound; a
+// chunk count above L can never satisfy pp·vpp ≤ L with pp ≥ 2, so the
+// refusal loses no cell that could be priced.
+func CheckEnumerate(m *transformer.Model, en parallel.EnumerateOptions) error {
+	if en.MaxVPP > m.Layers {
+		return fmt.Errorf("explore: max VPP %d exceeds the model's %d layers", en.MaxVPP, m.Layers)
+	}
+	return nil
+}
+
 // MappingList is the mapping-list rule every search shares: an explicit
 // list wins; otherwise every mapping parallel.Enumerate finds for sys, with
-// MaxTP and MaxPP defaulting to the model's head and layer counts. An empty
-// result is left to the caller to report.
+// MaxTP and MaxPP defaulting to the model's head and layer counts. Options
+// that CheckEnumerate refuses yield nil. An empty result is left to the
+// caller to report.
 func MappingList(m *transformer.Model, sys *hardware.System, explicit []parallel.Mapping, en parallel.EnumerateOptions) []parallel.Mapping {
+	if CheckEnumerate(m, en) != nil {
+		return nil
+	}
 	if len(explicit) > 0 {
 		return explicit
 	}
@@ -305,9 +324,10 @@ func MappingList(m *transformer.Model, sys *hardware.System, explicit []parallel
 
 // Cells reports the size of the canonical cell enumeration for a scenario
 // and options — the domain of Options.CursorLo/CursorHi — without
-// evaluating anything. Shard coordinators use it to split one sweep into
-// [lo, hi) ranges that tile the space. Unlike NewSpace it compiles no
-// session, so it also sizes scenarios that would not compile.
+// evaluating anything, for callers that need only the size. Shard
+// coordinators have already resolved a Space and size their fan-out with
+// Space.Cells instead. Unlike NewSpace it compiles no session, so it also
+// sizes scenarios that would not compile.
 func Cells(sc Scenario, opt Options) (int64, error) {
 	sc.resolveSession()
 	mappings, err := resolveMappings(&sc, opt)

@@ -369,3 +369,37 @@ func TestMemoryFitsWorstStage(t *testing.T) {
 		t.Errorf("footprint %v, want the last stage's %v", pts[0].Footprint, worst)
 	}
 }
+
+// TestMaxVPPAboveLayersRefused checks that a virtual-pipeline cap above the
+// model's layer count is refused before enumeration by every entry point,
+// and that a cap equal to the layer count enumerates exactly what
+// parallel.Enumerate lists.
+func TestMaxVPPAboveLayersRefused(t *testing.T) {
+	sc := cs1Scenario()
+	layers := sc.Model.Layers
+	huge := Options{Batches: []int{8192}, Enumerate: parallel.EnumerateOptions{PowerOfTwo: true, MaxVPP: 100000000}}
+	if _, err := NewSpace(sc, huge); err == nil {
+		t.Error("NewSpace accepted MaxVPP 1e8")
+	}
+	if _, err := Cells(sc, huge); err == nil {
+		t.Error("Cells accepted MaxVPP 1e8")
+	}
+	over := parallel.EnumerateOptions{PowerOfTwo: true, MaxVPP: layers + 1}
+	if err := CheckEnumerate(sc.Model, over); err == nil {
+		t.Errorf("CheckEnumerate accepted MaxVPP %d on %d layers", layers+1, layers)
+	}
+	if got := MappingList(sc.Model, sc.System, nil, over); got != nil {
+		t.Errorf("MappingList enumerated %d mappings past the layer count", len(got))
+	}
+
+	at := parallel.EnumerateOptions{PowerOfTwo: true, MaxVPP: layers}
+	n, err := Cells(sc, Options{Batches: []int{8192}, Enumerate: at})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := parallel.Enumerate(sc.System, parallel.EnumerateOptions{
+		PowerOfTwo: true, MaxVPP: layers, MaxTP: sc.Model.Heads, MaxPP: layers})
+	if n != int64(len(want)) {
+		t.Fatalf("MaxVPP = layers: %d cells, want %d", n, len(want))
+	}
+}

@@ -1,7 +1,9 @@
 package parallel
 
 import (
-	"sort"
+	"bytes"
+	"slices"
+	"strconv"
 
 	"amped/internal/hardware"
 )
@@ -21,7 +23,8 @@ type EnumerateOptions struct {
 	MaxCP int
 	// MaxVPP caps the virtual-pipeline chunk count per stage. Zero or 1
 	// disables interleaving; values above 1 emit extra variants of every
-	// pp>1 mapping (callers bound it by layers/pp at evaluation time).
+	// pp>1 mapping (callers bound it by layers/pp at evaluation time, and
+	// explore.CheckEnumerate refuses caps above the layer count).
 	MaxVPP int
 	// PowerOfTwo restricts every per-level degree to powers of two, the
 	// shape real deployments use. Default false enumerates all divisors.
@@ -32,147 +35,157 @@ type EnumerateOptions struct {
 	ExpertParallel bool
 }
 
-// divisorTriples returns all ordered triples (a,b,c) with a·b·c == n,
-// optionally restricted to powers of two. It walks the memoized divisor
-// lists (O(d(n)·d(n/a)) total) instead of trial-dividing every integer up
-// to n, which matters once node counts leave the power-of-two regime.
-func divisorTriples(n int, pow2 bool) [][3]int {
-	var out [][3]int
-	for _, a := range Divisors(n) {
-		if pow2 && !isPow2(a) {
-			continue
-		}
-		rest := n / a
-		for _, b := range Divisors(rest) {
-			if pow2 && !isPow2(b) {
-				continue
-			}
-			c := rest / b
-			if pow2 && !isPow2(c) {
-				continue
-			}
-			out = append(out, [3]int{a, b, c})
-		}
-	}
-	return out
-}
-
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
-
-// cpSplits returns the (cp, dp) factorings of a data-parallel share: every
-// divisor cp of dpShare (respecting pow2) up to maxCP, paired with the
-// remaining dp = dpShare/cp. maxCP <= 1 yields only the identity split.
-func cpSplits(dpShare, maxCP int, pow2 bool) [][2]int {
-	if maxCP <= 1 {
-		return [][2]int{{1, dpShare}}
-	}
-	var out [][2]int
-	for _, cp := range Divisors(dpShare) {
-		if cp > maxCP {
-			continue
-		}
-		if pow2 && !isPow2(cp) {
-			continue
-		}
-		out = append(out, [2]int{cp, dpShare / cp})
-	}
-	return out
-}
 
 // Enumerate lists every mapping that exactly tiles the system: all ways of
 // factoring the node population into intra-node (TP,PP,DP,CP) and the node
 // count into inter-node (TP,PP,DP,CP), subject to the options, with
-// virtual-pipeline variants when requested. The result is sorted by total
-// TP, then PP, then DP, then CP, then VPP degree for deterministic output;
-// with MaxCP and MaxVPP disabled the list is byte-identical to the
-// historical three-dimension enumeration.
+// virtual-pipeline variants when requested. With MaxCP and MaxVPP disabled
+// the list is byte-identical to the historical three-dimension enumeration.
+//
+// The list is in canonical order, which sweep cursors, shard ranges,
+// journals and goldens index: total TP ascending, then PP, then DP, then CP,
+// then VPP, then the String identity. The walk emits it in that order
+// directly. TP runs over the divisors of the total accelerator count up to
+// MaxTP, PP over the divisors of what remains up to MaxPP, DP ascending over
+// the rest (so CP, the cofactor, descends and is kept only up to MaxCP),
+// then VPP from 1 to MaxVPP. Inside one (TP, PP, DP, CP, VPP) group every
+// inter-node degree is fixed by its intra-node partner and the VPP/SP/EP
+// suffix is shared, so the identity order is the order of (TPIntra, PPIntra,
+// DPIntra, CPIntra), each compared by the bytes of its decimal rendering
+// followed by 'x': on 16-accelerator nodes "16x" < "1x" < "2x". A counting
+// pass sizes the result exactly; no per-mapping key, string or sort is
+// built.
 func Enumerate(sys *hardware.System, opt EnumerateOptions) []Mapping {
 	if sys == nil || sys.AccelsPerNode <= 0 || sys.Nodes <= 0 {
 		return nil
 	}
-	intra := divisorTriples(sys.AccelsPerNode, opt.PowerOfTwo)
-	inter := divisorTriples(sys.Nodes, opt.PowerOfTwo)
-	maxVPP := opt.MaxVPP
-	if maxVPP < 1 {
-		maxVPP = 1
-	}
-	// Each candidate's total degrees fall straight out of the divisor
-	// triples (every factor is >= 1, so no normalization is needed), and the
-	// string identity is rendered once up front — the sort comparator then
-	// runs on precomputed keys instead of re-deriving degrees and formatting
-	// strings O(n log n) times. The ordering extends the historical one:
-	// total TP, then PP, then DP, then CP, then VPP, then the rendered
-	// identity — CP and VPP are 1 everywhere in legacy sweeps, so those keys
-	// never reorder a legacy list.
-	type keyed struct {
-		m                   Mapping
-		tp, pp, dp, cp, vpp int
-		id                  string
-	}
-	keys := make([]keyed, 0, len(intra)*len(inter))
-	for _, i := range intra {
-		for _, e := range inter {
-			tp, pp := i[0]*e[0], i[1]*e[1]
-			if opt.MaxTP > 0 && tp > opt.MaxTP {
-				continue
-			}
+	w := walk{accels: sys.AccelsPerNode, nodes: sys.Nodes, opt: opt, intra: identityOrder(sys.AccelsPerNode)}
+	w.out = make([]Mapping, w.run())
+	w.run()
+	return w.out
+}
+
+// identityOrder returns the divisors of n sorted by the bytes of their
+// decimal rendering followed by 'x', the order Mapping.String compares an
+// intra-node degree in.
+func identityOrder(n int) []int {
+	divs := slices.Clone(Divisors(n))
+	slices.SortFunc(divs, func(a, b int) int {
+		var ka, kb [24]byte
+		return bytes.Compare(append(strconv.AppendInt(ka[:0], int64(a), 10), 'x'),
+			append(strconv.AppendInt(kb[:0], int64(b), 10), 'x'))
+	})
+	return divs
+}
+
+// walk is one Enumerate call's canonical-order walk. With out nil it only
+// counts; with out sized by that count it fills it.
+type walk struct {
+	accels, nodes int
+	opt           EnumerateOptions
+	intra         []int // Divisors(accels) in identity order
+	out           []Mapping
+}
+
+// run walks the (TP, PP, DP, CP) groups in canonical order and returns the
+// number of mappings they hold, writing them when w.out is set. A group's
+// splits are listed once, for VPP 1; each further VPP variant repeats that
+// block with its VPP set.
+func (w *walk) run() int {
+	opt := w.opt
+	maxCP, maxVPP := max(opt.MaxCP, 1), max(opt.MaxVPP, 1)
+	total := w.accels * w.nodes
+	k := 0
+	for _, tp := range Divisors(total) {
+		if opt.MaxTP > 0 && tp > opt.MaxTP {
+			break
+		}
+		for _, pp := range Divisors(total / tp) {
 			if opt.MaxPP > 0 && pp > opt.MaxPP {
-				continue
+				break
 			}
-			for _, ci := range cpSplits(i[2], opt.MaxCP, opt.PowerOfTwo) {
-				for _, ce := range cpSplits(e[2], opt.MaxCP, opt.PowerOfTwo) {
-					cp := ci[0] * ce[0]
-					if cp > 1 && (opt.MaxCP <= 0 || cp > opt.MaxCP) {
+			rest := total / tp / pp
+			for _, dp := range Divisors(rest) {
+				cp := rest / dp
+				if cp > maxCP {
+					continue
+				}
+				n := w.splits(k, tp, pp, dp, cp)
+				if n == 0 {
+					continue
+				}
+				block := k
+				k += n
+				for vpp := 2; vpp <= maxVPP && pp > 1; vpp++ {
+					if opt.PowerOfTwo && !isPow2(vpp) {
 						continue
 					}
-					dp := ci[1] * ce[1]
-					for vpp := 1; vpp <= maxVPP; vpp++ {
-						if vpp > 1 && (pp <= 1 || (opt.PowerOfTwo && !isPow2(vpp))) {
-							continue
+					if w.out != nil {
+						dst := w.out[k : k+n]
+						copy(dst, w.out[block:block+n])
+						for i := range dst {
+							dst[i].VPP = vpp
 						}
-						m := Mapping{
-							TPIntra: i[0], PPIntra: i[1], DPIntra: ci[1],
-							TPInter: e[0], PPInter: e[1], DPInter: ce[1],
-							SequenceParallel: opt.SequenceParallel,
-							ExpertParallel:   opt.ExpertParallel,
-						}
-						// Disengaged dimensions stay at their zero value so
-						// a legacy enumeration returns structs identical to
-						// the historical three-dimension output.
-						if cp > 1 {
-							m.CPIntra, m.CPInter = ci[0], ce[0]
-						}
-						if vpp > 1 {
-							m.VPP = vpp
-						}
-						keys = append(keys, keyed{m: m, tp: tp, pp: pp, dp: dp, cp: cp, vpp: vpp, id: m.String()})
 					}
+					k += n
 				}
 			}
 		}
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		ka, kb := &keys[a], &keys[b]
-		if ka.tp != kb.tp {
-			return ka.tp < kb.tp
+	return k
+}
+
+// splits lists the intra/inter splits of one (tp, pp, dp, cp) group in
+// identity order, writing them from w.out[k] when w.out is set, and returns
+// how many there are. CPIntra is what the accelerators per node leave after
+// TP, PP and DP, so three nested loops cover the group; every inter-node
+// degree is its total over its intra-node part, and their product is the
+// node count because the intra product is the accelerator count.
+func (w *walk) splits(k int, tp, pp, dp, cp int) int {
+	n := 0
+	for _, ti := range w.intra {
+		if tp%ti != 0 || !w.admits(ti, tp/ti) {
+			continue
 		}
-		if ka.pp != kb.pp {
-			return ka.pp < kb.pp
+		ra := w.accels / ti
+		for _, pi := range w.intra {
+			if ra%pi != 0 || pp%pi != 0 || !w.admits(pi, pp/pi) {
+				continue
+			}
+			rb := ra / pi
+			for _, di := range w.intra {
+				if rb%di != 0 || dp%di != 0 {
+					continue
+				}
+				ci := rb / di
+				if cp%ci != 0 || !w.admits(di, dp/di) || !w.admits(ci, cp/ci) {
+					continue
+				}
+				if w.out != nil {
+					m := Mapping{
+						TPIntra: ti, PPIntra: pi, DPIntra: di,
+						TPInter: tp / ti, PPInter: pp / pi, DPInter: dp / di,
+						SequenceParallel: w.opt.SequenceParallel,
+						ExpertParallel:   w.opt.ExpertParallel,
+					}
+					// Disengaged dimensions stay at their zero value so a
+					// legacy enumeration returns structs identical to the
+					// historical three-dimension output.
+					if cp > 1 {
+						m.CPIntra, m.CPInter = ci, cp/ci
+					}
+					w.out[k+n] = m
+				}
+				n++
+			}
 		}
-		if ka.dp != kb.dp {
-			return ka.dp < kb.dp
-		}
-		if ka.cp != kb.cp {
-			return ka.cp < kb.cp
-		}
-		if ka.vpp != kb.vpp {
-			return ka.vpp < kb.vpp
-		}
-		return ka.id < kb.id
-	})
-	out := make([]Mapping, len(keys))
-	for i := range keys {
-		out[i] = keys[i].m
 	}
-	return out
+	return n
+}
+
+// admits reports whether an intra/inter degree pair passes the
+// power-of-two restriction.
+func (w *walk) admits(intra, inter int) bool {
+	return !w.opt.PowerOfTwo || (isPow2(intra) && isPow2(inter))
 }

@@ -73,6 +73,9 @@ func SolveInference(sess *model.InferenceSession, opt InferenceOptions) (*Infere
 	if opt.Batch <= 0 {
 		return nil, fmt.Errorf("plan: serving batch %d must be positive", opt.Batch)
 	}
+	if err := explore.CheckEnumerate(sess.Model(), opt.Enumerate); err != nil {
+		return nil, err
+	}
 	mappings := explore.MappingList(sess.Model(), sess.System(), opt.Mappings, opt.Enumerate)
 	if len(mappings) == 0 {
 		return nil, errors.New("plan: no mappings to rank")

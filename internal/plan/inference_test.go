@@ -179,3 +179,18 @@ func TestSolveInferenceKVGate(t *testing.T) {
 	}
 	t.Fatal("KV gate never engaged even at 1 MB of device memory")
 }
+
+// TestSolveInferenceRefusesMaxVPPAboveLayers checks that the serving
+// planner refuses a virtual-pipeline cap above the layer count instead of
+// enumerating one variant per chunk count.
+func TestSolveInferenceRefusesMaxVPPAboveLayers(t *testing.T) {
+	s := audit.GenerateInference(rand.New(rand.NewSource(1)))
+	sess, err := model.CompileInference(&s.Model, &s.System, s.Training, s.Eff, s.Inference)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := InferenceOptions{Batch: s.Batch, Enumerate: parallel.EnumerateOptions{MaxVPP: 100000000}}
+	if _, err := SolveInference(sess, opt); err == nil {
+		t.Fatal("SolveInference accepted MaxVPP 1e8")
+	}
+}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"net/http"
 	"strings"
 	"testing"
 )
@@ -59,5 +60,25 @@ func TestSweepNewDimensions(t *testing.T) {
 	if *plan.Best != resp.Points[0] {
 		t.Errorf("plan best diverges from the sweep front over the grown space:\n got %+v\nwant %+v",
 			*plan.Best, resp.Points[0])
+	}
+}
+
+// TestSweepRefusesMaxVPPAboveLayers checks that every sweep-shaped endpoint
+// answers 400 to a max_vpp above the model's layer count before
+// enumerating (each VPP value adds one variant of every pipelined mapping,
+// so 10⁸ would materialize ~10⁸ mappings), while a cap equal to the layer
+// count still sweeps.
+func TestSweepRefusesMaxVPPAboveLayers(t *testing.T) {
+	_, ts := newTestServer(t, Config{JournalDir: t.TempDir()})
+	huge := strings.Replace(cpvppSweepDoc, `"max_vpp": 2`, `"max_vpp": 100000000`, 1)
+	for _, path := range []string{"/v1/sweep", "/v1/sweep/shard", "/v1/plan", "/v1/sweep/jobs", "/v1/plan/jobs"} {
+		code, body := post(t, ts.URL+path, huge)
+		if code != http.StatusBadRequest || !strings.Contains(string(body), "exceeds the model's 8 layers") {
+			t.Errorf("%s with max_vpp 1e8 = %d %s, want 400 naming the layer count", path, code, body)
+		}
+	}
+	atLayers := strings.Replace(cpvppSweepDoc, `"max_vpp": 2`, `"max_vpp": 8`, 1)
+	if code, body := post(t, ts.URL+"/v1/sweep", atLayers); code != http.StatusOK {
+		t.Errorf("/v1/sweep with max_vpp = layers = %d %s, want 200", code, body)
 	}
 }

@@ -177,6 +177,9 @@ func (s *Server) compilePlan(ctx context.Context, body []byte) (*compiledPlan, e
 		return nil, err
 	}
 	cp.compiledScenario = sc
+	if err := explore.CheckEnumerate(sc.sess.Model(), sweepOptions(cp.req.Sweep).Enumerate); err != nil {
+		return nil, &jobError{errClassBadRequest, err.Error()}
+	}
 	if len(cp.req.Pools) > 0 {
 		if cp.hsp, err = heteroSpace(&cp.req, comp); err != nil {
 			return nil, &jobError{errClassBadRequest, err.Error()}
