@@ -2,7 +2,7 @@
 # external tools — so every target works in the bare module checkout.
 
 GO ?= go
-SWEEP_BENCH := 'BenchmarkSweep(GPT3|Megatron530B|MoE)$$|BenchmarkEvaluate$$|BenchmarkSolveGPT3$$|BenchmarkSessionEvaluateInferencePoint$$|Benchmark(Sort|Top)ByTime$$'
+SWEEP_BENCH := 'BenchmarkSweep(GPT3|Megatron530B|MoE)$$|BenchmarkEvaluate$$|BenchmarkSolveGPT3$$|BenchmarkSessionEvaluateInferencePoint$$|Benchmark(Sort|Top)ByTime$$|BenchmarkSpaceTop$$|BenchmarkEnumerate$$'
 SERVE_BENCH := 'BenchmarkSessionEvaluatePoint(Traced|Roofline)?$$|BenchmarkShardedSweep(ChaosOff)?$$|BenchmarkShardStreamChunks$$'
 BATCH_BENCH := 'BenchmarkEvaluateBatch|BenchmarkSessionEvaluatePoint$$'
 

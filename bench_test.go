@@ -1026,6 +1026,13 @@ const shardedSweepDoc = `{
 // real HTTP, NDJSON shard streams and the top-N merge. The points/s metric
 // is the throughput the client sees: design points over the benchmark's
 // own wall clock per request.
+//
+// The coordinator runs with ShardChunkCells 64, not the serving default of
+// 32768: its shard streams carry a chunk line per 64 cells instead of one
+// per 32768, so a profile of this benchmark overstates the coordinator's
+// per-chunk decode. consumeShardStream took 28% of its CPU samples (2-vCPU
+// Xeon, go1.24), but 4.1% (1.10 of 26.5 s) of the bench harness's
+// sweep-sharded workload, whose fleet serves at the default.
 func BenchmarkShardedSweep(b *testing.B) {
 	var peers []string
 	for i := 0; i < 3; i++ {

@@ -104,21 +104,28 @@ func (s *Space) prepare(lo, hi int64) error {
 	nb := int64(len(s.opt.Batches))
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Enumerate emits mappings of equal (DP, PP) consecutively, so most
+	// mappings reuse the previous one's row without a map lookup.
+	var prevKey [2]int
+	var prevRow []schedule
 	for mi := lo / nb; mi <= (hi-1)/nb; mi++ {
 		if s.rows[mi] != nil {
 			continue
 		}
 		mp := s.mappings[mi]
 		key := [2]int{mp.DP(), mp.PP()}
-		row, ok := s.byDegrees[key]
-		if !ok {
-			row = make([]schedule, nb)
-			for bi, b := range s.opt.Batches {
-				row[bi] = s.schedule(mp, b)
+		if prevRow == nil || key != prevKey {
+			row, ok := s.byDegrees[key]
+			if !ok {
+				row = make([]schedule, nb)
+				for bi, b := range s.opt.Batches {
+					row[bi] = s.schedule(mp, b)
+				}
+				s.byDegrees[key] = row
 			}
-			s.byDegrees[key] = row
+			prevKey, prevRow = key, row
 		}
-		s.rows[mi] = row
+		s.rows[mi] = prevRow
 	}
 	return nil
 }
@@ -274,12 +281,13 @@ func (s *Space) Top(ctx context.Context, lo, hi int64, n int) (top []Point, comp
 }
 
 // sink receives one worker's finished cells. take is handed the cell's
-// global index and a scratch point carrying the outcome — Err, Fits and a
+// global index, a scratch point carrying the outcome — Err, Fits and a
 // Breakdown and Footprint that point into worker memory the next cell
-// overwrites — but not necessarily its identity: a sink keeps a cell by
-// copying it out and identifying the copy (Space.keep).
+// overwrites — but not necessarily its identity, and the cell's Rank: a
+// sink keeps a cell by copying it out and identifying the copy
+// (Space.keep).
 type sink interface {
-	take(gi int64, p *Point)
+	take(gi int64, p *Point, r Rank)
 }
 
 // pointSink is Sweep's sink: every cell lands at its index, one sink
@@ -292,7 +300,7 @@ type pointSink struct {
 	fps []memkit.Footprint // nil without a memory model
 }
 
-func (k *pointSink) take(gi int64, p *Point) {
+func (k *pointSink) take(gi int64, p *Point, _ Rank) {
 	i := gi - k.lo
 	var fp *memkit.Footprint
 	if k.fps != nil {
@@ -340,12 +348,12 @@ type survivor struct {
 	fp memkit.Footprint
 }
 
-func (k *topSink) take(gi int64, p *Point) {
+func (k *topSink) take(gi int64, p *Point, r Rank) {
 	if p.Err != nil && !k.keepInvalid {
 		return
 	}
 	k.completed++
-	e := topEntry{Rank: rankOf(p, gi)}
+	e := topEntry{Rank: r}
 	if !k.best.admits(e) {
 		return
 	}
@@ -460,7 +468,8 @@ func (s *Space) run(ctx context.Context, lo, hi int64, sinkFor func() sink) erro
 	// [lo, cursor) and the tail starts there.
 	for gi := min(cursor.Load(), hi); gi < hi; gi++ {
 		if _, _, c := s.cell(gi); c.unfillable {
-			sinks[0].take(gi, &Point{Fits: true, Err: errUnfillable})
+			p := &Point{Fits: true, Err: errUnfillable}
+			sinks[0].take(gi, p, rankOf(p, gi))
 		}
 	}
 	return cancelled
@@ -487,16 +496,20 @@ func (s *Space) evalChunk(w *worker, start, end int64, k sink) (failed int) {
 			if p.Err != nil {
 				failed++
 			}
-			k.take(gi, p)
+			k.take(gi, p, rankOf(p, gi))
 		}
 	}
 	return failed
 }
 
 // priceCells prices the cells [gi, end) through the worker's row and hands
-// them to k. It returns end, or the index of a cell whose pricing panicked;
-// that cell is not handed on. w.mi names the row only once PrepareRow
-// returns, so a panicking preparation leaves no half-built row in use.
+// them to k, each ranked off the key its pricing returned. It returns end,
+// or the index of a cell whose pricing panicked; that cell is not handed
+// on. PrepareRow fills the row in place, so w.mi is cleared before it and
+// names the row only once it returns: a panicking preparation leaves no
+// half-built row in use. Only the scratch point's outcome fields are reset
+// per cell; its identity fields go stale, since sinks identify their
+// copies.
 func (s *Space) priceCells(w *worker, gi, end int64, k sink, failed *int) (stop int64) {
 	defer func() {
 		if recover() != nil {
@@ -511,15 +524,17 @@ func (s *Space) priceCells(w *worker, gi, end int64, k sink, failed *int) (stop 
 			mi, bi = mi+1, 0
 		}
 		c := s.rows[mi][bi]
-		*p = Point{Fits: true}
+		p.Breakdown, p.Footprint, p.Fits, p.Err = nil, nil, true, nil
+		var key float64
 		if c.unfillable {
 			p.Err = errUnfillable
 		} else {
 			if mi != w.mi {
+				w.mi = -1
 				s.sess.PrepareRow(&w.row, s.mappings[mi])
 				w.mi = mi
 			}
-			if p.Err = s.sess.PriceRowCell(&w.row, s.aggs, int(bi), c.nub, &w.bd); p.Err == nil {
+			if key, p.Err = s.sess.PriceRowCell(&w.row, s.aggs, int(bi), c.nub, &w.bd); p.Err == nil {
 				p.Breakdown = &w.bd
 				if s.sc.Memory != nil {
 					s.identify(gi, p) // the memory model needs the cell's identity
@@ -527,10 +542,14 @@ func (s *Space) priceCells(w *worker, gi, end int64, k sink, failed *int) (stop 
 				}
 			}
 		}
+		r := Rank{Index: gi, Bucket: pointOrder(p)}
+		if r.Bucket == 0 {
+			r.Key = key
+		}
 		if p.Err != nil {
 			*failed++
 		}
-		k.take(gi, p)
+		k.take(gi, p, r)
 	}
 	return end
 }

@@ -94,13 +94,13 @@ func (s *Session) EvaluateBatch(in BatchInput, out *BatchOutput) error {
 	var run mappingRun
 	for i := 0; i < n; i++ {
 		if i == 0 || in.Mappings[i] != in.Mappings[i-1] {
-			run = s.prepareRun(in.Mappings[i])
+			s.prepareRun(&run, in.Mappings[i])
 		}
 		nub := 0
 		if in.Microbatches != nil {
 			nub = in.Microbatches[i]
 		}
-		err := s.priceCell(&run, in.Batches[i], nub, nil, false, &out.Breakdowns[i])
+		_, err := s.priceCell(&run, in.Batches[i], nub, nil, nil, false, &out.Breakdowns[i])
 		out.Errs[i] = err
 		if err != nil && err != errNonFinite {
 			// Zero it so recycled output never leaks a previous call's numbers.
@@ -111,13 +111,21 @@ func (s *Session) EvaluateBatch(in BatchInput, out *BatchOutput) error {
 }
 
 // Row is one mapping's prepared pricing run (validation verdicts, degrees
-// and every per-mapping hoist). A sweep worker prepares it once per mapping
-// it walks (PrepareRow) and prices the mapping's cells against it
-// (PriceRowCell).
-type Row struct{ run mappingRun }
+// and every per-mapping hoist) and its communication memo: the forward
+// communication terms of the last microbatch size it priced. A sweep
+// worker prepares it once per mapping it walks (PrepareRow) and prices the
+// mapping's cells against it (PriceRowCell).
+type Row struct {
+	run  mappingRun
+	comm commTerms
+}
 
-// PrepareRow validates mp and hoists its run constants into r.
-func (s *Session) PrepareRow(r *Row, mp parallel.Mapping) { r.run = s.prepareRun(mp) }
+// PrepareRow validates mp, hoists its run constants into r and empties r's
+// communication memo, so a Row may move between mappings and sessions.
+func (s *Session) PrepareRow(r *Row, mp parallel.Mapping) {
+	s.prepareRun(&r.run, mp)
+	r.comm = commTerms{}
+}
 
 // Aggregates is a sweep's batch list with each batch's Eq. 2 aggregate
 // looked up in the session's memo once, indexed by batch position. A
@@ -140,9 +148,11 @@ func (s *Session) Aggregates(batches []int) *Aggregates {
 }
 
 // PriceRowCell prices the cell (r's mapping, batch position bi of a, raw
-// microbatch count nub) into out: the EvaluatePoint arithmetic on the same
-// hoists, so out and the error are bit-identical to EvaluatePoint's. a must
-// come from this session.
-func (s *Session) PriceRowCell(r *Row, a *Aggregates, bi, nub int, out *Breakdown) error {
-	return s.priceCell(&r.run, a.batches[bi], nub, a.aggs[bi], false, out)
+// microbatch count nub) into out and returns the cell's rank key, the
+// float64 of out.ExpectedTotalTime() (0 on error): the EvaluatePoint
+// arithmetic on the same hoists, so out and the error are bit-identical to
+// EvaluatePoint's. a must come from this session and r from PrepareRow on
+// it.
+func (s *Session) PriceRowCell(r *Row, a *Aggregates, bi, nub int, out *Breakdown) (float64, error) {
+	return s.priceCell(&r.run, a.batches[bi], nub, a.aggs[bi], &r.comm, false, out)
 }

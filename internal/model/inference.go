@@ -284,7 +284,8 @@ func (b *InferenceBreakdown) String() string {
 // the hot path performs no heap allocations.
 func (s *InferenceSession) EvaluateInferencePoint(mp parallel.Mapping, batch int, out *InferenceBreakdown) error {
 	p := s.pre
-	run := p.prepareRun(mp)
+	var run mappingRun
+	p.prepareRun(&run, mp)
 	if run.err != nil {
 		return run.err
 	}

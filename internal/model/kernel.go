@@ -16,8 +16,9 @@ import (
 // then PriceRowCell per cell against the positional Aggregates), both
 // inference phases and ProfileLayers — prices through the same pieces over
 // one mappingRun: prepareRun (the fit check and the Eq. 6/10/11 hoists),
-// fwdCompute (Eq. 2–4), fwdComm (Eq. 5–7, 9) and, for training cells,
-// priceCell (Eq. 1, 8, 12, the gradient overlap and the breakdown). Every
+// fwdCompute (Eq. 2–4), fwdComm (Eq. 5–7, 9; a row keeps its last
+// microbatch's terms) and, for training cells, priceCell (Eq. 1, 8, 12, the
+// gradient overlap, the breakdown and its rank key). Every
 // Eq. 2 aggregate comes from the session's one memo (aggMemo), which is the
 // only state a compiled session writes after Compile.
 
@@ -85,27 +86,60 @@ func (a allReduce) time(latTerms, elems, bits float64) float64 {
 func checkFit(m *transformer.Model, tp, pp, cp, vpp int) error {
 	switch {
 	case tp > m.Heads:
-		return fmt.Errorf("model: TP degree %d exceeds %d attention heads", tp, m.Heads)
+		return &fitError{fitHeads, tp, m.Heads, 0}
 	case pp > m.Layers:
-		return fmt.Errorf("model: PP degree %d exceeds %d layers", pp, m.Layers)
+		return &fitError{fitLayers, pp, m.Layers, 0}
 	case cp > m.SeqLen:
-		return fmt.Errorf("model: CP degree %d exceeds sequence length %d", cp, m.SeqLen)
+		return &fitError{fitSeqLen, cp, m.SeqLen, 0}
 	case vpp > 1 && pp <= 1:
-		return fmt.Errorf("model: virtual pipeline depth %d requires PP > 1", vpp)
+		return &fitError{fitVPPNoPP, vpp, 0, 0}
 	case vpp > 1 && pp*vpp > m.Layers:
-		return fmt.Errorf("model: PP %d x VPP %d exceeds %d layers", pp, vpp, m.Layers)
+		return &fitError{fitVPPLayers, pp, vpp, m.Layers}
 	}
 	return nil
 }
 
-// prepareRun validates a mapping once and precomputes its run constants.
-// The mapping is normalized once and every degree product is read off that
-// one copy.
-func (s *Session) prepareRun(mp parallel.Mapping) mappingRun {
-	var r mappingRun
+// fitError is a checkFit failure: the bound that failed and the numbers its
+// message names. The message is formatted only when Error is called, since
+// a sweep prepares many mappings that do not fit and reports few of them.
+type fitError struct {
+	bound   fitBound
+	a, b, c int
+}
+
+type fitBound uint8
+
+const (
+	fitHeads fitBound = iota
+	fitLayers
+	fitSeqLen
+	fitVPPNoPP
+	fitVPPLayers
+)
+
+func (e *fitError) Error() string {
+	switch e.bound {
+	case fitHeads:
+		return fmt.Sprintf("model: TP degree %d exceeds %d attention heads", e.a, e.b)
+	case fitLayers:
+		return fmt.Sprintf("model: PP degree %d exceeds %d layers", e.a, e.b)
+	case fitSeqLen:
+		return fmt.Sprintf("model: CP degree %d exceeds sequence length %d", e.a, e.b)
+	case fitVPPNoPP:
+		return fmt.Sprintf("model: virtual pipeline depth %d requires PP > 1", e.a)
+	default:
+		return fmt.Sprintf("model: PP %d x VPP %d exceeds %d layers", e.a, e.b, e.c)
+	}
+}
+
+// prepareRun validates a mapping once and fills r with its run constants,
+// in place. The mapping is normalized once and every degree product is
+// read off that one copy.
+func (s *Session) prepareRun(r *mappingRun, mp parallel.Mapping) {
+	*r = mappingRun{}
 	if err := mp.Validate(s.sys); err != nil {
 		r.err = err
-		return r
+		return
 	}
 	mpn := mp.Normalized()
 	tp, cp := mpn.TPIntra*mpn.TPInter, mpn.CPIntra*mpn.CPInter
@@ -146,7 +180,6 @@ func (s *Session) prepareRun(mp parallel.Mapping) mappingRun {
 			Links:   nodes * s.nicsPerNode,
 		}, s.ckptStateBytes)
 	}
-	return r
 }
 
 // fwdCompute is Eq. 2–4's forward compute for one operation aggregate at
@@ -219,18 +252,30 @@ func (s *Session) fwdComm(run *mappingRun, b, width float64, relaxed bool) (tpIn
 	return tpIntra, tpInter, ppHop, cp, moe
 }
 
+// commTerms memoizes fwdComm's five terms for one training microbatch size
+// ub over s·h. A Row keeps the last set it priced: fwdComm reads nothing of
+// a cell but the mapping run and ub, so the cells of a row that share ub
+// share the terms. A point prices with an empty one of its own. ub is 0
+// when the memo is empty; a priced microbatch is always positive.
+type commTerms struct {
+	ub                               float64
+	tpIntra, tpInter, ppHop, cp, moe float64
+}
+
 // priceCell prices one training cell — a global batch g and a raw
 // microbatch count nub (0 derives the default) on a prepared mapping run —
-// into out, field by field. It checks the batch schedule before the
+// into out, field by field, and returns its rank key, the float64 of
+// out.ExpectedTotalTime(). It checks the batch schedule before the
 // model-fit bounds, so a cell failing both reports the batch error. A
 // failing cell leaves out untouched; a non-finite result keeps the partial
 // breakdown. agg is g's Eq. 2 aggregate when the caller resolved it up
 // front (a sweep's positional Aggregates); nil resolves it through the
-// session's memo once the cell validates. relaxed drops the Eq. 9 MoE term
-// for LowerBound.
-func (s *Session) priceCell(run *mappingRun, g, nub int, agg *batchAgg, relaxed bool, out *Breakdown) error {
+// session's memo once the cell validates. comm is the row's communication
+// memo; nil prices without one. relaxed drops the Eq. 9 MoE term for
+// LowerBound and must not be set with a memo.
+func (s *Session) priceCell(run *mappingRun, g, nub int, agg *batchAgg, comm *commTerms, relaxed bool, out *Breakdown) (float64, error) {
 	if run.err != nil {
-		return run.err
+		return 0, run.err
 	}
 	// Inline of parallel.Batch.Validate + MicrobatchesOrDefault + Microbatch
 	// over the run's pre-normalized degrees. Failures take the slow path
@@ -252,10 +297,10 @@ func (s *Session) priceCell(run *mappingRun, g, nub int, agg *batchAgg, relaxed 
 		bad = per%nubD != 0
 	}
 	if bad {
-		return parallel.Batch{Global: g, Microbatches: nub}.Validate(run.mpn)
+		return 0, parallel.Batch{Global: g, Microbatches: nub}.Validate(run.mpn)
 	}
 	if run.fitErr != nil {
-		return run.fitErr
+		return 0, run.fitErr
 	}
 
 	tr := &s.tr
@@ -272,11 +317,18 @@ func (s *Session) priceCell(run *mappingRun, g, nub int, agg *batchAgg, relaxed 
 	uwTotal := s.updateParams * cMAC * s.macScale
 	ubTotal := tr.BackwardComputeFactor * ufTotal
 
-	// Eq. 5–7, 9 on the microbatch; interleaved schedules cross the stage
-	// boundary VPP times per microbatch.
-	tpIntra, tpInter, ppHop, cpComm, moe := s.fwdComm(run, ub, s.seqHidden, relaxed)
-	ppComm := ppHop * run.vppF
-	fwdTotal := tpIntra + tpInter + ppComm + cpComm + moe
+	// Eq. 5–7, 9 on the microbatch, unless the memo holds ub's terms;
+	// interleaved schedules cross the stage boundary VPP times per
+	// microbatch.
+	if comm == nil {
+		comm = new(commTerms) // empty: this cell's own
+	}
+	if comm.ub != ub {
+		comm.tpIntra, comm.tpInter, comm.ppHop, comm.cp, comm.moe = s.fwdComm(run, ub, s.seqHidden, relaxed)
+		comm.ub = ub
+	}
+	ppComm := comm.ppHop * run.vppF
+	fwdTotal := comm.tpIntra + comm.tpInter + ppComm + comm.cp + comm.moe
 	bf := tr.BackwardCommFactor
 	exposed := 1 - tr.CommOverlap
 	commScale := (1 + bf) * exposed
@@ -302,11 +354,11 @@ func (s *Session) priceCell(run *mappingRun, g, nub int, agg *batchAgg, relaxed 
 	out.ComputeForward = units.Seconds(ufTotal / run.workers)
 	out.ComputeBackward = units.Seconds(ubTotal / run.workers)
 	out.WeightUpdate = units.Seconds(uwTotal / run.workers)
-	out.TPIntraComm = units.Seconds(commScale * tpIntra)
-	out.TPInterComm = units.Seconds(commScale * tpInter)
+	out.TPIntraComm = units.Seconds(commScale * comm.tpIntra)
+	out.TPInterComm = units.Seconds(commScale * comm.tpInter)
 	out.PPComm = units.Seconds(commScale * ppComm)
-	out.CPComm = units.Seconds(commScale * cpComm)
-	out.MoEComm = units.Seconds(commScale * moe)
+	out.CPComm = units.Seconds(commScale * comm.cp)
+	out.MoEComm = units.Seconds(commScale * comm.moe)
 	out.ZeROComm = units.Seconds(zeroExtra)
 	out.GradIntraComm = units.Seconds(gradIntra)
 	out.GradInterComm = units.Seconds(gradInter)
@@ -317,10 +369,15 @@ func (s *Session) priceCell(run *mappingRun, g, nub int, agg *batchAgg, relaxed 
 	out.NumBatches = tr.NumBatches
 	out.ModelFLOPs = agg.flops
 	out.Reliability = run.rel // zero without a reliability spec
-	if !out.finite() {
-		return errNonFinite
+	// One sum of the twelve components. A finite sum proves every
+	// component finite (an Inf or NaN term makes the sum Inf or NaN); only
+	// a non-finite sum, which finite components can reach by overflow,
+	// needs the field-wise check.
+	perBatch := out.PerBatch()
+	if perBatch-perBatch != 0 && !out.finite() {
+		return 0, errNonFinite
 	}
-	return nil
+	return float64(out.expectedTotal(perBatch)), nil
 }
 
 func max2(a, b float64) float64 {

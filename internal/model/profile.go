@@ -40,9 +40,10 @@ func (e *Estimator) ProfileLayers() ([]LayerProfile, error) {
 		return nil, err
 	}
 	batch := e.Training.Batch.Global
-	run := s.prepareRun(e.Mapping)
+	var run mappingRun
+	s.prepareRun(&run, e.Mapping)
 	var bd Breakdown
-	if err := s.priceCell(&run, batch, e.Training.Batch.Microbatches, nil, false, &bd); err != nil {
+	if _, err := s.priceCell(&run, batch, e.Training.Batch.Microbatches, nil, nil, false, &bd); err != nil {
 		return nil, err
 	}
 

@@ -347,8 +347,10 @@ func (s *Session) agg(batch int) *batchAgg { return s.aggs.get(batch) }
 // It is a one-cell run of the batch kernel. The caller owns out; the hot
 // path performs no heap allocations.
 func (s *Session) EvaluatePoint(mp parallel.Mapping, batch, microbatches int, out *Breakdown) error {
-	run := s.prepareRun(mp)
-	return s.priceCell(&run, batch, microbatches, nil, false, out)
+	var run mappingRun
+	s.prepareRun(&run, mp)
+	_, err := s.priceCell(&run, batch, microbatches, nil, nil, false, out)
+	return err
 }
 
 // LowerBound returns an admissible lower bound on the point's expected total
@@ -363,12 +365,10 @@ func (s *Session) EvaluatePoint(mp parallel.Mapping, batch, microbatches int, ou
 // error contract matches EvaluatePoint: a cell that fails validation here
 // fails identically there.
 func (s *Session) LowerBound(mp parallel.Mapping, batch, microbatches int) (float64, error) {
-	run := s.prepareRun(mp)
+	var run mappingRun
+	s.prepareRun(&run, mp)
 	var bd Breakdown
-	if err := s.priceCell(&run, batch, microbatches, nil, true, &bd); err != nil {
-		return 0, err
-	}
-	return float64(bd.ExpectedTotalTime()), nil
+	return s.priceCell(&run, batch, microbatches, nil, nil, true, &bd)
 }
 
 // Evaluate is the one-shot convenience over EvaluatePoint: it allocates a

@@ -243,8 +243,13 @@ func (b *Breakdown) ExpectedPerBatch() units.Seconds {
 // ExpectedTotalTime is N_batch × ExpectedPerBatch: the paper's training time
 // plus the expected checkpoint, rework and restart cost of running it on a
 // cluster that fails.
-func (b *Breakdown) ExpectedTotalTime() units.Seconds {
-	return units.Seconds(float64(b.TotalTime()) * (1 + b.Reliability.Overhead()))
+func (b *Breakdown) ExpectedTotalTime() units.Seconds { return b.expectedTotal(b.PerBatch()) }
+
+// expectedTotal is ExpectedTotalTime over the breakdown's PerBatch sum,
+// already taken: TotalTime's product, then the failure inflation.
+func (b *Breakdown) expectedTotal(perBatch units.Seconds) units.Seconds {
+	total := units.Seconds(float64(perBatch) * float64(b.NumBatches))
+	return units.Seconds(float64(total) * (1 + b.Reliability.Overhead()))
 }
 
 // TFLOPSPerGPU is the achieved useful throughput per accelerator, the

@@ -45,68 +45,55 @@ type Mapping struct {
 	ExpertParallel bool
 }
 
-// normalize returns a copy with zero degrees promoted to 1 so callers can
-// leave unused dimensions unset. Branch-per-field instead of a helper
-// closure: this sits under every degree accessor on sweep hot paths.
+// deg is one degree field as normalize reads it: zero is promoted to 1 so
+// callers can leave unused dimensions unset; every other value, negative
+// ones included, stands.
+func deg(d int) int {
+	if d == 0 {
+		return 1
+	}
+	return d
+}
+
+// normalize returns a copy with zero degrees promoted to 1.
 func (m Mapping) normalize() Mapping {
-	if m.TPIntra == 0 {
-		m.TPIntra = 1
-	}
-	if m.TPInter == 0 {
-		m.TPInter = 1
-	}
-	if m.PPIntra == 0 {
-		m.PPIntra = 1
-	}
-	if m.PPInter == 0 {
-		m.PPInter = 1
-	}
-	if m.DPIntra == 0 {
-		m.DPIntra = 1
-	}
-	if m.DPInter == 0 {
-		m.DPInter = 1
-	}
-	if m.CPIntra == 0 {
-		m.CPIntra = 1
-	}
-	if m.CPInter == 0 {
-		m.CPInter = 1
-	}
-	if m.VPP == 0 {
-		m.VPP = 1
-	}
+	m.TPIntra, m.TPInter = deg(m.TPIntra), deg(m.TPInter)
+	m.PPIntra, m.PPInter = deg(m.PPIntra), deg(m.PPInter)
+	m.DPIntra, m.DPInter = deg(m.DPIntra), deg(m.DPInter)
+	m.CPIntra, m.CPInter = deg(m.CPIntra), deg(m.CPInter)
+	m.VPP = deg(m.VPP)
 	return m
 }
 
 // Normalized returns the mapping with all degrees at least 1.
 func (m Mapping) Normalized() Mapping { return m.normalize() }
 
+// The degree accessors multiply the promoted fields directly instead of
+// normalizing a copy of the whole mapping: they sit on sweep hot paths.
+
 // TP returns the total tensor-parallel degree N_TP.
-func (m Mapping) TP() int { n := m.normalize(); return n.TPIntra * n.TPInter }
+func (m Mapping) TP() int { return deg(m.TPIntra) * deg(m.TPInter) }
 
 // PP returns the total pipeline-parallel degree N_PP.
-func (m Mapping) PP() int { n := m.normalize(); return n.PPIntra * n.PPInter }
+func (m Mapping) PP() int { return deg(m.PPIntra) * deg(m.PPInter) }
 
 // DP returns the total data-parallel degree N_DP.
-func (m Mapping) DP() int { n := m.normalize(); return n.DPIntra * n.DPInter }
+func (m Mapping) DP() int { return deg(m.DPIntra) * deg(m.DPInter) }
 
 // CP returns the total context-parallel degree N_CP.
-func (m Mapping) CP() int { n := m.normalize(); return n.CPIntra * n.CPInter }
+func (m Mapping) CP() int { return deg(m.CPIntra) * deg(m.CPInter) }
 
 // Workers returns the total accelerator count the mapping occupies.
 func (m Mapping) Workers() int { return m.TP() * m.PP() * m.DP() * m.CP() }
 
 // IntraDegree returns the accelerators per node the mapping uses.
 func (m Mapping) IntraDegree() int {
-	n := m.normalize()
-	return n.TPIntra * n.PPIntra * n.DPIntra * n.CPIntra
+	return deg(m.TPIntra) * deg(m.PPIntra) * deg(m.DPIntra) * deg(m.CPIntra)
 }
 
 // InterDegree returns the node count the mapping uses.
 func (m Mapping) InterDegree() int {
-	n := m.normalize()
-	return n.TPInter * n.PPInter * n.DPInter * n.CPInter
+	return deg(m.TPInter) * deg(m.PPInter) * deg(m.DPInter) * deg(m.CPInter)
 }
 
 // String renders the mapping compactly, e.g. "TP8x1 PP1x2 DP1x64". Built

@@ -236,3 +236,37 @@ func TestWorkersInvariant(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAccessorsMatchNormalized checks the copy-free degree accessors against
+// the products of the Normalized() fields on zero, negative and enumerated
+// mappings: only a zero degree is promoted to 1, a negative one stands.
+func TestAccessorsMatchNormalized(t *testing.T) {
+	ms := []Mapping{
+		{},
+		{TPIntra: -1},
+		{TPIntra: -2, TPInter: 0, PPIntra: 3, PPInter: -1, DPIntra: 0, DPInter: -4, CPIntra: -1, CPInter: 2},
+		{TPIntra: 0, TPInter: -3, PPIntra: -2, PPInter: 0, DPIntra: -1, DPInter: 0, CPIntra: 0, CPInter: -5, VPP: -1},
+	}
+	sys := cs1()
+	for _, nodes := range []int{1, 12, 128} {
+		sys.Nodes = nodes
+		ms = append(ms, Enumerate(sys, EnumerateOptions{MaxCP: 4, MaxVPP: 2})...)
+	}
+	for _, m := range ms {
+		n := m.Normalized()
+		want := [6]int{
+			n.TPIntra * n.TPInter, n.PPIntra * n.PPInter, n.DPIntra * n.DPInter, n.CPIntra * n.CPInter,
+			n.TPIntra * n.PPIntra * n.DPIntra * n.CPIntra, n.TPInter * n.PPInter * n.DPInter * n.CPInter,
+		}
+		got := [6]int{m.TP(), m.PP(), m.DP(), m.CP(), m.IntraDegree(), m.InterDegree()}
+		if got != want {
+			t.Fatalf("%+v: TP PP DP CP intra inter = %v, Normalized() products %v", m, got, want)
+		}
+		if w := want[0] * want[1] * want[2] * want[3]; m.Workers() != w {
+			t.Fatalf("%+v: Workers = %d, want %d", m, m.Workers(), w)
+		}
+	}
+	if got := (Mapping{TPIntra: -2, TPInter: 0}).TP(); got != -2 {
+		t.Fatalf("TP of TPIntra -2 = %d, want -2 (negative degrees are not promoted)", got)
+	}
+}
