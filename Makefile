@@ -2,7 +2,7 @@
 # external tools — so every target works in the bare module checkout.
 
 GO ?= go
-SWEEP_BENCH := 'BenchmarkSweep(GPT3|Megatron530B|MoE)$$|BenchmarkEvaluate$$|BenchmarkSolveGPT3$$|BenchmarkSessionEvaluateInferencePoint$$|Benchmark(Sort|Top)ByTime$$|BenchmarkSpaceTop$$|BenchmarkEnumerate$$'
+SWEEP_BENCH := 'BenchmarkSweep(GPT3|Megatron530B|MoE)$$|BenchmarkEvaluate$$|BenchmarkSolveGPT3$$|BenchmarkSessionEvaluateInferencePoint$$|Benchmark(Sort|Top)ByTime$$|BenchmarkSpaceTop(Roofline)?$$|BenchmarkEnumerate$$'
 SERVE_BENCH := 'BenchmarkSessionEvaluatePoint(Traced|Roofline)?$$|BenchmarkShardedSweep(ChaosOff)?$$|BenchmarkShardStreamChunks$$'
 BATCH_BENCH := 'BenchmarkEvaluateBatch|BenchmarkSessionEvaluatePoint$$'
 
@@ -58,6 +58,7 @@ audit:
 	$(GO) test -run '^$$' -fuzz FuzzThreeWay -fuzztime $(FUZZTIME) ./internal/audit
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/config
 	$(GO) test -run '^$$' -fuzz FuzzScenarioKey -fuzztime $(FUZZTIME) ./internal/model
+	$(GO) test -run '^$$' -fuzz FuzzRowWalk -fuzztime $(FUZZTIME) ./internal/model
 	$(GO) test -run '^$$' -fuzz FuzzParseQuantity -fuzztime $(FUZZTIME) ./internal/units
 	$(GO) test -run '^$$' -fuzz FuzzSchedule -fuzztime $(FUZZTIME) ./internal/pipesim
 	$(GO) test -run '^$$' -fuzz FuzzDisagg -fuzztime $(FUZZTIME) ./internal/pipesim

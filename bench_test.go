@@ -501,15 +501,32 @@ func BenchmarkTopByTime(b *testing.B) {
 func BenchmarkSpaceTop(b *testing.B) {
 	m := amped.Megatron145B()
 	sys := amped.CaseStudy1System()
+	benchSpaceTop(b, explore.Scenario{Model: &m, System: &sys}, 19,
+		parallel.EnumerateOptions{PowerOfTwo: true, MaxCP: 2, MaxVPP: 2})
+}
+
+// BenchmarkSpaceTopRoofline is BenchmarkSpaceTop on a space whose cells
+// cost more per degree group: GLaM priced with roofline op costs and
+// expert parallelism on the Case Study I machine, power-of-two mappings
+// with CP and VPP up to 4, 7 batch sizes (24,094 cells). Each roofline
+// compute term walks the op classes, and VPP and the intra/inter splits
+// make groups of many mappings, so the cost a Row's degree-group memo saves
+// shows here more than on the dense space.
+func BenchmarkSpaceTopRoofline(b *testing.B) {
+	m := amped.GLaM()
+	sys := amped.CaseStudy1System()
+	benchSpaceTop(b, explore.Scenario{Model: &m, System: &sys, Training: amped.Training{Roofline: true}}, 7,
+		parallel.EnumerateOptions{PowerOfTwo: true, MaxCP: 4, MaxVPP: 4, ExpertParallel: true})
+}
+
+// benchSpaceTop prices sc over the mappings en enumerates × nb batch sizes
+// (multiples of 1024) with Space.Top(n = 20) per 4096-cell chunk.
+func benchSpaceTop(b *testing.B, sc explore.Scenario, nb int, en parallel.EnumerateOptions) {
 	var batches []int
-	for k := 1; k <= 19; k++ {
+	for k := 1; k <= nb; k++ {
 		batches = append(batches, 1024*k)
 	}
-	sp, err := explore.NewSpace(explore.Scenario{Model: &m, System: &sys}, explore.Options{
-		Batches:          batches,
-		Enumerate:        parallel.EnumerateOptions{PowerOfTwo: true, MaxCP: 2, MaxVPP: 2},
-		MicrobatchTarget: 2,
-	})
+	sp, err := explore.NewSpace(sc, explore.Options{Batches: batches, Enumerate: en, MicrobatchTarget: 2})
 	if err != nil {
 		b.Fatal(err)
 	}

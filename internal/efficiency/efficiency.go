@@ -17,6 +17,14 @@ import (
 )
 
 // Model maps a microbatch size to a utilization fraction in (0, 1].
+//
+// Eff must be a pure function of ub: the same ub always yields the same
+// value, with no effect the caller depends on. A sweep calls it once per
+// degree group (the mappings of equal DP, PP, TP, CP and sequence
+// parallelism) and batch position, and reuses the value for every other
+// mapping of the group, so neither the number nor the order of calls
+// follows the cells. A model that panics on some ub still fails exactly
+// the cells at that ub, each with its own error.
 type Model interface {
 	// Eff returns the achieved fraction of peak throughput for microbatch
 	// size ub (in sequences; fractional values arise from uneven splits).

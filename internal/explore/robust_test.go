@@ -84,8 +84,10 @@ func TestSweepRecoversPanickingEfficiencyModel(t *testing.T) {
 
 // callPanicEff is efficiency.Default that panics on the calls whose
 // 1-based sequence numbers are in at. With one worker the calls follow
-// cell order, so a pair of consecutive numbers poisons exactly one cell:
-// its pricing and the scalar retry of that same cell both panic.
+// cell order, one per degree group and batch position, so a pair of
+// consecutive numbers poisons exactly one cell that is the first of its
+// degree group at its batch position: its pricing and the scalar retry of
+// that same cell both panic.
 type callPanicEff struct {
 	calls atomic.Int64
 	at    map[int64]bool
@@ -122,18 +124,27 @@ func TestSweepRecoversPartialPanics(t *testing.T) {
 
 	// One poisoned cell at a time — the first priced cell of the sweep,
 	// the first and last cell of an inner worker chunk, a cell in the
-	// middle of its mapping's row, the last cell — fails alone: every other
-	// cell, its row-mates included, prices bit-identically to
-	// Session.EvaluatePoint.
+	// middle of its mapping's row, the last poisonable cell (in the last
+	// chunk) — fails alone: every other cell, its row-mates and the later
+	// cells of its degree group included, prices bit-identically to
+	// Session.EvaluatePoint. Only a cell that is the first of its degree
+	// group at its batch position calls the efficiency model, so only such
+	// a cell can be poisoned.
 	eff := &callPanicEff{}
 	sc.Eff = eff
 	opt := robustOptions
 	opt.Batches = []int{4096, 8192, 16384}
 	opt.Concurrency = 1
-	sp, err := NewSpace(sc, opt)
-	if err != nil {
-		t.Fatal(err)
+	// Every run prices a fresh space, so no pooled worker carries a
+	// degree-group memo into it and the call numbers follow cell order.
+	space := func() *Space {
+		sp, err := NewSpace(sc, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp
 	}
+	sp := space()
 	total, nb := sp.Cells(), int64(len(opt.Batches))
 	chunk := int64(chunkSize(int(total), 1))
 	clean, err := sp.Sweep(context.Background(), 0, total)
@@ -144,14 +155,39 @@ func TestSweepRecoversPartialPanics(t *testing.T) {
 	if total <= 2*chunk {
 		t.Fatalf("%d cells in chunks of %d: want an inner chunk", total, chunk)
 	}
+	group := func(mi int64) [5]int {
+		m := sp.Mappings()[mi]
+		var seq int
+		if m.SequenceParallel {
+			seq = 1
+		}
+		return [5]int{m.DP(), m.PP(), m.TP(), m.CP(), seq}
+	}
+	// groupFirst reports whether no earlier mapping of gi's degree group
+	// priced a cell at gi's batch position, so that gi's pricing calls the
+	// efficiency model.
+	groupFirst := func(gi int64) bool {
+		mi, bi := gi/nb, gi%nb
+		for mj := mi - 1; mj >= 0 && group(mj) == group(mi); mj-- {
+			if priced(mj*nb + bi) {
+				return false
+			}
+		}
+		return true
+	}
+	poisonable := func(gi int64) bool { return priced(gi) && groupFirst(gi) }
 	find := func(from int64, ok func(gi int64) bool) int64 {
 		for gi := from; gi < total; gi++ {
-			if priced(gi) && ok(gi) {
+			if poisonable(gi) && ok(gi) {
 				return gi
 			}
 		}
-		t.Fatalf("no priced cell from %d has the wanted position", from)
+		t.Fatalf("no poisonable cell from %d has the wanted position", from)
 		return -1
+	}
+	last := total - 1
+	for last >= 0 && !poisonable(last) {
+		last--
 	}
 	poisons := map[string]int64{
 		"first cell":  find(0, func(int64) bool { return true }),
@@ -160,23 +196,26 @@ func TestSweepRecoversPartialPanics(t *testing.T) {
 		"mid-row": find(chunk, func(gi int64) bool {
 			return gi%nb == 1 && priced(gi-1) && priced(gi+1) && gi%chunk != 0 && gi%chunk != chunk-1
 		}),
-		"last cell": total - 1,
+		"last cell": last,
 	}
 	if !priced(total - 1) {
 		t.Fatal("the last cell does not price")
+	}
+	if last/chunk != (total-1)/chunk {
+		t.Fatalf("the last poisonable cell %d is not in the last chunk", last)
 	}
 	for name, gi := range poisons {
 		// The poisoned cell's call number is one past the calls the cells
 		// before it make.
 		eff.at = nil
 		eff.calls.Store(0)
-		if _, err := sp.Sweep(context.Background(), 0, gi); err != nil {
+		if _, err := space().Sweep(context.Background(), 0, gi); err != nil {
 			t.Fatal(err)
 		}
 		k := eff.calls.Load() + 1
 		eff.at = map[int64]bool{k: true, k + 1: true}
 		eff.calls.Store(0)
-		got, err := sp.Sweep(context.Background(), 0, total)
+		got, err := space().Sweep(context.Background(), 0, total)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -215,7 +215,10 @@ func TestSpaceTopCancelled(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			if mid {
-				sc.Eff = cancellingEff{cancel: cancel, after: 200, n: new(int64)}
+				// The efficiency model is called once per degree group
+				// and batch position (110 times over this space): the 40th
+				// call lands in the third chunk of 128 cells.
+				sc.Eff = cancellingEff{cancel: cancel, after: 40, n: new(int64)}
 			} else {
 				cancel()
 			}

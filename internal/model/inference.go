@@ -285,7 +285,7 @@ func (b *InferenceBreakdown) String() string {
 func (s *InferenceSession) EvaluateInferencePoint(mp parallel.Mapping, batch int, out *InferenceBreakdown) error {
 	p := s.pre
 	var run mappingRun
-	p.prepareRun(&run, mp)
+	p.prepareRun(&run, &mp)
 	if run.err != nil {
 		return run.err
 	}

@@ -41,9 +41,9 @@ func (e *Estimator) ProfileLayers() ([]LayerProfile, error) {
 	}
 	batch := e.Training.Batch.Global
 	var run mappingRun
-	s.prepareRun(&run, e.Mapping)
+	s.prepareRun(&run, &e.Mapping)
 	var bd Breakdown
-	if _, err := s.priceCell(&run, batch, e.Training.Batch.Microbatches, nil, nil, false, &bd); err != nil {
+	if _, err := s.priceCell(&run, batch, e.Training.Batch.Microbatches, nil, nil, nil, false, &bd); err != nil {
 		return nil, err
 	}
 

@@ -61,7 +61,7 @@ func TestFiniteBySum(t *testing.T) {
 		var bd, row Breakdown
 		perr := s.EvaluatePoint(parallel.Mapping{}, batch, 0, &bd)
 		var r Row
-		s.PrepareRow(&r, parallel.Mapping{})
+		s.PrepareRow(&r, &parallel.Mapping{})
 		key, rerr := s.PriceRowCell(&r, s.Aggregates([]int{batch}), 0, 0, &row)
 		if perr != rerr || !sameBreakdown(bd, row) {
 			t.Fatalf("row path (%v) and point path (%v) disagree", rerr, perr)
@@ -138,7 +138,7 @@ func TestRowReusedAcrossSessions(t *testing.T) {
 	batches, nubs := []int{4096, 8192}, []int{2, 4} // ub = 128 in both
 	var r Row
 	for _, s := range sess {
-		s.PrepareRow(&r, mp)
+		s.PrepareRow(&r, &mp)
 		a := s.Aggregates(batches)
 		for bi, g := range batches {
 			var row, point Breakdown

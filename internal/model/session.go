@@ -348,8 +348,8 @@ func (s *Session) agg(batch int) *batchAgg { return s.aggs.get(batch) }
 // path performs no heap allocations.
 func (s *Session) EvaluatePoint(mp parallel.Mapping, batch, microbatches int, out *Breakdown) error {
 	var run mappingRun
-	s.prepareRun(&run, mp)
-	_, err := s.priceCell(&run, batch, microbatches, nil, nil, false, out)
+	s.prepareRun(&run, &mp)
+	_, err := s.priceCell(&run, batch, microbatches, nil, nil, nil, false, out)
 	return err
 }
 
@@ -366,9 +366,9 @@ func (s *Session) EvaluatePoint(mp parallel.Mapping, batch, microbatches int, ou
 // fails identically there.
 func (s *Session) LowerBound(mp parallel.Mapping, batch, microbatches int) (float64, error) {
 	var run mappingRun
-	s.prepareRun(&run, mp)
+	s.prepareRun(&run, &mp)
 	var bd Breakdown
-	return s.priceCell(&run, batch, microbatches, nil, nil, true, &bd)
+	return s.priceCell(&run, batch, microbatches, nil, nil, nil, true, &bd)
 }
 
 // Evaluate is the one-shot convenience over EvaluatePoint: it allocates a
