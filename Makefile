@@ -58,7 +58,7 @@ audit:
 	$(GO) test -run '^$$' -fuzz FuzzThreeWay -fuzztime $(FUZZTIME) ./internal/audit
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/config
 	$(GO) test -run '^$$' -fuzz FuzzScenarioKey -fuzztime $(FUZZTIME) ./internal/model
-	$(GO) test -run '^$$' -fuzz FuzzRowWalk -fuzztime $(FUZZTIME) ./internal/model
+	$(GO) test -run '^$$' -fuzz FuzzSpaceWalk -fuzztime $(FUZZTIME) ./internal/explore
 	$(GO) test -run '^$$' -fuzz FuzzParseQuantity -fuzztime $(FUZZTIME) ./internal/units
 	$(GO) test -run '^$$' -fuzz FuzzSchedule -fuzztime $(FUZZTIME) ./internal/pipesim
 	$(GO) test -run '^$$' -fuzz FuzzDisagg -fuzztime $(FUZZTIME) ./internal/pipesim

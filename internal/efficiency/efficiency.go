@@ -20,11 +20,12 @@ import (
 //
 // Eff must be a pure function of ub: the same ub always yields the same
 // value, with no effect the caller depends on. A sweep calls it once per
-// degree group (the mappings of equal DP, PP, TP, CP and sequence
-// parallelism) and batch position, and reuses the value for every other
-// mapping of the group, so neither the number nor the order of calls
-// follows the cells. A model that panics on some ub still fails exactly
-// the cells at that ub, each with its own error.
+// batch position and run of a degree group (consecutive mappings of equal
+// DP, PP, TP, CP and sequence parallelism) that one of its workers walks,
+// and reuses the value for every other mapping of the run, so neither the
+// number nor the order of calls follows the cells. A model that panics on
+// some ub still fails exactly the cells at that ub, each with its own
+// error.
 type Model interface {
 	// Eff returns the achieved fraction of peak throughput for microbatch
 	// size ub (in sequences; fractional values arise from uneven splits).

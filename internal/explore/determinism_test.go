@@ -2,7 +2,6 @@ package explore
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"amped/internal/hardware"
@@ -97,10 +96,10 @@ func TestChooseMicrobatchesTieBreak(t *testing.T) {
 	}
 }
 
-// tiedPoints builds a sweep whose points all share identical time and
-// energy (same breakdown, distinct mappings), in a deliberately shuffled
-// order — the adversarial input for ordering determinism.
-func tiedPoints(t *testing.T, seed int64) ([]Point, *hardware.System) {
+// tiedPoints builds a sweep whose points all share an identical breakdown
+// under distinct identities, in a deliberately shuffled order — the
+// adversarial input for ordering determinism.
+func tiedPoints(t *testing.T, seed int64) []Point {
 	t.Helper()
 	sc := dp3Scenario(t)
 	pts, err := Sweep(sc, Options{
@@ -120,47 +119,22 @@ func tiedPoints(t *testing.T, seed int64) ([]Point, *hardware.System) {
 	rand.New(rand.NewSource(seed)).Shuffle(len(out), func(i, j int) {
 		out[i], out[j] = out[j], out[i]
 	})
-	return out, sc.System
+	return out
 }
 
 // TestSortByTimeDeterministicOnTies shuffles points tied on time and checks
 // SortByTime always lands the same order.
 func TestSortByTimeDeterministicOnTies(t *testing.T) {
-	ref, _ := tiedPoints(t, 1)
+	ref := tiedPoints(t, 1)
 	SortByTime(ref)
 	for seed := int64(2); seed < 8; seed++ {
-		got, _ := tiedPoints(t, seed)
+		got := tiedPoints(t, seed)
 		SortByTime(got)
 		for i := range got {
 			if got[i].String() != ref[i].String() {
 				t.Fatalf("seed %d: order diverged at %d: %s vs %s",
 					seed, i, got[i].String(), ref[i].String())
 			}
-		}
-	}
-}
-
-// TestParetoDeterministicOnTies checks the Pareto front keeps the same
-// representative of a fully tied (time, energy) group regardless of input
-// order — the sort.Slice it previously used left that to chance.
-func TestParetoDeterministicOnTies(t *testing.T) {
-	pts, sys := tiedPoints(t, 1)
-	ref, err := ParetoTimeEnergy(pts, sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref) != 1 {
-		t.Fatalf("tied group front has %d points, want 1", len(ref))
-	}
-	for seed := int64(2); seed < 8; seed++ {
-		pts, _ := tiedPoints(t, seed)
-		got, err := ParetoTimeEnergy(pts, sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("seed %d: front representative changed: %s vs %s",
-				seed, got[0].String(), ref[0].String())
 		}
 	}
 }

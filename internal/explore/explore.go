@@ -168,8 +168,10 @@ func MicrobatchFeasible(perReplica, pp int) bool {
 // pipeline. Callers that enumerate mappings (the sweep) must treat that
 // case as infeasible rather than evaluating the fallback.
 //
-// The candidates come from the memoized O(√n) divisor table; ties keep the
-// smallest divisor, matching the historical ascending scan.
+// A want that divides perReplica is its own nearest divisor and returns
+// at once (the common case: the target divides the per-replica batch);
+// otherwise the candidates come from the memoized O(√n) divisor table, and
+// ties keep the smallest divisor, matching the historical ascending scan.
 func ChooseMicrobatches(perReplica, pp, target int) int {
 	if perReplica <= 0 {
 		return 1
@@ -183,6 +185,9 @@ func ChooseMicrobatches(perReplica, pp, target int) int {
 	want := perReplica / target
 	if want < pp {
 		want = pp
+	}
+	if want >= 1 && perReplica%want == 0 {
+		return want
 	}
 	best := perReplica
 	bestDist := perReplica
@@ -227,13 +232,13 @@ func SweepContext(ctx context.Context, sc Scenario, opt Options) ([]Point, error
 
 // Layout resolves the scenario (compiling a session when one was not
 // supplied) and lays out the canonical cells [CursorLo, CursorHi) without
-// pricing them, exactly as a Space hands them to its workers:
-// mapping-major, batch-minor over the deterministically ordered mappings ×
-// Batches, microbatch schedules chosen up front, pipeline-unfillable cells
-// pre-marked with Err. It materializes a Point per cell, so the sweep
-// executor does not use it; it serves callers that price the cells
-// themselves (benchmarks timing one layer at a time). The scenario is
-// resolved in place.
+// pricing them, exactly as a Space's workers see them: mapping-major,
+// batch-minor over the deterministically ordered mappings × Batches, each
+// cell's microbatch schedule chosen by the function the workers' walk
+// uses, pipeline-unfillable cells marked with Err. It materializes a Point
+// per cell, so the sweep executor does not use it; it serves callers that
+// price the cells themselves (benchmarks timing one layer at a time). The
+// scenario is resolved in place.
 func Layout(sc *Scenario, opt Options) ([]Point, *model.Session, error) {
 	sc.resolveSession()
 	s, err := NewSpace(*sc, opt)
@@ -338,12 +343,13 @@ func Cells(sc Scenario, opt Options) (int64, error) {
 }
 
 // Chunk size bounds for the executor. The floor keeps the per-chunk fixed
-// overhead — the cursor claim, three progress updates, the panic guard and
-// at most one row preparation at the chunk seam, together about 1 µs — a
-// small fraction of a chunk's evaluation time (a cell costs roughly
-// 100–300 ns of CPU on the row path, so 128 cells take 13–40 µs). The
-// ceiling keeps cancellation latency and load imbalance bounded on huge
-// shards.
+// overhead — the cursor claim, three progress updates, the panic guard, the
+// search for the chunk's first degree-group run and, unless the worker
+// already holds that run, refilling its columns (a schedule and the
+// degree-group terms per batch position) — a small fraction of a chunk's
+// evaluation time (a cell costs roughly 100–300 ns of CPU on the walk, so
+// 128 cells take 13–40 µs). The ceiling keeps cancellation latency and load
+// imbalance bounded on huge shards.
 const (
 	minChunk = 128
 	maxChunk = 8192
@@ -616,16 +622,4 @@ func Best(points []Point) *Point {
 		return nil
 	}
 	return &points[best.Index]
-}
-
-// FilterBatch returns the subset of points with the given global batch, in
-// their existing order.
-func FilterBatch(points []Point, batch int) []Point {
-	var out []Point
-	for _, p := range points {
-		if p.Batch == batch {
-			out = append(out, p)
-		}
-	}
-	return out
 }

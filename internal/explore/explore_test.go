@@ -240,65 +240,12 @@ func TestSweepErrors(t *testing.T) {
 	}
 }
 
-func TestFilterBatch(t *testing.T) {
-	pts := []Point{{Batch: 4096}, {Batch: 8192}, {Batch: 4096}}
-	got := FilterBatch(pts, 4096)
-	if len(got) != 2 {
-		t.Errorf("FilterBatch = %d points", len(got))
-	}
-	if FilterBatch(pts, 1) != nil {
-		t.Error("missing batch returned points")
-	}
-}
-
 func TestBestEmpty(t *testing.T) {
 	if Best(nil) != nil {
 		t.Error("Best(nil) != nil")
 	}
 	if Best([]Point{{Err: nil, Fits: false}}) != nil {
 		t.Error("Best returned unfit point")
-	}
-}
-
-func TestParetoTimeEnergy(t *testing.T) {
-	sc := cs1Scenario()
-	sc.Training.NumBatches = 1000
-	pts, err := Sweep(sc, Options{
-		Mappings: []parallel.Mapping{
-			{TPIntra: 8, DPInter: 128},            // fast, no bubbles
-			{TPIntra: 8, PPInter: 64, DPInter: 2}, // slower, idles in bubbles
-			{TPIntra: 8, TPInter: 2, DPInter: 64}, // slower, no bubbles
-		},
-		Batches: []int{16384}, MicrobatchTarget: 128,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front, err := ParetoTimeEnergy(pts, sc.System)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(front) == 0 {
-		t.Fatal("empty Pareto front")
-	}
-	// Fastest-first and strictly improving energy along the front.
-	for i := 1; i < len(front); i++ {
-		if front[i].Breakdown.TotalTime() <= front[i-1].Breakdown.TotalTime() {
-			t.Errorf("front not time-sorted at %d", i)
-		}
-		if front[i].Energy.Total() >= front[i-1].Energy.Total() {
-			t.Errorf("front point %d not energy-improving", i)
-		}
-	}
-	// The fastest feasible point always survives.
-	if best := Best(pts); best != nil &&
-		front[0].Breakdown.TotalTime() != best.Breakdown.TotalTime() {
-		t.Error("fastest point missing from the front")
-	}
-	// Degenerate inputs.
-	empty, err := ParetoTimeEnergy(nil, sc.System)
-	if err != nil || empty != nil {
-		t.Errorf("nil points front = %v, %v", empty, err)
 	}
 }
 

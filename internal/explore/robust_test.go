@@ -135,8 +135,8 @@ func TestSweepRecoversPartialPanics(t *testing.T) {
 	opt := robustOptions
 	opt.Batches = []int{4096, 8192, 16384}
 	opt.Concurrency = 1
-	// Every run prices a fresh space, so no pooled worker carries a
-	// degree-group memo into it and the call numbers follow cell order.
+	// Every run prices a fresh space on one worker, so the call numbers
+	// follow cell order.
 	space := func() *Space {
 		sp, err := NewSpace(sc, opt)
 		if err != nil {

@@ -84,9 +84,6 @@ func TestRowRankKeyMatchesExpectedTotalTime(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := sp.prepare(0, sp.Cells()); err != nil {
-						t.Fatal(err)
-					}
 					k := &keySink{t: t, s: sp, prevMi: -1}
 					if err := sp.run(context.Background(), 0, sp.Cells(), func() sink { return k }); err != nil {
 						t.Fatal(err)
@@ -137,12 +134,8 @@ func TestPooledRowAcrossSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	nb := int64(len(opt.Batches))
-	if err := spA.prepare(0, nb); err != nil {
-		t.Fatal(err)
-	}
 	for trial := 0; trial < 4; trial++ {
-		w := workerPool.Get().(*worker)
-		w.mi = -1
+		w := getWorker()
 		spA.evalChunk(w, 0, nb, discardSink{})
 		if w.mi != 0 {
 			t.Fatalf("worker row holds mapping %d after pricing mapping 0", w.mi)

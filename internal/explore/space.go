@@ -18,28 +18,24 @@ import (
 
 // Space is one sweep's canonical cell enumeration, resolved once: the
 // session (compiled when the scenario did not supply one), the ordered
-// mapping list and every cell's microbatch schedule. Cell gi is
+// mapping list and its degree-group runs. Cell gi is
 // (mappings[gi/len(Batches)], Batches[gi%len(Batches)]), exactly the order
 // Options.CursorLo/CursorHi index. Any number of [lo, hi) ranges can then be
 // priced against it without re-enumerating, through one worker-pool
 // executor with two sinks: Sweep keeps every point, Top keeps only the best
-// n. A Space is safe for concurrent use; it never mutates a supplied
-// session.
+// n. A Space is never written after NewSpace, so it is safe for concurrent
+// use; it never mutates a supplied session.
 type Space struct {
 	sc       Scenario
 	opt      Options
 	sess     *model.Session
 	aggs     *model.Aggregates // the Eq. 2 aggregate of each opt.Batches position
 	mappings []parallel.Mapping
-
-	// mu guards the lazy schedule table. rows[mi] is mapping mi's schedule
-	// per batch, nil until a call's range first touches the mapping; a
-	// call's workers only read rows its own prepare filled. The microbatch
-	// choice depends on a mapping only through its (DP, PP) degrees, so
-	// mappings sharing them share one row.
-	mu        sync.Mutex
-	rows      [][]schedule
-	byDegrees map[[2]int][]schedule
+	// groups holds the first mapping index of each degree-group run, a
+	// maximal run of consecutive mappings with equal DP, PP, TP, CP and
+	// sequence parallelism, then len(mappings). Every mapping of a run
+	// shares each batch position's schedule and degree-group terms.
+	groups []int64
 }
 
 // schedule is one (degrees, batch) cell's microbatch choice.
@@ -84,59 +80,47 @@ func NewSpace(sc Scenario, opt Options) (*Space, error) {
 			return nil, err
 		}
 	}
+	var groups []int64
+	var prev [5]int
+	for mi := range mappings {
+		if g := degreeGroup(&mappings[mi]); mi == 0 || g != prev {
+			groups, prev = append(groups, int64(mi)), g
+		}
+	}
 	return &Space{
 		sc: sc, opt: opt, sess: sess, aggs: sess.Aggregates(opt.Batches), mappings: mappings,
-		rows: make([][]schedule, len(mappings)), byDegrees: make(map[[2]int][]schedule),
+		groups: append(groups, int64(len(mappings))),
 	}, nil
 }
 
-// prepare validates the range [lo, hi) and fills the schedule rows of the
-// mappings it touches. Every call runs it before any worker starts, so a
-// space resolved once and swept in chunks chooses each schedule once, and a
-// one-shot sweep of a small range pays only for the mappings it touches.
-func (s *Space) prepare(lo, hi int64) error {
+// degreeGroup is what a cell's schedule and degree-group terms read of its
+// mapping: the DP, PP, TP and CP degrees and sequence parallelism. The
+// degrees are read off one normalized copy (each value-receiver degree
+// method would copy the mapping again).
+func degreeGroup(mp *parallel.Mapping) [5]int {
+	n := *mp
+	n.Normalize()
+	var sp int
+	if n.SequenceParallel {
+		sp = 1
+	}
+	return [5]int{n.DPIntra * n.DPInter, n.PPIntra * n.PPInter, n.TPIntra * n.TPInter, n.CPIntra * n.CPInter, sp}
+}
+
+// checkRange refuses a range [lo, hi) outside the enumeration.
+func (s *Space) checkRange(lo, hi int64) error {
 	if total := s.Cells(); lo < 0 || hi < lo || hi > total {
 		return fmt.Errorf("explore: shard range [%d, %d) outside cell enumeration of size %d", lo, hi, total)
-	}
-	if lo == hi {
-		return nil
-	}
-	nb := int64(len(s.opt.Batches))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Enumerate emits mappings of equal (DP, PP) consecutively, so most
-	// mappings reuse the previous one's row without a map lookup.
-	var prevKey [2]int
-	var prevRow []schedule
-	for mi := lo / nb; mi <= (hi-1)/nb; mi++ {
-		if s.rows[mi] != nil {
-			continue
-		}
-		mp := &s.mappings[mi]
-		key := [2]int{mp.DP(), mp.PP()}
-		if prevRow == nil || key != prevKey {
-			row, ok := s.byDegrees[key]
-			if !ok {
-				row = make([]schedule, nb)
-				for bi, b := range s.opt.Batches {
-					row[bi] = s.schedule(mp, b)
-				}
-				s.byDegrees[key] = row
-			}
-			prevKey, prevRow = key, row
-		}
-		s.rows[mi] = prevRow
 	}
 	return nil
 }
 
-// schedule picks a cell's microbatch schedule. Only dividing cells get a
-// schedule chosen: b/dp truncates otherwise, and the truncated per-replica
-// batch would pick an N_ub for a cell that does not exist. The non-dividing
-// cell keeps the scenario's schedule and is rejected by Batch.Validate
-// during evaluation.
+// schedule picks a cell's microbatch schedule; it reads only the mapping's
+// DP and PP degrees. Only dividing cells get a schedule chosen: b/dp
+// truncates otherwise, and the truncated per-replica batch would pick an
+// N_ub for a cell that does not exist. The non-dividing cell keeps the
+// scenario's schedule and is rejected by Batch.Validate during evaluation.
 func (s *Space) schedule(mp *parallel.Mapping, b int) schedule {
-	nub := s.sc.Training.Batch.Microbatches
 	if dp, pp := mp.DP(), mp.PP(); s.opt.MicrobatchTarget > 0 && b%dp == 0 {
 		per := b / dp
 		if !MicrobatchFeasible(per, pp) {
@@ -145,8 +129,12 @@ func (s *Space) schedule(mp *parallel.Mapping, b int) schedule {
 			// ChooseMicrobatches' fallback schedule.
 			return schedule{ub: per, unfillable: true}
 		}
-		nub = ChooseMicrobatches(per, pp, s.opt.MicrobatchTarget)
+		// A chosen N_ub divides per and is at least 1, so it is its own
+		// resolved count.
+		nub := ChooseMicrobatches(per, pp, s.opt.MicrobatchTarget)
+		return schedule{nub: nub, ub: nub}
 	}
+	nub := s.sc.Training.Batch.Microbatches
 	return schedule{nub: nub, ub: parallel.Batch{Global: b, Microbatches: nub}.MicrobatchesOrDefault(*mp)}
 }
 
@@ -170,29 +158,26 @@ func (s *Space) span() (lo, hi int64) {
 	return s.opt.CursorLo, s.opt.CursorHi
 }
 
-// cell returns cell gi's mapping index, batch index and schedule.
-func (s *Space) cell(gi int64) (mi, bi int64, c schedule) {
-	nb := int64(len(s.opt.Batches))
-	mi, bi = gi/nb, gi%nb
-	return mi, bi, s.rows[mi][bi]
-}
-
-// at lays out cell gi into p, a pipeline-unfillable cell diagnosed.
+// at lays out cell gi into p: its identity and schedule, a
+// pipeline-unfillable cell marked with errUnfillable. The schedule is
+// chosen again, by the function the executor's walk uses.
 func (s *Space) at(gi int64, p *Point) {
-	*p = Point{Fits: true}
-	if _, _, c := s.cell(gi); c.unfillable {
+	nb := int64(len(s.opt.Batches))
+	mp, b := &s.mappings[gi/nb], s.opt.Batches[gi%nb]
+	c := s.schedule(mp, b)
+	*p = Point{Mapping: *mp, Batch: b, Microbatches: c.ub, Fits: true, chosenNub: c.nub}
+	if c.unfillable {
 		p.Err = errUnfillable
 	}
-	s.identify(gi, p)
 }
 
-// identify writes cell gi's identity — mapping, batch and schedule — into
-// p and formats the error of a pipeline-unfillable cell, which carries
-// errUnfillable until then. The executor prices cells without their
-// identity; sinks identify only the cells they keep.
+// identify writes cell gi's mapping and batch into p and formats the error
+// of a pipeline-unfillable cell, which carries errUnfillable until then.
+// The executor prices cells without their identity, writing only their
+// schedule; sinks identify the cells they keep.
 func (s *Space) identify(gi int64, p *Point) {
-	mi, bi, c := s.cell(gi)
-	p.Mapping, p.Batch, p.Microbatches, p.chosenNub = s.mappings[mi], s.opt.Batches[bi], c.ub, c.nub
+	nb := int64(len(s.opt.Batches))
+	p.Mapping, p.Batch = s.mappings[gi/nb], s.opt.Batches[gi%nb]
 	if p.Err == errUnfillable {
 		p.Err = fmt.Errorf(
 			"explore: %v B=%d infeasible: pipeline depth %d exceeds per-replica batch %d, no microbatch count satisfies N_ub >= N_PP",
@@ -202,12 +187,13 @@ func (s *Space) identify(gi int64, p *Point) {
 
 // points lays out the cells [lo, hi) without evaluating them (Layout).
 func (s *Space) points(lo, hi int64) ([]Point, error) {
-	if err := s.prepare(lo, hi); err != nil {
+	if err := s.checkRange(lo, hi); err != nil {
 		return nil, err
 	}
 	pts := make([]Point, hi-lo)
 	for i := range pts {
 		s.at(lo+int64(i), &pts[i])
+		s.identify(lo+int64(i), &pts[i])
 	}
 	return pts, nil
 }
@@ -215,7 +201,7 @@ func (s *Space) points(lo, hi int64) ([]Point, error) {
 // appendID appends cell gi's Point.String identity to b.
 func (s *Space) appendID(b []byte, gi int64) []byte {
 	var p Point
-	s.identify(gi, &p)
+	s.at(gi, &p)
 	return p.appendID(b)
 }
 
@@ -224,7 +210,7 @@ func (s *Space) appendID(b []byte, gi int64) []byte {
 // finished alongside the context's error, and failed points are dropped
 // unless Options.KeepInvalid.
 func (s *Space) Sweep(ctx context.Context, lo, hi int64) ([]Point, error) {
-	if err := s.prepare(lo, hi); err != nil {
+	if err := s.checkRange(lo, hi); err != nil {
 		return nil, err
 	}
 	k := &pointSink{s: s, lo: lo, pts: make([]Point, hi-lo), bds: make([]model.Breakdown, hi-lo)}
@@ -253,7 +239,7 @@ func (s *Space) Sweep(ctx context.Context, lo, hi int64) ([]Point, error) {
 // only a heap admission copies the cell out, identity and Breakdown. Memory
 // is O(workers × n) whatever the range's size.
 func (s *Space) Top(ctx context.Context, lo, hi int64, n int) (top []Point, completed int, err error) {
-	if err := s.prepare(lo, hi); err != nil {
+	if err := s.checkRange(lo, hi); err != nil {
 		return nil, 0, err
 	}
 	var sinks []*topSink
@@ -281,10 +267,10 @@ func (s *Space) Top(ctx context.Context, lo, hi int64, n int) (top []Point, comp
 }
 
 // sink receives one worker's finished cells. take is handed the cell's
-// global index, a scratch point carrying the outcome — Err, Fits and a
-// Breakdown and Footprint that point into worker memory the next cell
-// overwrites — but not necessarily its identity, and the cell's Rank: a
-// sink keeps a cell by copying it out and identifying the copy
+// global index, a scratch point carrying the outcome — Err, Fits, the
+// schedule and a Breakdown and Footprint that point into worker memory the
+// next cell overwrites — but not necessarily its identity, and the cell's
+// Rank: a sink keeps a cell by copying it out and identifying the copy
 // (Space.keep).
 type sink interface {
 	take(gi int64, p *Point, r Rank)
@@ -371,25 +357,45 @@ func (k *topSink) take(gi int64, p *Point, r Rank) {
 func (s *Space) rank(a, b topEntry) int { return CompareRank(a.Rank, b.Rank, s.appendID) }
 
 // worker is one pool goroutine's scratch: the prepared row of the mapping
-// its walk is on, the breakdown and footprint the current cell prices
-// into, and the scratch point handed to sinks. Workers are pooled across
-// calls, so a shard's chunk loop does not reallocate them per chunk.
+// its walk is on, the columns of the degree-group run it is in, the
+// breakdown and footprint the current cell prices into, and the scratch
+// point handed to sinks. Workers are pooled across calls, so a shard's
+// chunk loop does not reallocate them per chunk.
 type worker struct {
-	row model.Row
-	mi  int64 // the mapping index row holds; -1 for none
-	bd  model.Breakdown
-	fp  memkit.Footprint
-	p   Point
+	row  model.Row
+	mi   int64    // the mapping index row holds; -1 for none
+	g    int      // the group run cols holds; -1 for none
+	cols []column // per batch position
+	bd   model.Breakdown
+	fp   memkit.Footprint
+	p    Point
+}
+
+// column is one batch position of a degree-group run: the schedule every
+// mapping of the run shares there and the model's degree-group terms. The
+// zero value is empty; each half fills on the first cell that needs it.
+type column struct {
+	set   bool // sched holds the position's schedule
+	sched schedule
+	terms model.Column
 }
 
 var workerPool = sync.Pool{New: func() any { return new(worker) }}
+
+// getWorker takes a worker from the pool holding no row and no columns: a
+// pooled worker's may belong to another space.
+func getWorker() *worker {
+	w := workerPool.Get().(*worker)
+	w.mi, w.g = -1, -1
+	return w
+}
 
 // run prices the cells [lo, hi) on a pool of workers and hands every
 // finished cell to the claiming worker's sink (sinkFor is called once per
 // worker, before any starts). Workers claim chunked index ranges off an
 // atomic cursor instead of receiving per-index channel sends, cutting
 // synchronization traffic and false sharing on adjacent cells, and price
-// each chunk row by row (evalChunk).
+// each chunk by degree-group run (evalChunk).
 //
 // A cancelled context stops workers at their next chunk claim; run then
 // returns the context's error after handing the sinks the pipeline-
@@ -429,12 +435,8 @@ func (s *Space) run(ctx context.Context, lo, hi int64, sinkFor func() sink) erro
 		wg.Add(1)
 		go func(k sink) {
 			defer wg.Done()
-			w := workerPool.Get().(*worker)
-			defer func() {
-				w.row.Release() // a parked worker pins no session
-				workerPool.Put(w)
-			}()
-			w.mi = -1 // a pooled row may belong to another space
+			w := getWorker()
+			defer workerPool.Put(w)
 			for {
 				// Cooperative cancellation, checked once per chunk claim:
 				// cheap enough to leave the per-point path untouched, tight
@@ -469,9 +471,9 @@ func (s *Space) run(ctx context.Context, lo, hi int64, sinkFor func() sink) erro
 	prog.CancelLatencyNanos.Store(lat)
 	// Every claimed chunk was priced whole, so the claims cover exactly
 	// [lo, cursor) and the tail starts there.
+	p := new(Point)
 	for gi := min(cursor.Load(), hi); gi < hi; gi++ {
-		if _, _, c := s.cell(gi); c.unfillable {
-			p := &Point{Fits: true, Err: errUnfillable}
+		if s.at(gi, p); p.Err != nil {
 			sinks[0].take(gi, p, rankOf(p, gi))
 		}
 	}
@@ -479,9 +481,11 @@ func (s *Space) run(ctx context.Context, lo, hi int64, sinkFor func() sink) erro
 }
 
 // evalChunk prices the cells [start, end) and hands each to k in cell
-// order, returning the number of failed cells. The walk is mapping-major:
-// the worker prepares a mapping's row once when the walk reaches it, then
-// prices each of its cells against that row and the space's positional
+// order, returning the number of failed cells. The walk is mapping-major,
+// nested as degree-group run → mapping → batch position: the worker
+// empties its columns when the walk enters a group run, prepares a
+// mapping's row once when the walk reaches it, then prices each of its
+// cells against that row, the position's column and the space's positional
 // aggregates into one scratch breakdown. A sink ranks the cell from its
 // outcome and copies out only what it keeps.
 //
@@ -505,14 +509,16 @@ func (s *Space) evalChunk(w *worker, start, end int64, k sink) (failed int) {
 	return failed
 }
 
-// priceCells prices the cells [gi, end) through the worker's row and hands
-// them to k, each ranked off the key its pricing returned. It returns end,
-// or the index of a cell whose pricing panicked; that cell is not handed
-// on. PrepareRow fills the row in place, so w.mi is cleared before it and
-// names the row only once it returns: a panicking preparation leaves no
-// half-built row in use. Only the scratch point's outcome fields are reset
-// per cell; its identity fields go stale, since sinks identify their
-// copies.
+// priceCells prices the cells [gi, end) through the worker's columns and
+// row and hands them to k, each ranked off the key its pricing returned. It
+// returns end, or the index of a cell whose pricing panicked; that cell is
+// not handed on. A column's schedule and its model terms each fill on the
+// first cell of the run that needs them; the model writes its terms only
+// once the efficiency model returns. PrepareRow fills the row in place, so
+// w.mi is cleared before it and names the row only once it returns: a
+// panicking preparation leaves no half-built row in use. Only the scratch
+// point's outcome and schedule fields are reset per cell; its identity
+// fields go stale, since sinks identify their copies.
 func (s *Space) priceCells(w *worker, gi, end int64, k sink, failed *int) (stop int64) {
 	defer func() {
 		if recover() != nil {
@@ -521,38 +527,52 @@ func (s *Space) priceCells(w *worker, gi, end int64, k sink, failed *int) (stop 
 	}()
 	nb := int64(len(s.opt.Batches))
 	mi, bi := gi/nb, gi%nb
+	g, found := slices.BinarySearch(s.groups, mi)
+	if !found {
+		g-- // mi is inside the run that starts before it
+	}
 	p := &w.p
-	for ; gi < end; gi, bi = gi+1, bi+1 {
-		if bi == nb {
-			mi, bi = mi+1, 0
+	for ; gi < end; g++ {
+		if g != w.g {
+			w.cols = append(w.cols[:0], make([]column, nb)...)
+			w.g = g
 		}
-		c := s.rows[mi][bi]
-		p.Breakdown, p.Footprint, p.Fits, p.Err = nil, nil, true, nil
-		var key float64
-		if c.unfillable {
-			p.Err = errUnfillable
-		} else {
-			if mi != w.mi {
-				w.mi = -1
-				s.sess.PrepareRow(&w.row, &s.mappings[mi])
-				w.mi = mi
-			}
-			if key, p.Err = s.sess.PriceRowCell(&w.row, s.aggs, int(bi), c.nub, &w.bd); p.Err == nil {
-				p.Breakdown = &w.bd
-				if s.sc.Memory != nil {
-					s.identify(gi, p) // the memory model needs the cell's identity
-					estimateMemorySafe(p, &w.fp, &s.sc)
+		for ; mi < s.groups[g+1] && gi < end; mi, bi = mi+1, 0 {
+			mp := &s.mappings[mi]
+			for ; bi < nb && gi < end; gi, bi = gi+1, bi+1 {
+				c := &w.cols[bi]
+				if !c.set {
+					c.sched, c.set = s.schedule(mp, s.opt.Batches[bi]), true
 				}
+				p.Breakdown, p.Footprint, p.Fits, p.Err = nil, nil, true, nil
+				p.Microbatches, p.chosenNub = c.sched.ub, c.sched.nub
+				var key float64
+				if c.sched.unfillable {
+					p.Err = errUnfillable
+				} else {
+					if mi != w.mi {
+						w.mi = -1
+						s.sess.PrepareRow(&w.row, mp)
+						w.mi = mi
+					}
+					if key, p.Err = s.sess.PriceRowCell(&w.row, &c.terms, s.aggs, int(bi), c.sched.nub, &w.bd); p.Err == nil {
+						p.Breakdown = &w.bd
+						if s.sc.Memory != nil {
+							s.identify(gi, p) // the memory model needs the cell's identity
+							estimateMemorySafe(p, &w.fp, &s.sc)
+						}
+					}
+				}
+				r := Rank{Index: gi, Bucket: pointOrder(p)}
+				if r.Bucket == 0 {
+					r.Key = key
+				}
+				if p.Err != nil {
+					*failed++
+				}
+				k.take(gi, p, r)
 			}
 		}
-		r := Rank{Index: gi, Bucket: pointOrder(p)}
-		if r.Bucket == 0 {
-			r.Key = key
-		}
-		if p.Err != nil {
-			*failed++
-		}
-		k.take(gi, p, r)
 	}
 	return end
 }

@@ -282,9 +282,9 @@ func diffPoints(got, want []Point) string {
 }
 
 // TestSpaceConcurrentCalls runs Top over overlapping ranges of one fresh
-// space from several goroutines — each call prepares its own range's
-// schedules while the others' workers read theirs — and checks every
-// result against a sequential call on a second space. Run it under -race.
+// space from several goroutines — each call's workers choose their own
+// schedules from the shared, unwritten space — and checks every result
+// against a sequential call on a second space. Run it under -race.
 func TestSpaceConcurrentCalls(t *testing.T) {
 	sc, opt := cs1Scenario(), Options{
 		Batches:          []int{64, 4096, 8192},

@@ -111,59 +111,22 @@ func (s *Session) EvaluateBatch(in BatchInput, out *BatchOutput) error {
 }
 
 // Row is one mapping's prepared pricing run (validation verdicts, degrees
-// and every per-mapping hoist) with two memos a sweep worker's walk reuses
-// across cells: the forward communication terms of the last microbatch
-// size the row priced, and the degree-group terms (groupTerms) of each
-// batch position of the Aggregates it prices against. A worker prepares it
-// once per mapping it walks (PrepareRow) and prices the mapping's cells
-// against it (PriceRowCell). Enumerate emits the mappings of one degree
-// group consecutively, so the group memo serves every mapping of a group
-// after its first.
+// and every per-mapping hoist) with the forward communication terms of the
+// last microbatch size it priced, which the mapping's cells of equal
+// microbatch size share. A sweep worker prepares it once per mapping it
+// walks (PrepareRow) and prices the mapping's cells against it
+// (PriceRowCell).
 type Row struct {
 	run  mappingRun
 	comm commTerms
-
-	// The degree-group memo: terms[bi] is batch position bi of aggs, valid
-	// while the prepared mappings share key.
-	key   groupKey
-	aggs  *Aggregates
-	terms []groupTerms
 }
 
-// groupKey is everything a cell's degree-group terms read besides the batch
-// and the raw N_ub: the session and the mapping's degree products. The zero
-// key belongs to no prepared mapping: a Row holding it has an empty memo.
-type groupKey struct {
-	s      *Session
-	dp, pp int
-	tp, cp float64
-	sp     bool
-}
-
-// PrepareRow validates the mapping mp points to, hoists its run constants
-// into r and empties r's communication memo, so a Row may move between
-// mappings and sessions. r keeps its degree-group memo when mp is in the
-// degree group of the mapping r held, and empties it otherwise and for a
-// mapping that fails validation.
+// PrepareRow validates the mapping mp points to and rebuilds r for it: the
+// run constants and an empty communication memo, so a Row may move between
+// mappings and sessions.
 func (s *Session) PrepareRow(r *Row, mp *parallel.Mapping) {
 	s.prepareRun(&r.run, mp)
 	r.comm = commTerms{}
-	var key groupKey
-	if run := &r.run; run.err == nil {
-		key = groupKey{s, run.dp, run.pp, run.tpF, run.cpF, run.mpn.SequenceParallel}
-	}
-	if key != r.key {
-		r.key = key
-		clear(r.terms)
-	}
-}
-
-// Release empties r's degree-group memo and drops the session and
-// Aggregates it refers to, so a Row parked in a pool keeps neither alive.
-// The memo's capacity stays for the Row's next walk.
-func (r *Row) Release() {
-	r.key, r.aggs = groupKey{}, nil
-	clear(r.terms)
 }
 
 // Aggregates is a sweep's batch list with each batch's Eq. 2 aggregate
@@ -191,13 +154,10 @@ func (s *Session) Aggregates(batches []int) *Aggregates {
 // float64 of out.ExpectedTotalTime() (0 on error): the EvaluatePoint
 // arithmetic on the same hoists, so out and the error are bit-identical to
 // EvaluatePoint's. a must come from this session and r from PrepareRow on
-// it. A cell's degree-group terms come from r's memo when an earlier cell of
-// the group priced them at the same batch position and raw N_ub.
-func (s *Session) PriceRowCell(r *Row, a *Aggregates, bi, nub int, out *Breakdown) (float64, error) {
-	if r.aggs != a {
-		r.aggs = a
-		r.terms = column(r.terms, len(a.batches))
-		clear(r.terms)
-	}
-	return s.priceCell(&r.run, a.batches[bi], nub, a.aggs[bi], &r.terms[bi], &r.comm, false, out)
+// it. col holds the cell's degree-group terms: the caller scopes it to one
+// degree group, batch position of a and nub, and empties it (the zero
+// Column) on leaving that scope. The first cell that needs its terms fills
+// them; every later cell of the scope reads them.
+func (s *Session) PriceRowCell(r *Row, col *Column, a *Aggregates, bi, nub int, out *Breakdown) (float64, error) {
+	return s.priceCell(&r.run, a.batches[bi], nub, a.aggs[bi], col, &r.comm, false, out)
 }

@@ -18,16 +18,17 @@ import (
 // one mappingRun: prepareRun (the fit check and the Eq. 6/10/11 hoists),
 // fwdCompute (Eq. 2–4), fwdComm (Eq. 5–7, 9) and, for training cells,
 // priceCell (Eq. 1, 8, 12, the gradient overlap, the breakdown and its rank
-// key). priceCell splits a cell in two: the degree-group terms (the batch
-// schedule verdict, N_ub and ub, the Eq. 3 efficiency, the per-worker
-// Eq. 2–4 compute and Eq. 8's R·(N_PP−1)/N_ub), which read only the batch,
-// the raw N_ub and the degree products, and the mapping-dependent rest
-// (communication, gradient all-reduce, bubble, breakdown, rank key). A Row
-// keeps the first per batch position for its degree group and the forward
-// communication of its last microbatch size; a point prices both from
-// empty. Every Eq. 2 aggregate
-// comes from the session's one memo (aggMemo), which is the only state a
-// compiled session writes after Compile.
+// key). priceCell splits a cell in two: the degree-group terms (a Column:
+// the batch schedule verdict, N_ub and ub, the Eq. 3 efficiency, the
+// per-worker Eq. 2–4 compute and Eq. 8's R·(N_PP−1)/N_ub), which read only
+// the batch, the raw N_ub and the degree products, and the
+// mapping-dependent rest (communication, gradient all-reduce, bubble,
+// breakdown, rank key). A sweep hands in the Column its walk scopes to one
+// degree group and batch position, and a Row keeps the forward
+// communication of its mapping's last microbatch size; a point prices both
+// from empty. Every Eq. 2 aggregate comes from the session's one memo
+// (aggMemo), which is the only state a compiled session writes after
+// Compile.
 
 // mappingRun holds everything hoisted out of the per-cell path for one
 // mapping: validation verdicts, the normalized degrees, the
@@ -271,21 +272,21 @@ type commTerms struct {
 	tpIntra, tpInter, ppHop, cp, moe float64
 }
 
-// groupTerms memoizes the degree-group part of one training cell at a raw
-// microbatch count nub: what priceCell reads of the batch and the degree
-// products alone (DP and PP for the schedule, TP and sequence parallelism
-// for the roofline compute, all four for the worker count). A Row keeps one
-// per batch position for the degree group its mapping is in; a point
-// prices with an empty one of its own. An entry fills in two steps, each on
-// the first cell that needs it: the batch-schedule verdict (err,
-// parallel.Batch.Validate's error, or ub and the bubble rate), then, on the
-// first cell that also passes the model-fit check, the efficiency and the
-// per-worker Eq. 2–4 compute. The efficiency model is thus called once per
-// filled entry; it must be a pure function of ub. A panic in it leaves the
-// entry's terms unfilled, so the next cell calls it again.
-type groupTerms struct {
-	nub      int  // the raw N_ub the verdict is for
-	resolved bool // the verdict fields hold nub's schedule
+// Column is the degree-group part of one training cell: what priceCell
+// reads of the batch, the raw N_ub and the degree products alone (DP and PP
+// for the schedule, TP and sequence parallelism for the roofline compute,
+// all four for the worker count). Every mapping of one degree group at one
+// batch position and raw N_ub shares it, so a sweep walking a group prices
+// it once per batch position; a point prices with an empty one of its own.
+// The zero value is empty. It fills in two steps, each on the first cell
+// that needs it: the batch-schedule verdict (err, parallel.Batch.Validate's
+// error, or ub and the bubble rate), then, on the first cell that also
+// passes the model-fit check, the efficiency and the per-worker Eq. 2–4
+// compute. The efficiency model is thus called once per filled Column; it
+// must be a pure function of ub. A panic in it leaves the terms unfilled,
+// so the next cell calls it again.
+type Column struct {
+	resolved bool // the verdict fields hold the schedule
 	err      error
 	ub       float64
 	// bubbleRate is Eq. 8's R·(N_PP−1)/N_ub.
@@ -303,8 +304,8 @@ type groupTerms struct {
 // microbatch count nub on run's degrees: an inline of parallel.Batch's
 // Validate, MicrobatchesOrDefault and Microbatch over the run's normalized
 // degrees. A failing schedule takes the real Validate for its error.
-func (run *mappingRun) resolve(g, nub int, e *groupTerms) {
-	*e = groupTerms{nub: nub, resolved: true}
+func (run *mappingRun) resolve(g, nub int, e *Column) {
+	*e = Column{resolved: true}
 	var per, nubD int
 	bad := g <= 0 || nub < 0 || g%run.dp != 0
 	if !bad {
@@ -332,7 +333,7 @@ func (run *mappingRun) resolve(g, nub int, e *groupTerms) {
 // priceGroup fills e's efficiency and per-worker Eq. 2–4 compute over
 // global batch g's aggregate (agg, or the session's memo when nil). Every
 // term is written after the efficiency model returns.
-func (s *Session) priceGroup(run *mappingRun, g int, agg *batchAgg, e *groupTerms) {
+func (s *Session) priceGroup(run *mappingRun, g int, agg *batchAgg, e *Column) {
 	eff := s.eff.Eff(e.ub)
 	cMAC := 1 / (s.peakMAC * eff)
 	if agg == nil {
@@ -357,18 +358,18 @@ func (s *Session) priceGroup(run *mappingRun, g int, agg *batchAgg, e *groupTerm
 // failing cell leaves out untouched; a non-finite result keeps the partial
 // breakdown. agg is g's Eq. 2 aggregate when the caller resolved it up
 // front (a sweep's positional Aggregates); nil resolves it through the
-// session's memo once the cell validates. grp and comm are a row's
-// degree-group and communication memos for this cell; nil prices without
-// them. relaxed drops the Eq. 9 MoE term for LowerBound and must not be set
-// with a memo.
-func (s *Session) priceCell(run *mappingRun, g, nub int, agg *batchAgg, grp *groupTerms, comm *commTerms, relaxed bool, out *Breakdown) (float64, error) {
+// session's memo once the cell validates. grp is the cell's degree-group
+// Column, filled for g and nub on the run's degree group or empty; comm is
+// a row's communication memo. nil prices without them. relaxed drops the
+// Eq. 9 MoE term for LowerBound and must not be set with a memo.
+func (s *Session) priceCell(run *mappingRun, g, nub int, agg *batchAgg, grp *Column, comm *commTerms, relaxed bool, out *Breakdown) (float64, error) {
 	if run.err != nil {
 		return 0, run.err
 	}
 	if grp == nil {
-		grp = new(groupTerms) // empty: this cell's own
+		grp = new(Column) // empty: this cell's own
 	}
-	if !grp.resolved || grp.nub != nub {
+	if !grp.resolved {
 		run.resolve(g, nub, grp)
 	}
 	if grp.err != nil {

@@ -62,7 +62,7 @@ func TestFiniteBySum(t *testing.T) {
 		perr := s.EvaluatePoint(parallel.Mapping{}, batch, 0, &bd)
 		var r Row
 		s.PrepareRow(&r, &parallel.Mapping{})
-		key, rerr := s.PriceRowCell(&r, s.Aggregates([]int{batch}), 0, 0, &row)
+		key, rerr := s.PriceRowCell(&r, new(Column), s.Aggregates([]int{batch}), 0, 0, &row)
 		if perr != rerr || !sameBreakdown(bd, row) {
 			t.Fatalf("row path (%v) and point path (%v) disagree", rerr, perr)
 		}
@@ -142,7 +142,7 @@ func TestRowReusedAcrossSessions(t *testing.T) {
 		a := s.Aggregates(batches)
 		for bi, g := range batches {
 			var row, point Breakdown
-			key, err := s.PriceRowCell(&r, a, bi, nubs[bi], &row)
+			key, err := s.PriceRowCell(&r, new(Column), a, bi, nubs[bi], &row)
 			if perr := s.EvaluatePoint(mp, g, nubs[bi], &point); err != nil || perr != nil || row != point {
 				t.Fatalf("B=%d: row %v (%v) != EvaluatePoint %v (%v)", g, row, err, point, perr)
 			}
