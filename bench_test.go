@@ -406,9 +406,11 @@ func BenchmarkSweepGPT3(b *testing.B) {
 
 // BenchmarkSolveGPT3 runs the planner over the exact cell space
 // BenchmarkSweepGPT3 sweeps: same model, machine, batches and enumeration.
-// The planner is the sweep executor's top-1, so it prices every rankable
-// cell: cells_expanded reports the cells priced against cells_total, and
-// ns/op is what one exhaustive top-1 over the space costs.
+// The planner is the sweep executor's top-1, which prices a rankable cell
+// only while its column's compute floor is not above its worker's best
+// key: cells_expanded reports the cells priced against cells_total (the
+// split between priced and cut varies with how the workers' chunks
+// interleave), and ns/op is what one exact top-1 over the space costs.
 func BenchmarkSolveGPT3(b *testing.B) {
 	m := amped.GPT3175B()
 	sys := amped.CaseStudy1System()
@@ -497,7 +499,8 @@ func BenchmarkTopByTime(b *testing.B) {
 // 19 batch sizes: 26,410 cells, the size of an explore-local space), then
 // Space.Top(n = 20) over consecutive 4096-cell chunks. ns/cell is the
 // executor's marginal cost per cell; allocs/op counts one pass over every
-// chunk.
+// chunk. The compute-floor cut leaves about 13% of the cells to price
+// (TestSpaceTopCuts checks that it fires on this space).
 func BenchmarkSpaceTop(b *testing.B) {
 	m := amped.Megatron145B()
 	sys := amped.CaseStudy1System()
@@ -510,8 +513,9 @@ func BenchmarkSpaceTop(b *testing.B) {
 // expert parallelism on the Case Study I machine, power-of-two mappings
 // with CP and VPP up to 4, 7 batch sizes (24,094 cells). Each roofline
 // compute term walks the op classes, and VPP and the intra/inter splits
-// make groups of many mappings, so the cost a Row's degree-group memo saves
-// shows here more than on the dense space.
+// make groups of many mappings, so the cost a shared group column saves
+// shows here more than on the dense space. About 23% of its cells reach
+// pricing past the compute-floor cut.
 func BenchmarkSpaceTopRoofline(b *testing.B) {
 	m := amped.GLaM()
 	sys := amped.CaseStudy1System()

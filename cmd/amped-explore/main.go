@@ -340,6 +340,7 @@ func runSolve(ctx context.Context, out io.Writer, sc explore.Scenario, opt explo
 	st := res.Stats
 	fmt.Fprintf(out, "%s: optimum over %d cells\n", sc.Name, st.CellsTotal)
 	fmt.Fprintf(out, "  priced     %6d\n", st.CellsExpanded)
+	fmt.Fprintf(out, "  cut        %6d unpriced, compute floor above the best time\n", st.CellsBounded)
 	fmt.Fprintf(out, "  infeasible %6d unrankable (schedule/validation)\n", st.CellsInfeasible)
 	if st.ComputeFloorSeconds > 0 {
 		fmt.Fprintf(out, "  compute floor %.1f days (utilization 1, smallest batch)\n",

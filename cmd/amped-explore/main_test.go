@@ -147,7 +147,7 @@ func TestExploreSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"optimum over", "priced", "infeasible", "compute floor", "best: "} {
+	for _, want := range []string{"optimum over", "priced", "cut", "infeasible", "compute floor", "best: "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("solve output missing %q:\n%s", want, out)
 		}

@@ -13,8 +13,10 @@
 //   - Check: four-way differential comparison — Session.EvaluatePoint vs
 //     Estimator.Evaluate vs Session.EvaluateBatch vs Literal — at a
 //     configurable relative tolerance (the first three must be
-//     bit-identical; only the literal gets tolerance), plus the metamorphic
-//     invariant suite of metamorphic.go.
+//     bit-identical; only the literal gets tolerance), the sweep row path's
+//     rank key and its column's compute floor (floor ≤ key, which the
+//     top-n cut relies on), plus the metamorphic invariant suite of
+//     metamorphic.go.
 //   - Run: the batch driver behind cmd/amped-audit and `make audit`.
 package audit
 
@@ -105,6 +107,7 @@ func Check(sc *Scenario, tol float64) (problems []string, evaluated bool) {
 	if *bdE != *bdS {
 		problems = append(problems, "Estimator.Evaluate diverged bit-wise from Session.Evaluate")
 	}
+	problems = append(problems, floorDiff(sess, sc, bdS)...)
 
 	bdL, errL := Literal(sc)
 	if errL != nil {
@@ -147,6 +150,29 @@ func batchDiff(sess *model.Session, sc *Scenario, bdS *model.Breakdown, errS err
 	}
 	if out.Breakdowns[0] != *bdS {
 		return []string{"EvaluateBatch breakdown diverged bit-wise from Session.Evaluate"}
+	}
+	return nil
+}
+
+// floorDiff prices the scenario's good cell on the sweep row path, under
+// no limit, and checks its rank key is the scalar result's
+// ExpectedTotalTime, bit for bit, and that its column's compute floor is
+// at most that key: Space.Top cuts a cell whose floor is above its n-th
+// best key, which is exact only while no key is below its floor.
+func floorDiff(sess *model.Session, sc *Scenario, bdS *model.Breakdown) []string {
+	var row model.Row
+	var col model.Column
+	var bd model.Breakdown
+	sess.PrepareRow(&row, &sc.Mapping)
+	a := sess.Aggregates([]int{sc.Training.Batch.Global})
+	key, cut, err := sess.PriceRowCell(&row, &col, a, 0, sc.Training.Batch.Microbatches, math.Inf(1), &bd)
+	switch want := float64(bdS.ExpectedTotalTime()); {
+	case err != nil || cut:
+		return []string{fmt.Sprintf("PriceRowCell rejected a good point under no limit: cut %v, %v", cut, err)}
+	case math.Float64bits(key) != math.Float64bits(want):
+		return []string{fmt.Sprintf("PriceRowCell rank key %.17g != ExpectedTotalTime %.17g", key, want)}
+	case !(col.Floor() <= key):
+		return []string{fmt.Sprintf("column compute floor %.17g above the rank key %.17g", col.Floor(), key)}
 	}
 	return nil
 }

@@ -101,6 +101,12 @@ type Progress struct {
 	// Failed counts completed points whose evaluation set Err — including
 	// points pre-marked infeasible at layout time.
 	Failed atomic.Int64
+	// Cut counts completed points a Space.Top worker did not price because
+	// their compute floor was above its n-th best time, so they could not
+	// rank among the top n. It advances once per chunk, like Completed,
+	// and is always zero for Sweep. A cut point is not in Failed, even one
+	// whose pricing would have failed with a non-finite time.
+	Cut atomic.Int64
 	// CancelLatencyNanos is the delay between context cancellation and the
 	// last worker stopping — the cooperative-cancel latency (zero when the
 	// sweep was never cancelled).

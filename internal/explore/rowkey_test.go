@@ -18,6 +18,7 @@ import (
 // the same row: those are the cells the row's communication memo serves.
 // Its space runs one worker, so the counters need no lock.
 type keySink struct {
+	allCells
 	t       *testing.T
 	s       *Space
 	fails   int
@@ -85,7 +86,7 @@ func TestRowRankKeyMatchesExpectedTotalTime(t *testing.T) {
 						t.Fatal(err)
 					}
 					k := &keySink{t: t, s: sp, prevMi: -1}
-					if err := sp.run(context.Background(), 0, sp.Cells(), func() sink { return k }); err != nil {
+					if _, err := sp.run(context.Background(), 0, sp.Cells(), func() sink { return k }); err != nil {
 						t.Fatal(err)
 					}
 					switch {
@@ -102,8 +103,17 @@ func TestRowRankKeyMatchesExpectedTotalTime(t *testing.T) {
 	}
 }
 
+// allCells gives a test sink the limit under which the walk hands it
+// every cell: none is cut.
+type allCells struct{}
+
+func (allCells) limit() *float64 {
+	inf := math.Inf(1)
+	return &inf
+}
+
 // discardSink drops every cell.
-type discardSink struct{}
+type discardSink struct{ allCells }
 
 func (discardSink) take(int64, *Point, Rank) {}
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -115,13 +116,14 @@ func (s *Space) checkRange(lo, hi int64) error {
 	return nil
 }
 
-// schedule picks a cell's microbatch schedule; it reads only the mapping's
-// DP and PP degrees. Only dividing cells get a schedule chosen: b/dp
-// truncates otherwise, and the truncated per-replica batch would pick an
-// N_ub for a cell that does not exist. The non-dividing cell keeps the
-// scenario's schedule and is rejected by Batch.Validate during evaluation.
-func (s *Space) schedule(mp *parallel.Mapping, b int) schedule {
-	if dp, pp := mp.DP(), mp.PP(); s.opt.MicrobatchTarget > 0 && b%dp == 0 {
+// schedule picks the microbatch schedule of a cell of global batch b whose
+// mapping has DP degree dp and PP degree pp (degreeGroup's). Only dividing
+// cells get a schedule chosen: b/dp truncates otherwise, and the truncated
+// per-replica batch would pick an N_ub for a cell that does not exist. The
+// non-dividing cell keeps the scenario's schedule and is rejected by
+// Batch.Validate during evaluation.
+func (s *Space) schedule(dp, pp, b int) schedule {
+	if s.opt.MicrobatchTarget > 0 && b%dp == 0 {
 		per := b / dp
 		if !MicrobatchFeasible(per, pp) {
 			// No divisor of per satisfies N_ub >= pp: the pipeline can
@@ -134,8 +136,11 @@ func (s *Space) schedule(mp *parallel.Mapping, b int) schedule {
 		nub := ChooseMicrobatches(per, pp, s.opt.MicrobatchTarget)
 		return schedule{nub: nub, ub: nub}
 	}
+	// The default N_ub reads only the DP and PP degrees, so a mapping with
+	// the group's stands in for the cell's.
 	nub := s.sc.Training.Batch.Microbatches
-	return schedule{nub: nub, ub: parallel.Batch{Global: b, Microbatches: nub}.MicrobatchesOrDefault(*mp)}
+	degrees := parallel.Mapping{DPInter: dp, PPInter: pp}
+	return schedule{nub: nub, ub: parallel.Batch{Global: b, Microbatches: nub}.MicrobatchesOrDefault(degrees)}
 }
 
 // Cells is the size of the enumeration: the domain of Sweep and Top ranges.
@@ -164,7 +169,8 @@ func (s *Space) span() (lo, hi int64) {
 func (s *Space) at(gi int64, p *Point) {
 	nb := int64(len(s.opt.Batches))
 	mp, b := &s.mappings[gi/nb], s.opt.Batches[gi%nb]
-	c := s.schedule(mp, b)
+	d := degreeGroup(mp)
+	c := s.schedule(d[0], d[1], b)
 	*p = Point{Mapping: *mp, Batch: b, Microbatches: c.ub, Fits: true, chosenNub: c.nub}
 	if c.unfillable {
 		p.Err = errUnfillable
@@ -213,11 +219,11 @@ func (s *Space) Sweep(ctx context.Context, lo, hi int64) ([]Point, error) {
 	if err := s.checkRange(lo, hi); err != nil {
 		return nil, err
 	}
-	k := &pointSink{s: s, lo: lo, pts: make([]Point, hi-lo), bds: make([]model.Breakdown, hi-lo)}
+	k := &pointSink{s: s, lo: lo, pts: make([]Point, hi-lo), bds: make([]model.Breakdown, hi-lo), inf: math.Inf(1)}
 	if s.sc.Memory != nil {
 		k.fps = make([]memkit.Footprint, hi-lo)
 	}
-	cancelled := s.run(ctx, lo, hi, func() sink { return k })
+	_, cancelled := s.run(ctx, lo, hi, func() sink { return k })
 	points := k.pts
 	if cancelled != nil {
 		// Keep only cells that actually finished (evaluated, or decided at
@@ -238,18 +244,30 @@ func (s *Space) Sweep(ctx context.Context, lo, hi int64) ([]Point, error) {
 // cells straight off its scratch breakdown into its own size-n heap, and
 // only a heap admission copies the cell out, identity and Breakdown. Memory
 // is O(workers × n) whatever the range's size.
+//
+// A worker does not price a cell that cannot enter its heap: once the heap
+// holds n cells that evaluated and fit, a cell whose column compute floor
+// (model.Column.Floor) is above the worst of their keys is cut. A cut cell
+// counts as completed, and Progress.Cut counts it. The one case where
+// this differs from Sweep: a cell that would have failed pricing with a
+// non-finite time, but whose floor is above the cut, counts as completed
+// instead of failed (and is not in Progress.Failed).
 func (s *Space) Top(ctx context.Context, lo, hi int64, n int) (top []Point, completed int, err error) {
 	if err := s.checkRange(lo, hi); err != nil {
 		return nil, 0, err
 	}
 	var sinks []*topSink
-	cancelled := s.run(ctx, lo, hi, func() sink {
-		k := &topSink{s: s, keepInvalid: s.opt.KeepInvalid, best: bestN[topEntry]{n: n, cmp: s.rank}}
+	cut, cancelled := s.run(ctx, lo, hi, func() sink {
+		k := &topSink{s: s, keepInvalid: s.opt.KeepInvalid, best: bestN[topEntry]{n: n, cmp: s.rank}, incumbent: math.Inf(1)}
+		if n <= 0 {
+			k.incumbent = math.Inf(-1) // nothing enters the heap
+		}
 		sinks = append(sinks, k)
 		return k
 	})
 	// Each worker's heap holds its n best under a total order, so their
 	// union holds the global n best.
+	completed = cut
 	var all []topEntry
 	for _, k := range sinks {
 		completed += k.completed
@@ -271,9 +289,12 @@ func (s *Space) Top(ctx context.Context, lo, hi int64, n int) (top []Point, comp
 // schedule and a Breakdown and Footprint that point into worker memory the
 // next cell overwrites — but not necessarily its identity, and the cell's
 // Rank: a sink keeps a cell by copying it out and identifying the copy
-// (Space.keep).
+// (Space.keep). limit points at the rank key above which the sink has no
+// use for a cell; the walk reads it before each cell, and does not price
+// or hand on a cell whose column floor is above it.
 type sink interface {
 	take(gi int64, p *Point, r Rank)
+	limit() *float64
 }
 
 // pointSink is Sweep's sink: every cell lands at its index, one sink
@@ -284,7 +305,10 @@ type pointSink struct {
 	pts []Point
 	bds []model.Breakdown
 	fps []memkit.Footprint // nil without a memory model
+	inf float64            // +Inf: every cell is kept
 }
+
+func (k *pointSink) limit() *float64 { return &k.inf }
 
 func (k *pointSink) take(gi int64, p *Point, _ Rank) {
 	i := gi - k.lo
@@ -318,7 +342,13 @@ type topSink struct {
 	keepInvalid bool
 	completed   int
 	best        bestN[topEntry]
+	// incumbent is the key of the worst cell in best once best holds n
+	// cells that evaluated and fit, +Inf before, −Inf when n ≤ 0. A cell
+	// whose key is above it cannot enter best.
+	incumbent float64
 }
+
+func (k *topSink) limit() *float64 { return &k.incumbent }
 
 // topEntry is a kept cell's ranking key, indexed by cell, and its copy.
 type topEntry struct {
@@ -350,6 +380,9 @@ func (k *topSink) take(gi int64, p *Point, r Rank) {
 	}
 	k.s.keep(gi, p, &e.sv.p, &e.sv.bd, &e.sv.fp)
 	k.best.push(e)
+	if h := k.best.h; len(h) == k.best.n && h[0].Bucket == 0 {
+		k.incumbent = h[0].Key
+	}
 }
 
 // rank is CompareRank over cells. The cell index orders cells exactly as
@@ -397,11 +430,12 @@ func getWorker() *worker {
 // synchronization traffic and false sharing on adjacent cells, and price
 // each chunk by degree-group run (evalChunk).
 //
-// A cancelled context stops workers at their next chunk claim; run then
-// returns the context's error after handing the sinks the pipeline-
-// unfillable cells of the unclaimed tail, which were decided without
-// evaluation and so count as finished.
-func (s *Space) run(ctx context.Context, lo, hi int64, sinkFor func() sink) error {
+// It returns the number of cells the walk cut against their sinks' limits
+// (finished, but never handed to a sink). A cancelled context stops
+// workers at their next chunk claim; run then returns the context's error
+// after handing the sinks the pipeline-unfillable cells of the unclaimed
+// tail, which were decided without evaluation and so count as finished.
+func (s *Space) run(ctx context.Context, lo, hi int64, sinkFor func() sink) (cut int, err error) {
 	workers := s.opt.Concurrency
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -427,7 +461,7 @@ func (s *Space) run(ctx context.Context, lo, hi int64, sinkFor func() sink) erro
 
 	chunk := int64(chunkSize(int(hi-lo), workers))
 	sinks := make([]sink, workers)
-	var cursor atomic.Int64
+	var cursor, cuts atomic.Int64
 	cursor.Store(lo)
 	var wg sync.WaitGroup
 	for wi := range sinks {
@@ -451,17 +485,23 @@ func (s *Space) run(ctx context.Context, lo, hi int64, sinkFor func() sink) erro
 				}
 				end = min(end, hi)
 				prog.Claimed.Add(end - start)
-				if failed := s.evalChunk(w, start, end, k); failed > 0 {
+				failed, c := s.evalChunk(w, start, end, k)
+				if failed > 0 {
 					prog.Failed.Add(int64(failed))
+				}
+				if c > 0 {
+					prog.Cut.Add(int64(c))
+					cuts.Add(int64(c))
 				}
 				prog.Completed.Add(end - start)
 			}
 		}(sinks[wi])
 	}
 	wg.Wait()
+	cut = int(cuts.Load())
 	cancelled := ctx.Err()
 	if cancelled == nil {
-		return nil
+		return cut, nil
 	}
 	<-stamped
 	lat := time.Now().UnixNano() - cancelledAt.Load()
@@ -477,11 +517,12 @@ func (s *Space) run(ctx context.Context, lo, hi int64, sinkFor func() sink) erro
 			sinks[0].take(gi, p, rankOf(p, gi))
 		}
 	}
-	return cancelled
+	return cut, cancelled
 }
 
 // evalChunk prices the cells [start, end) and hands each to k in cell
-// order, returning the number of failed cells. The walk is mapping-major,
+// order, returning the number of failed cells and of cells cut against
+// k's limit, which are not handed on. The walk is mapping-major,
 // nested as degree-group run → mapping → batch position: the worker
 // empties its columns when the walk enters a group run, prepares a
 // mapping's row once when the walk reaches it, then prices each of its
@@ -494,9 +535,9 @@ func (s *Space) run(ctx context.Context, lo, hi int64, sinkFor func() sink) erro
 // that raised it; that one cell is re-priced alone through evalPointSafe,
 // which turns the panic into its Err, and the walk resumes after it, so a
 // poisoned cell never costs its row-mates their results.
-func (s *Space) evalChunk(w *worker, start, end int64, k sink) (failed int) {
+func (s *Space) evalChunk(w *worker, start, end int64, k sink) (failed, cut int) {
 	for gi := start; gi < end; gi++ {
-		if gi = s.priceCells(w, gi, end, k, &failed); gi < end {
+		if gi = s.priceCells(w, gi, end, k, &failed, &cut); gi < end {
 			p := &w.p
 			s.at(gi, p)
 			evalPointSafe(p, &w.bd, &w.fp, s.sess, &s.sc)
@@ -506,20 +547,21 @@ func (s *Space) evalChunk(w *worker, start, end int64, k sink) (failed int) {
 			k.take(gi, p, rankOf(p, gi))
 		}
 	}
-	return failed
+	return failed, cut
 }
 
 // priceCells prices the cells [gi, end) through the worker's columns and
-// row and hands them to k, each ranked off the key its pricing returned. It
-// returns end, or the index of a cell whose pricing panicked; that cell is
-// not handed on. A column's schedule and its model terms each fill on the
-// first cell of the run that needs them; the model writes its terms only
-// once the efficiency model returns. PrepareRow fills the row in place, so
+// row and hands them to k, each ranked off the key its pricing returned,
+// except the cells the kernel cuts against k's limit, which it counts in
+// cut. It returns end, or the index of a cell whose pricing panicked; that
+// cell is not handed on. A column's schedule and its model terms each fill
+// on the first cell of the run that needs them; the model writes its terms
+// only once the efficiency model returns. PrepareRow fills the row in place, so
 // w.mi is cleared before it and names the row only once it returns: a
 // panicking preparation leaves no half-built row in use. Only the scratch
 // point's outcome and schedule fields are reset per cell; its identity
 // fields go stale, since sinks identify their copies.
-func (s *Space) priceCells(w *worker, gi, end int64, k sink, failed *int) (stop int64) {
+func (s *Space) priceCells(w *worker, gi, end int64, k sink, failed, cut *int) (stop int64) {
 	defer func() {
 		if recover() != nil {
 			stop = gi
@@ -531,18 +573,19 @@ func (s *Space) priceCells(w *worker, gi, end int64, k sink, failed *int) (stop 
 	if !found {
 		g-- // mi is inside the run that starts before it
 	}
-	p := &w.p
+	p, limit := &w.p, k.limit()
 	for ; gi < end; g++ {
 		if g != w.g {
 			w.cols = append(w.cols[:0], make([]column, nb)...)
 			w.g = g
 		}
+		d := degreeGroup(&s.mappings[s.groups[g]]) // the run's DP and PP, for its schedules
 		for ; mi < s.groups[g+1] && gi < end; mi, bi = mi+1, 0 {
 			mp := &s.mappings[mi]
 			for ; bi < nb && gi < end; gi, bi = gi+1, bi+1 {
 				c := &w.cols[bi]
 				if !c.set {
-					c.sched, c.set = s.schedule(mp, s.opt.Batches[bi]), true
+					c.sched, c.set = s.schedule(d[0], d[1], s.opt.Batches[bi]), true
 				}
 				p.Breakdown, p.Footprint, p.Fits, p.Err = nil, nil, true, nil
 				p.Microbatches, p.chosenNub = c.sched.ub, c.sched.nub
@@ -555,7 +598,12 @@ func (s *Space) priceCells(w *worker, gi, end int64, k sink, failed *int) (stop 
 						s.sess.PrepareRow(&w.row, mp)
 						w.mi = mi
 					}
-					if key, p.Err = s.sess.PriceRowCell(&w.row, &c.terms, s.aggs, int(bi), c.sched.nub, &w.bd); p.Err == nil {
+					var over bool // the column floor is above the sink's limit
+					if key, over, p.Err = s.sess.PriceRowCell(&w.row, &c.terms, s.aggs, int(bi), c.sched.nub, *limit, &w.bd); over {
+						*cut++
+						continue
+					}
+					if p.Err == nil {
 						p.Breakdown = &w.bd
 						if s.sc.Memory != nil {
 							s.identify(gi, p) // the memory model needs the cell's identity

@@ -30,9 +30,12 @@ func (e ubPanicEff) Eff(ub float64) float64 {
 
 // topCases are the spaces the executor's two sinks must agree on: failed
 // and pipeline-unfillable cells kept or dropped, duplicated batch sizes
-// (equal identities), a memory model (the !Fits bucket), a panicking
-// efficiency model (the per-chunk recover and the scalar retry of the
-// poisoned cells) and a single worker whose row outlives its chunks.
+// (equal identities), a memory model (the !Fits bucket) and one under
+// which nothing fits, a panicking efficiency model (the per-chunk recover
+// and the scalar retry of the poisoned cells), a single worker whose row
+// outlives its chunks, exact key ties across batch positions (the cut must
+// not drop a cell whose key equals the n-th best) and reliability (the
+// floor carries the failure overhead).
 func topCases(t *testing.T) []struct {
 	name string
 	sc   Scenario
@@ -61,6 +64,8 @@ func topCases(t *testing.T) []struct {
 		MicrobatchTarget: 2,
 		KeepInvalid:      true,
 	}
+	noneFits := mem
+	noneFits.MemoryReserve = 0.999
 	panicky := tinyScenario(t)
 	panicky.Eff = ubPanicEff{ub: 1}
 	serial := cs1Scenario()
@@ -70,6 +75,20 @@ func topCases(t *testing.T) []struct {
 		MicrobatchTarget: 128,
 		Concurrency:      1,
 	}
+	ties := Options{
+		Batches:          []int{8192, 4096, 8192, 8192},
+		Enumerate:        parallel.EnumerateOptions{PowerOfTwo: true},
+		MicrobatchTarget: 128,
+	}
+	rel := cs1Scenario()
+	rel.Training.Reliability = &faults.Spec{
+		AccelMTBF: 5e6, CheckpointBW: 2e9, RestartTime: 300, OptimizerBytesPerParam: 12,
+	}
+	relOpt := Options{
+		Batches:          []int{2048, 4096, 8192},
+		Enumerate:        parallel.EnumerateOptions{PowerOfTwo: true, MaxCP: 2, MaxVPP: 2},
+		MicrobatchTarget: 2,
+	}
 	return []struct {
 		name string
 		sc   Scenario
@@ -78,8 +97,11 @@ func topCases(t *testing.T) []struct {
 		{"keep-invalid", tiny, dup},
 		{"drop-invalid", tiny, drop},
 		{"memory", mem, memOpt},
+		{"none-fits", noneFits, memOpt},
 		{"panic", panicky, dup},
 		{"serial", serial, serialOpt},
+		{"ties", cs1Scenario(), ties},
+		{"reliability", rel, relOpt},
 	}
 }
 
@@ -183,6 +205,8 @@ func checkSpaceFixture(t *testing.T, name string, sp *Space) {
 		lost = unfillable == 0 || ok == 0
 	case "memory":
 		lost = unfit == 0 || ok == 0
+	case "none-fits":
+		lost = unfit == 0 || ok != 0
 	case "panic":
 		lost = panicked == 0 || ok == 0
 	case "serial":

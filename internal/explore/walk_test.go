@@ -103,6 +103,7 @@ func deg(d int) int {
 // it was handed and which priced, in slices the run's sinks share (their
 // cells are disjoint). Workers call it, so it reports with Errorf.
 type walkSink struct {
+	allCells
 	t      testing.TB
 	s      *Space
 	lo     int64
@@ -167,7 +168,7 @@ func walk(t testing.TB, sp *Space, lo, hi int64, check bool) []bool {
 	}
 	seen, priced := make([]bool, hi-lo), make([]bool, hi-lo)
 	fails := new(atomic.Int64)
-	if err := sp.run(context.Background(), lo, hi, func() sink {
+	if _, err := sp.run(context.Background(), lo, hi, func() sink {
 		return &walkSink{t: t, s: sp, lo: lo, seen: seen, priced: priced, check: check, fails: fails}
 	}); err != nil {
 		t.Fatal(err)
@@ -184,15 +185,31 @@ func walk(t testing.TB, sp *Space, lo, hi int64, check bool) []bool {
 }
 
 // walkPair walks [lo, hi) on two spaces over the same options, one per
-// scenario, back to back through the worker pool.
-func (f *walkFixture) walkPair(t testing.TB, si int, opt Options, lo, hi int64) {
+// scenario, back to back through the worker pool, and checks Top(lo, hi,
+// n) on each against TopByTime over Sweep.
+func (f *walkFixture) walkPair(t testing.TB, si int, opt Options, lo, hi int64, n int) {
 	t.Helper()
 	for _, sc := range []Scenario{f.scs[si], f.scs[(si+1)%len(f.scs)]} {
 		sp, err := NewSpace(sc, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		walk(t, sp, min(lo, sp.Cells()), min(hi, sp.Cells()), true)
+		lo, hi := min(lo, sp.Cells()), min(hi, sp.Cells())
+		walk(t, sp, lo, hi, true)
+		want, err := sp.Sweep(context.Background(), lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top, completed, err := sp.Top(context.Background(), lo, hi, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if completed != len(want) {
+			t.Fatalf("[%d, %d) n=%d: Top completed %d, Sweep returned %d", lo, hi, n, completed, len(want))
+		}
+		if d := diffPoints(top, TopByTime(want, n)); d != "" {
+			t.Fatalf("[%d, %d) n=%d: Top differs from TopByTime over Sweep: %s", lo, hi, n, d)
+		}
 	}
 }
 
@@ -271,7 +288,7 @@ func TestSpaceWalkMatchesEvaluatePoint(t *testing.T) {
 				lo, hi := sp.groups[g]*nb+1, sp.groups[g+1]*nb-1
 				name := fmt.Sprintf("scenario %d target %d %s", si, target, list)
 				for _, r := range [][2]int64{{0, sp.Cells()}, {lo, hi}, {lo, lo + 1}, {lo + nb, sp.Cells()}} {
-					f.walkPair(t, si, opt, r[0], r[1])
+					f.walkPair(t, si, opt, r[0], r[1], 3)
 					if t.Failed() {
 						t.Fatalf("%s, cells [%d, %d)", name, r[0], r[1])
 					}
@@ -305,15 +322,18 @@ func TestSpaceWalkMatchesEvaluatePoint(t *testing.T) {
 }
 
 // FuzzSpaceWalk sweeps random spaces through the group walk: a scenario of
-// the fixture, a microbatch target, one or two workers, one to three
-// batches (duplicates, zero, negative and non-dividing ones included), an
-// enumerated mapping list or an explicit one of pool mappings and their
-// in-group variants (variant), and up to four [lo, hi) ranges, each walked
-// on the scenario's space and then on the next scenario's through the
-// worker pool. Every cell must equal EvaluatePoint (walkSink).
+// the fixture, a microbatch target, one or two workers, failed cells kept
+// or dropped, a top n, one to three batches (duplicates, zero, negative
+// and non-dividing ones included), an enumerated mapping list or an
+// explicit one of pool mappings and their in-group variants (variant), and
+// up to four [lo, hi) ranges, each walked on the scenario's space and then
+// on the next scenario's through the worker pool. Every cell must equal
+// EvaluatePoint (walkSink), and Top over the range, which cuts cells by
+// their compute floor, must equal TopByTime over Sweep.
 func FuzzSpaceWalk(f *testing.F) {
 	fx := newWalkFixture(f)
 	targets := []int{0, 1, 16, 128}
+	tops := []int{0, 1, 2, 3, 5, 20, 1 << 20}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -322,7 +342,9 @@ func FuzzSpaceWalk(f *testing.F) {
 		opt := Options{
 			MicrobatchTarget: targets[data[1]%4],
 			Concurrency:      1 + int(data[1]>>2&1),
+			KeepInvalid:      data[1]>>3&1 != 0,
 		}
+		n := tops[int(data[1]>>4)%len(tops)]
 		nb := 1 + int(data[2]%3)
 		data = data[3:]
 		for ; nb > 0 && len(data) > 0; nb, data = nb-1, data[1:] {
@@ -355,12 +377,12 @@ func FuzzSpaceWalk(f *testing.F) {
 		}
 		at := func(b byte) int64 { return int64(b) * cells / 255 }
 		if len(data) < 2 {
-			fx.walkPair(t, si, opt, 0, cells)
+			fx.walkPair(t, si, opt, 0, cells, n)
 			return
 		}
 		for r := 0; r < 4 && len(data) >= 2; r, data = r+1, data[2:] {
 			lo, hi := at(data[0]), at(data[1])
-			fx.walkPair(t, si, opt, min(lo, hi), max(lo, hi))
+			fx.walkPair(t, si, opt, min(lo, hi), max(lo, hi), n)
 		}
 	})
 }

@@ -158,6 +158,19 @@ func (s *Session) Aggregates(batches []int) *Aggregates {
 // degree group, batch position of a and nub, and empties it (the zero
 // Column) on leaving that scope. The first cell that needs its terms fills
 // them; every later cell of the scope reads them.
-func (s *Session) PriceRowCell(r *Row, col *Column, a *Aggregates, bi, nub int, out *Breakdown) (float64, error) {
-	return s.priceCell(&r.run, a.batches[bi], nub, a.aggs[bi], col, &r.comm, false, out)
+//
+// limit is the key above which the caller has no use for the cell. A cell
+// that passes the run, schedule and fit checks but whose column floor
+// (Column.Floor) is above limit is cut: PriceRowCell returns the floor and
+// cut = true without pricing communication, bubble or breakdown, and out is
+// untouched. A failing cell is never cut. +Inf prices every cell.
+func (s *Session) PriceRowCell(r *Row, col *Column, a *Aggregates, bi, nub int, limit float64, out *Breakdown) (key float64, cut bool, err error) {
+	if err := s.fillColumn(&r.run, a.batches[bi], nub, a.aggs[bi], col); err != nil {
+		return 0, false, err
+	}
+	if col.floor > limit {
+		return col.floor, true, nil
+	}
+	key, err = s.priceRest(&r.run, col, &r.comm, false, out)
+	return key, false, err
 }

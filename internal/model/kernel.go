@@ -18,17 +18,18 @@ import (
 // one mappingRun: prepareRun (the fit check and the Eq. 6/10/11 hoists),
 // fwdCompute (Eq. 2–4), fwdComm (Eq. 5–7, 9) and, for training cells,
 // priceCell (Eq. 1, 8, 12, the gradient overlap, the breakdown and its rank
-// key). priceCell splits a cell in two: the degree-group terms (a Column:
-// the batch schedule verdict, N_ub and ub, the Eq. 3 efficiency, the
-// per-worker Eq. 2–4 compute and Eq. 8's R·(N_PP−1)/N_ub), which read only
-// the batch, the raw N_ub and the degree products, and the
-// mapping-dependent rest (communication, gradient all-reduce, bubble,
-// breakdown, rank key). A sweep hands in the Column its walk scopes to one
-// degree group and batch position, and a Row keeps the forward
-// communication of its mapping's last microbatch size; a point prices both
-// from empty. Every Eq. 2 aggregate comes from the session's one memo
-// (aggMemo), which is the only state a compiled session writes after
-// Compile.
+// key). priceCell splits a cell in two: the degree-group terms (fillColumn
+// fills a Column: the batch schedule verdict, N_ub and ub, the Eq. 3
+// efficiency, the per-worker Eq. 2–4 compute, its compute floor and Eq.
+// 8's R·(N_PP−1)/N_ub), which read only the batch, the raw N_ub and the
+// degree products, and the mapping-dependent rest (priceRest:
+// communication, gradient all-reduce, bubble, breakdown, rank key). A
+// sweep hands in the Column its walk scopes to one degree group and batch
+// position, and a Row keeps the forward communication of its mapping's
+// last microbatch size; a point prices both from empty. PriceRowCell runs
+// the rest only for a cell whose column floor does not rule it out. Every
+// Eq. 2 aggregate comes from the session's one memo (aggMemo), which is the
+// only state a compiled session writes after Compile.
 
 // mappingRun holds everything hoisted out of the per-cell path for one
 // mapping: validation verdicts, the normalized degrees, the
@@ -298,7 +299,18 @@ type Column struct {
 	// Forward, backward and weight-update compute per worker, and the
 	// forward plus backward step per worker.
 	fwd, bwd, upd, step float64
+	// floor is the rank key of the cell's compute alone: what the key
+	// would be if every communication and bubble term were zero.
+	floor float64
 }
+
+// Floor is the column's compute floor, 0 until a cell of the column has
+// priced its terms: compute × N_batch × (1 + failure overhead), summed and
+// multiplied in the order the rank key is. Every other term of the key is
+// non-negative and rounding is monotone, so no cell of the column has a
+// rank key below it, bit for bit. The failure overhead depends only on the
+// worker count, a degree-group product, so the floor is the column's.
+func (c *Column) Floor() float64 { return c.floor }
 
 // resolve fills e with the batch-schedule verdict of global batch g at raw
 // microbatch count nub on run's degrees: an inline of parallel.Batch's
@@ -347,6 +359,9 @@ func (s *Session) priceGroup(run *mappingRun, g int, agg *batchAgg, e *Column) {
 	e.bwd = ubTotal / run.workers
 	e.upd = uwTotal / run.workers
 	e.step = (ufTotal + ubTotal) / run.workers
+	// Breakdown.ComputeTime, then expectedTotal, over the same fields.
+	compute := units.Seconds(e.fwd) + units.Seconds(e.bwd) + units.Seconds(e.upd)
+	e.floor = float64(compute) * float64(s.tr.NumBatches) * (1 + run.rel.Overhead())
 	e.priced = true
 }
 
@@ -363,25 +378,41 @@ func (s *Session) priceGroup(run *mappingRun, g int, agg *batchAgg, e *Column) {
 // a row's communication memo. nil prices without them. relaxed drops the
 // Eq. 9 MoE term for LowerBound and must not be set with a memo.
 func (s *Session) priceCell(run *mappingRun, g, nub int, agg *batchAgg, grp *Column, comm *commTerms, relaxed bool, out *Breakdown) (float64, error) {
-	if run.err != nil {
-		return 0, run.err
-	}
 	if grp == nil {
 		grp = new(Column) // empty: this cell's own
+	}
+	if err := s.fillColumn(run, g, nub, agg, grp); err != nil {
+		return 0, err
+	}
+	return s.priceRest(run, grp, comm, relaxed, out)
+}
+
+// fillColumn checks a cell's mapping run, then its batch schedule, then its
+// model fit, returning the first error, and fills the terms of its column
+// grp that are still empty.
+func (s *Session) fillColumn(run *mappingRun, g, nub int, agg *batchAgg, grp *Column) error {
+	if run.err != nil {
+		return run.err
 	}
 	if !grp.resolved {
 		run.resolve(g, nub, grp)
 	}
 	if grp.err != nil {
-		return 0, grp.err
+		return grp.err
 	}
 	if run.fitErr != nil {
-		return 0, run.fitErr
+		return run.fitErr
 	}
 	if !grp.priced {
 		s.priceGroup(run, g, agg, grp)
 	}
+	return nil
+}
 
+// priceRest prices the mapping-dependent rest of a cell whose column
+// fillColumn has filled: communication, gradient all-reduce, bubble, the
+// breakdown and the rank key (see priceCell).
+func (s *Session) priceRest(run *mappingRun, grp *Column, comm *commTerms, relaxed bool, out *Breakdown) (float64, error) {
 	tr := &s.tr
 	ub := grp.ub
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"amped/internal/faults"
 	"amped/internal/hardware"
 	"amped/internal/parallel"
 	"amped/internal/transformer"
@@ -62,7 +63,7 @@ func TestFiniteBySum(t *testing.T) {
 		perr := s.EvaluatePoint(parallel.Mapping{}, batch, 0, &bd)
 		var r Row
 		s.PrepareRow(&r, &parallel.Mapping{})
-		key, rerr := s.PriceRowCell(&r, new(Column), s.Aggregates([]int{batch}), 0, 0, &row)
+		key, _, rerr := s.PriceRowCell(&r, new(Column), s.Aggregates([]int{batch}), 0, 0, math.Inf(1), &row)
 		if perr != rerr || !sameBreakdown(bd, row) {
 			t.Fatalf("row path (%v) and point path (%v) disagree", rerr, perr)
 		}
@@ -142,13 +143,74 @@ func TestRowReusedAcrossSessions(t *testing.T) {
 		a := s.Aggregates(batches)
 		for bi, g := range batches {
 			var row, point Breakdown
-			key, err := s.PriceRowCell(&r, new(Column), a, bi, nubs[bi], &row)
+			key, _, err := s.PriceRowCell(&r, new(Column), a, bi, nubs[bi], math.Inf(1), &row)
 			if perr := s.EvaluatePoint(mp, g, nubs[bi], &point); err != nil || perr != nil || row != point {
 				t.Fatalf("B=%d: row %v (%v) != EvaluatePoint %v (%v)", g, row, err, point, perr)
 			}
 			if key != float64(point.ExpectedTotalTime()) {
 				t.Fatalf("B=%d: rank key %v, ExpectedTotalTime %v", g, key, point.ExpectedTotalTime())
 			}
+		}
+	}
+}
+
+// TestColumnFloorCut checks the column floor and the cut PriceRowCell
+// makes against it, with reliability on (the floor carries the failure
+// overhead): the floor is positive and at most the cell's rank key; a
+// limit equal to the floor still prices the cell, to the same key; a limit
+// just below it cuts the cell, returning the floor and cut with out
+// untouched; and a cell that fails its tiling, fit or schedule check
+// reports that error, uncut, even under a limit of −Inf.
+func TestColumnFloorCut(t *testing.T) {
+	m := transformer.Megatron145B()
+	sys := hardware.CaseStudy1System()
+	tr := Training{NumBatches: 100, Reliability: &faults.Spec{
+		AccelMTBF: 5e6, CheckpointBW: 2e9, RestartTime: 300, OptimizerBytesPerParam: 12,
+	}}
+	s, err := Compile(&m, &sys, tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := s.Aggregates([]int{4096, 8192})
+	for _, mp := range []parallel.Mapping{
+		{TPIntra: 8, DPInter: 128},
+		{TPIntra: 8, PPInter: 4, DPInter: 32},
+		{TPIntra: 4, TPInter: 2, PPInter: 8, DPIntra: 2, DPInter: 8, VPP: 2},
+	} {
+		var r Row
+		s.PrepareRow(&r, &mp)
+		for bi := range 2 {
+			var col Column
+			var bd Breakdown
+			key, cut, err := s.PriceRowCell(&r, &col, a, bi, 0, math.Inf(1), &bd)
+			floor := col.Floor()
+			if err != nil || cut || floor <= 0 || floor > key || bd.Reliability.Overhead() <= 0 {
+				t.Fatalf("%v b%d: key %v (%v), floor %v, overhead %v: want a priced cell at or above a positive floor",
+					mp, bi, key, err, floor, bd.Reliability.Overhead())
+			}
+			if k, cut, err := s.PriceRowCell(&r, &col, a, bi, 0, floor, &bd); err != nil || cut || k != key {
+				t.Fatalf("%v b%d: limit at the floor: key %v (%v), want %v priced", mp, bi, k, err, key)
+			}
+			untouched := Breakdown{Workers: -7}
+			out := untouched
+			if k, cut, err := s.PriceRowCell(&r, &col, a, bi, 0, math.Nextafter(floor, 0), &out); err != nil || !cut || k != floor || out != untouched {
+				t.Fatalf("%v b%d: limit below the floor: %v, cut %v (%v), out changed %v; want the floor, cut", mp, bi, k, cut, err, out != untouched)
+			}
+		}
+	}
+	hundred := s.Aggregates([]int{100})
+	for _, mp := range []parallel.Mapping{
+		{TPIntra: 8, DPInter: 96},             // does not tile the machine
+		{TPIntra: 8, TPInter: 16, DPInter: 8}, // TP 128 exceeds the heads
+		{TPIntra: 8, PPInter: 2, DPInter: 64}, // DP 64 does not divide batch 100
+	} {
+		var r Row
+		s.PrepareRow(&r, &mp)
+		var bd Breakdown
+		_, _, werr := s.PriceRowCell(&r, new(Column), hundred, 0, 0, math.Inf(1), &bd)
+		_, cut, err := s.PriceRowCell(&r, new(Column), hundred, 0, 0, math.Inf(-1), &bd)
+		if werr == nil || cut || err == nil || err.Error() != werr.Error() {
+			t.Errorf("%v: failing cell under limit −Inf: cut %v, %v; want its own error %v", mp, cut, err, werr)
 		}
 	}
 }

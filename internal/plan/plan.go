@@ -2,15 +2,14 @@
 // the exact enumeration the exhaustive sweep (internal/explore) walks — the
 // exact rank_s key, byte for byte.
 //
-// The homogeneous planner is the sweep executor's top-1: AMPeD prices a
-// cell in closed form (Eq. 2–12), so an admissible bound on a cell costs as
-// much as pricing it, and bounding every cell costs at least what pricing
-// every cell through the batched kernel does. Solve is therefore
+// The homogeneous planner is the sweep executor's top-1: Solve is
 // explore.NewSpace plus Space.Top(n = 1) over the options' cursor range,
 // and its result is the front of the sweep's SortByTime ranking by
-// construction. The serving
-// planner (SolveInference) is the same exhaustive scan over the serving
-// mappings.
+// construction. Top prices a cell only while its degree-group column's
+// compute floor (a bound the column computes once for all its mappings) is
+// not above the best key its worker has seen; the rest are cut unpriced.
+// The serving planner (SolveInference) is an exhaustive scan over the
+// serving mappings.
 //
 // The two optimizers a practitioner calls are searches over the same
 // engine. Tune returns the exact fastest recipe over mapping × N_ub × the
@@ -47,7 +46,10 @@ type Stats struct {
 	// unrankable (layout pre-marks, evaluation errors).
 	CellsInfeasible int64
 	// CellsBounded counts cells that received a lower bound but were cut
-	// off by it. Only the heterogeneous branch-and-bound sets it.
+	// off by it unpriced: for Solve, the cells whose column compute floor
+	// was above the best key seen (explore.Progress.Cut); for the
+	// heterogeneous branch-and-bound, the cells left when the bound
+	// stopped it.
 	CellsBounded int64
 	// CellsExpanded counts cells priced to a rankable result (for the
 	// heterogeneous planner: cells whose schedule was executed).
@@ -90,10 +92,19 @@ func Solve(sc explore.Scenario, opt explore.Options) (*Result, error) {
 // ranges — and Best is the exhaustive sweep's ranking front byte-for-byte
 // (both nil when no cell is feasible). A cancelled or expired context
 // returns its error and no result: a partial search is not an optimum.
+// Stats.CellsBounded is what the call adds to the options' Progress.Cut
+// (a fresh Progress when the options carry none), so a Progress shared
+// with a concurrent sweep overstates it.
 func SolveContext(ctx context.Context, sc explore.Scenario, opt explore.Options) (*Result, error) {
 	// Failed cells rank last and never win; dropping them makes Top's
-	// completed count the number of rankable cells.
+	// completed count the number of rankable cells, cut ones included.
 	opt.KeepInvalid = false
+	prog := opt.Progress
+	if prog == nil {
+		prog = new(explore.Progress)
+		opt.Progress = prog
+	}
+	cut0 := prog.Cut.Load()
 	space, err := explore.NewSpace(sc, opt)
 	if err != nil {
 		return nil, err
@@ -106,10 +117,12 @@ func SolveContext(ctx context.Context, sc explore.Scenario, opt explore.Options)
 	if err != nil {
 		return nil, err
 	}
+	cut := prog.Cut.Load() - cut0
 	res := &Result{Stats: Stats{
 		CellsTotal:          hi - lo,
 		CellsInfeasible:     hi - lo - int64(completed),
-		CellsExpanded:       int64(completed),
+		CellsBounded:        cut,
+		CellsExpanded:       int64(completed) - cut,
 		ComputeFloorSeconds: computeFloor(space.Session(), opt.Batches),
 	}}
 	// The head is a !Fits cell when nothing fits the memory budget.

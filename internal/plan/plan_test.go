@@ -43,9 +43,11 @@ func sweepFront(points []explore.Point) (*explore.Point, float64) {
 // Solve returns the identical optimum — exact rank_s float64 bits, cell
 // identity and breakdown — as the full sweep, over the whole space and over
 // one interior CursorLo/CursorHi shard range. Every third seed additionally
-// enables the memory model.
+// enables the memory model. Its stats split the space exactly into
+// infeasible, cut and priced cells, and the cut fires on some seed.
 func TestSolveMatchesExhaustive(t *testing.T) {
 	const seeds = 60
+	var bounded int64
 	for seed := int64(1); seed <= seeds; seed++ {
 		s := audit.Generate(rand.New(rand.NewSource(seed)))
 		sc := explore.Scenario{
@@ -110,9 +112,10 @@ func TestSolveMatchesExhaustive(t *testing.T) {
 		}
 
 		st := res.Stats
-		if got := st.CellsPrunedMemory + st.CellsInfeasible + st.CellsBounded + st.CellsExpanded; got > st.CellsTotal {
-			t.Errorf("seed %d: stats overcount the space: %+v", seed, st)
+		if got := st.CellsPrunedMemory + st.CellsInfeasible + st.CellsBounded + st.CellsExpanded; got != st.CellsTotal {
+			t.Errorf("seed %d: stats do not split the space exactly: %+v", seed, st)
 		}
+		bounded += st.CellsBounded
 		// One interior shard range: Solve honours CursorLo/CursorHi exactly
 		// as the sweep does.
 		space, err := explore.NewSpace(sc, opt)
@@ -146,6 +149,9 @@ func TestSolveMatchesExhaustive(t *testing.T) {
 		if got := sres.Stats.CellsTotal; got != shard.CursorHi-shard.CursorLo {
 			t.Errorf("seed %d: shard stats cover %d cells, range holds %d", seed, got, shard.CursorHi-shard.CursorLo)
 		}
+	}
+	if bounded == 0 {
+		t.Error("no seed's compute floor cut a cell")
 	}
 }
 

@@ -48,8 +48,9 @@ type PlanPool struct {
 }
 
 // PlanStats is plan.Stats on the wire: how the planner covered its cell
-// space. cells_expanded counts cells priced; cells_bounded is set only in
-// the hetero section, by its branch-and-bound.
+// space. cells_expanded counts cells priced; cells_bounded counts the
+// rankable cells left unpriced by a bound: the compute-floor cut of the
+// homogeneous search, the branch-and-bound's stop in the hetero section.
 type PlanStats struct {
 	CellsTotal        int64   `json:"cells_total"`
 	CellsPrunedMemory int64   `json:"cells_pruned_memory"`
@@ -200,9 +201,9 @@ func (s *Server) solvePlan(ctx context.Context, cp *compiledPlan) (PlanResponse,
 	case err != nil:
 		return PlanResponse{}, &jobError{errClassBadRequest, err.Error()}
 	}
-	// Every rankable cell was priced — the same unit of work the sweep
-	// throughput metrics count.
-	s.met.sweepPoints.add(uint64(res.Stats.CellsExpanded))
+	// Every rankable cell, priced or cut by its compute floor: the unit
+	// the sweep throughput metrics count (a sweep's completed points).
+	s.met.sweepPoints.add(uint64(res.Stats.CellsExpanded + res.Stats.CellsBounded))
 
 	resp := PlanResponse{
 		ScenarioKey: cp.key,
