@@ -1093,9 +1093,8 @@ func benchShardedSweep(b *testing.B, url string) {
 // BenchmarkShardedSweepChaosOff is BenchmarkShardedSweep with every peer
 // connection routed through a zero-fault chaosnet proxy — the resilience
 // layer's clean path, measured end to end. Its ledgered ns/op against
-// BenchmarkShardedSweep's bounds what the breaker/hedging/journal engine
-// plus the interposed proxy hop cost when nothing goes wrong (required
-// <5%).
+// BenchmarkShardedSweep's bounds what the breaker/journal engine plus the
+// interposed proxy hop cost when nothing goes wrong (required <5%).
 func BenchmarkShardedSweepChaosOff(b *testing.B) {
 	var peers []string
 	for i := 0; i < 3; i++ {

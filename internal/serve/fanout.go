@@ -11,9 +11,9 @@ import (
 // The fan-out engine is the sweep runner's peer chunk source (runSweep),
 // under both synchronous /v1/sweep and sweep jobs on a coordinator: rounds of
 // cell-range dispatches across the breaker-admitted peers, durable progress
-// tracked as a coalescing interval set, a wall-clock stall budget, and a
-// hedged dispatch of the final straggler range when idle peers are
-// available.
+// tracked as a coalescing interval set, and a wall-clock stall budget.
+// Every round deals the pending ranges across the live peers, so each cell
+// goes to one peer at a time.
 
 // Classified failure classes for sweep/plan jobs and coordinator errors.
 // The chaos property suite asserts every failed job lands in exactly one of
@@ -97,13 +97,7 @@ func (s *Server) fanout(ctx context.Context, req SweepRequest, total int64, st *
 			continue
 		}
 
-		if len(pending) == 1 && pending[0].cells() <= s.cfg.ShardChunkCells && len(live) >= 2 {
-			// The final straggler: at most one chunk of work left and an idle
-			// peer to spare. Hedge it instead of waiting on a single peer.
-			s.hedgedRound(ctx, req, pending[0], live, st)
-		} else {
-			s.round(ctx, req, pending, live, st)
-		}
+		s.round(ctx, req, pending, live, st)
 		if st.coveredCells() == lastCovered {
 			// Nothing landed this round (peers shedding, failing fast, or
 			// streams all broke). Don't spin hot against them.
@@ -120,6 +114,12 @@ func (s *Server) fanout(ctx context.Context, req SweepRequest, total int64, st *
 func (s *Server) round(ctx context.Context, req SweepRequest,
 	pending []shardRange, live []*peer, st *sweepState) {
 	groups := splitRanges(pending, len(live))
+	for _, p := range live[len(groups):] {
+		// Fewer pending cells than peers leave some peers without a group:
+		// release their claimed half-open trials, or they stay wedged out
+		// of rotation.
+		s.peers.release(p)
+	}
 	var wg sync.WaitGroup
 	for gi := range groups {
 		wg.Add(1)
@@ -184,68 +184,6 @@ func (s *Server) dispatch(ctx context.Context, p *peer,
 	}
 	res.backoff = s.peers.report(p, res.outcome, res.backoff)
 	return res
-}
-
-// hedgedRound cuts straggler tail latency on the final pending range: the
-// range goes to two peers at once, the first to durably complete it wins,
-// and the loser's stream is cancelled. The interval set dedupes any chunks
-// both manage to deliver, so a hedge can never double-count a cell.
-func (s *Server) hedgedRound(ctx context.Context, req SweepRequest,
-	rg shardRange, live []*peer, st *sweepState) {
-	hctx, hcancel := context.WithCancel(ctx)
-	defer hcancel()
-	type hedgeRes struct {
-		p   *peer
-		res shardResult
-	}
-	results := make(chan hedgeRes, 2)
-	sreq := ShardRequest{
-		SweepRequest: req,
-		CursorLo:     rg.lo, CursorHi: rg.hi,
-		ChunkCells: s.cfg.ShardChunkCells,
-	}
-	for _, p := range live[:2] {
-		go func(p *peer) {
-			results <- hedgeRes{p, s.runShard(hctx, p.url, sreq, st.collect)}
-		}(p)
-	}
-	var winner *peer
-	for i := 0; i < 2; i++ {
-		hr := <-results
-		if winner != nil {
-			// The loser: its stream was cancelled mid-flight (or it lost the
-			// race outright). Not a peer fault — no breaker report beyond
-			// releasing a claimed half-open trial.
-			s.peers.release(hr.p)
-			s.met.hedges.inc(`outcome="cancelled"`)
-			continue
-		}
-		s.met.shards.inc(fmt.Sprintf("peer=%q,outcome=%q", hr.p.url, hr.res.outcome))
-		if hr.res.outcome == shardDone {
-			winner = hr.p
-			s.peers.report(hr.p, shardDone, 0)
-			which := "hedge"
-			if hr.p == live[0] {
-				which = "primary"
-			}
-			s.met.hedges.inc(fmt.Sprintf("outcome=%q", which))
-			hcancel()
-			continue
-		}
-		// A real failure before anyone won: normal breaker accounting.
-		if hr.res.outcome == shardFailed && hr.res.err != nil && ctx.Err() == nil {
-			s.log.Printf("level=warn handler=sweep hedged shard peer=%s err=%q", hr.p.url, hr.res.err)
-		}
-		s.peers.report(hr.p, hr.res.outcome, hr.res.backoff)
-		if hr.res.outcome == shardDrain {
-			s.met.shardReroutes.inc()
-		} else {
-			s.met.shardRetries.inc()
-		}
-	}
-	if winner == nil {
-		s.met.hedges.inc(`outcome="failed"`)
-	}
 }
 
 // sleepCtx sleeps d or until the context ends; it reports false on

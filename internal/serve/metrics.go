@@ -131,12 +131,10 @@ type metrics struct {
 	shardReroutes   counter     // amped_shard_reroutes_total
 	shardDuplicates counter     // amped_shard_duplicate_chunks_total
 
-	// Resilience-layer counters: hedged dispatches of the final straggler
-	// range, jobs resumed from their journal after a restart, and bytes
-	// durably appended to job journals.
-	hedges       *counterVec // amped_hedges_total{outcome}
-	jobResumes   counter     // amped_job_resumes_total
-	journalBytes counter     // amped_journal_bytes_total
+	// Resilience-layer counters: jobs resumed from their journal after a
+	// restart, and bytes durably appended to job journals.
+	jobResumes   counter // amped_job_resumes_total
+	journalBytes counter // amped_journal_bytes_total
 
 	latency      *obs.Histogram                // amped_request_duration_seconds
 	queueWait    *obs.Histogram                // amped_queue_wait_seconds
@@ -157,7 +155,6 @@ func newMetrics() *metrics {
 	m := &metrics{
 		requests:     newCounterVec(),
 		shards:       newCounterVec(),
-		hedges:       newCounterVec(),
 		latency:      obs.NewHistogram(latencyBuckets...),
 		queueWait:    obs.NewHistogram(queueBuckets...),
 		sweepRate:    obs.NewHistogram(sweepRateBuckets...),
@@ -232,14 +229,6 @@ func (m *metrics) writeTo(w io.Writer) {
 		fmt.Fprintf(w, "# TYPE amped_shards_total counter\n")
 		for i, l := range labels {
 			fmt.Fprintf(w, "amped_shards_total{%s} %d\n", l, vals[i])
-		}
-	}
-
-	if labels, vals = m.hedges.snapshot(); len(labels) > 0 {
-		fmt.Fprintf(w, "# HELP amped_hedges_total Hedged dispatches of the final straggler shard, by outcome.\n")
-		fmt.Fprintf(w, "# TYPE amped_hedges_total counter\n")
-		for i, l := range labels {
-			fmt.Fprintf(w, "amped_hedges_total{%s} %d\n", l, vals[i])
 		}
 	}
 

@@ -104,8 +104,7 @@ func (m *peerManager) stop() {
 // available returns the peers a dispatch round may use: every closed peer,
 // plus half-open peers that have no trial in flight — each of those is
 // claimed as this round's single trial. The caller must report an outcome
-// for every returned half-open peer or its trial slot leaks until the next
-// report.
+// for, or release, every returned half-open peer or its trial slot leaks.
 func (m *peerManager) available() []*peer {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -125,8 +124,9 @@ func (m *peerManager) available() []*peer {
 }
 
 // release returns a peer without an outcome: the dispatch never happened
-// (wave cancelled, hedged loser). It only clears a claimed half-open trial
-// so the peer is not wedged out of rotation waiting for a report.
+// (wave cancelled, or no range left to deal it). It only clears a claimed
+// half-open trial so the peer is not wedged out of rotation waiting for a
+// report.
 func (m *peerManager) release(p *peer) {
 	m.mu.Lock()
 	p.trial = false

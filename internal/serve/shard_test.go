@@ -9,7 +9,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -400,5 +402,104 @@ func TestShardCoordinatorDeadlinePartialContent(t *testing.T) {
 	if resp.TotalPoints != c.Completed || !reflect.DeepEqual(resp.Points, want) {
 		t.Fatalf("partial response %d points %+v, want the streamed chunk's %d points %+v",
 			resp.TotalPoints, resp.Points, c.Completed, want)
+	}
+}
+
+// TestShardRoundReleasesUndealtTrials: available() claims the single trial
+// of every half-open peer it returns, so a round that deals a peer no range
+// must release it. Otherwise the peer stays half-open with its trial
+// claimed, which available() skips and the prober never visits. The chunk
+// size is the default, so each sweep is a single pending range.
+func TestShardRoundReleasesUndealtTrials(t *testing.T) {
+	oneCellDoc := strings.NewReplacer(
+		`"nodes": 2`, `"nodes": 1`,
+		`"accels_per_node": 4`, `"accels_per_node": 1`,
+		`"batches": [64, 128]`, `"batches": [64]`,
+	).Replace(sweepDoc)
+	for _, c := range []struct {
+		name  string
+		peers int
+		doc   string
+	}{
+		{"three peers", 3, sweepDoc},
+		{"one cell two peers", 2, oneCellDoc},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			urls := make([]string, c.peers)
+			for i := range urls {
+				_, ts := newTestServer(t, Config{})
+				urls[i] = ts.URL
+			}
+			coord, cts := newTestServer(t, Config{Peers: urls})
+			last := coord.peers.peers[c.peers-1]
+			coord.peers.mu.Lock()
+			last.phase = peerHalfOpen
+			coord.peers.mu.Unlock()
+
+			sweepResponse(t, cts.URL, c.doc)
+			if !slices.Contains(coord.peers.available(), last) {
+				coord.peers.mu.Lock()
+				defer coord.peers.mu.Unlock()
+				t.Fatalf("peer left out of rotation after the sweep: phase=%v trial=%v",
+					last.phase, last.trial)
+			}
+		})
+	}
+}
+
+// TestShardCoordinatorPricesEachCellOnce: on a healthy two-peer fleet, a
+// sweep no larger than one chunk reaches each peer as exactly one shard,
+// the two shards split the cell range, and the points the peers price sum
+// to the response's total.
+func TestShardCoordinatorPricesEachCellOnce(t *testing.T) {
+	var mu sync.Mutex
+	shards := make([][]shardRange, 2)
+	peers := make([]*Server, 2)
+	urls := make([]string, 2)
+	for i := range peers {
+		peers[i] = New(Config{})
+		t.Cleanup(peers[i].Close)
+		handler := peers[i].Handler()
+		rec := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/sweep/shard" {
+				body, err := io.ReadAll(r.Body)
+				if err != nil {
+					panic(http.ErrAbortHandler)
+				}
+				var req ShardRequest
+				if err := json.Unmarshal(body, &req); err != nil {
+					t.Errorf("bad shard request: %v", err)
+				}
+				mu.Lock()
+				shards[i] = append(shards[i], shardRange{req.CursorLo, req.CursorHi})
+				mu.Unlock()
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
+			handler.ServeHTTP(w, r)
+		}))
+		t.Cleanup(rec.Close)
+		urls[i] = rec.URL
+	}
+	_, cts := newTestServer(t, Config{Peers: urls})
+	got := sweepResponse(t, cts.URL, sweepDoc)
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(shards[0]) != 1 || len(shards[1]) != 1 {
+		t.Fatalf("peer shards %v, want exactly one per peer", shards)
+	}
+	a, b := shards[0][0], shards[1][0]
+	if a.lo > b.lo {
+		a, b = b, a
+	}
+	if a.lo != 0 || a.hi != b.lo || a.cells() == 0 || b.cells() == 0 {
+		t.Errorf("shard ranges %v and %v, want two that split [0, n)", a, b)
+	}
+	var priced uint64
+	for _, p := range peers {
+		priced += p.met.sweepPoints.value()
+	}
+	if priced != uint64(got.TotalPoints) {
+		t.Errorf("peers priced %d points, response total %d", priced, got.TotalPoints)
 	}
 }

@@ -36,11 +36,10 @@ type sweepState struct {
 }
 
 // collect folds one streamed chunk into the merge. Replayed ranges (a peer
-// resumed behind its durable progress, a hedged loser double-streaming)
-// are dropped whole; fresh chunks hit the journal hook first and are only
-// merged once the hook has made them durable. Journal recovery collects
-// the durable chunks before the hook is attached, so they are not
-// journaled twice.
+// resumed behind its durable progress) are dropped whole; fresh chunks hit
+// the journal hook first and are only merged once the hook has made them
+// durable. Journal recovery collects the durable chunks before the hook is
+// attached, so they are not journaled twice.
 func (st *sweepState) collect(c ShardChunk) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
