@@ -2,7 +2,7 @@
 # external tools — so every target works in the bare module checkout.
 
 GO ?= go
-SWEEP_BENCH := 'BenchmarkSweep(GPT3|Megatron530B|MoE)$$|BenchmarkEvaluate$$|BenchmarkSolveGPT3$$|BenchmarkSessionEvaluateInferencePoint$$|Benchmark(Sort|Top)ByTime$$|BenchmarkSpaceTop(Roofline)?$$|BenchmarkEnumerate$$'
+SWEEP_BENCH := 'BenchmarkSweep(GPT3|Megatron530B|MoE)$$|BenchmarkEvaluate$$|BenchmarkSolveGPT3$$|BenchmarkSessionEvaluateInferencePoint$$|Benchmark(Sort|Top)ByTime$$|BenchmarkSpaceTop(Roofline)?$$|BenchmarkEnumerate$$|BenchmarkNewSpace$$'
 SERVE_BENCH := 'BenchmarkSessionEvaluatePoint(Traced|Roofline)?$$|BenchmarkShardedSweep(ChaosOff)?$$|BenchmarkShardStreamChunks$$'
 BATCH_BENCH := 'BenchmarkEvaluateBatch|BenchmarkSessionEvaluatePoint$$'
 
@@ -77,10 +77,15 @@ audit:
 ## property: every job converges byte-identical to a clean run or fails
 ## with a classified error — never silent corruption, never a hang. The
 ## plain test suite runs the same property at 12 seeds; CHAOS_SEEDS=...
-## overrides.
+## overrides. The run is verbose so that the done/failed split the sweep
+## property logs prints on a passing run too; the per-seed RUN/PASS lines
+## are filtered out, and pipefail keeps the test's exit status.
 CHAOS_SEEDS ?= 200
+chaos: SHELL := bash
+chaos: .SHELLFLAGS := -o pipefail -c
 chaos:
-	AMPED_CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 -timeout 20m -run TestChaos ./internal/serve
+	AMPED_CHAOS_SEEDS=$(CHAOS_SEEDS) $(GO) test -race -count=1 -timeout 20m -run TestChaos -v ./internal/serve \
+		| grep -Ev '^ *(=== (RUN|PAUSE|CONT|NAME)|--- PASS: TestChaos[^ ]*/seed=)'
 
 ## bench runs every benchmark once, without touching the ledger.
 bench:

@@ -580,6 +580,37 @@ func BenchmarkEnumerate(b *testing.B) {
 	}
 }
 
+// spaceSink keeps BenchmarkNewSpace's result alive.
+var spaceSink *explore.Space
+
+// BenchmarkNewSpace times explore.NewSpace on a compiled session, the fixed
+// cost every sweep, shard and plan request pays before its workers start:
+// BenchmarkSpaceTop's space (Megatron 145B on the Case Study I machine,
+// power-of-two mappings with CP and VPP up to 2, 19 batch sizes). A Space
+// holds its enumeration by degree group, so B/op does not grow with the
+// mapping count.
+func BenchmarkNewSpace(b *testing.B) {
+	m := amped.Megatron145B()
+	sys := amped.CaseStudy1System()
+	sess, err := amped.Compile(&m, &sys, amped.Training{}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var batches []int
+	for k := 1; k <= 19; k++ {
+		batches = append(batches, 1024*k)
+	}
+	opt := explore.Options{Batches: batches, MicrobatchTarget: 2,
+		Enumerate: parallel.EnumerateOptions{PowerOfTwo: true, MaxCP: 2, MaxVPP: 2}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if spaceSink, err = explore.NewSpace(explore.Scenario{Session: sess}, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(spaceSink.Cells()), "design_points")
+}
+
 // BenchmarkSweepMegatron530B sweeps the Table II 530B configuration with
 // non-power-of-two mappings admitted (the larger enumeration the fast path
 // is meant to unlock).

@@ -281,23 +281,30 @@ func (sc *Scenario) resolveSession() {
 	}
 }
 
-// resolveMappings validates the scenario/options pair and returns the
-// deterministic mapping list the canonical cell enumeration is built over.
-func resolveMappings(sc *Scenario, opt Options) ([]parallel.Mapping, error) {
+// resolveOrder validates the scenario/options pair and returns the
+// deterministic mapping order, held by degree group, that the canonical
+// cell enumeration is built over.
+func resolveOrder(sc *Scenario, opt Options) (order, error) {
 	if sc.Model == nil || sc.System == nil {
-		return nil, errors.New("explore: scenario needs a model and a system")
+		return order{}, errors.New("explore: scenario needs a model and a system")
 	}
 	if len(opt.Batches) == 0 {
-		return nil, errors.New("explore: no batch sizes to sweep")
+		return order{}, errors.New("explore: no batch sizes to sweep")
 	}
 	if err := CheckEnumerate(sc.Model, opt.Enumerate); err != nil {
-		return nil, err
+		return order{}, err
 	}
-	mappings := MappingList(sc.Model, sc.System, opt.Mappings, opt.Enumerate)
-	if len(mappings) == 0 {
-		return nil, errors.New("explore: no mappings to evaluate")
+	o := order{explicit: opt.Mappings}
+	if len(o.explicit) > 0 {
+		o.groups = runs(o.explicit)
+	} else {
+		o.table = parallel.NewTable(sc.System, enumerateCaps(sc.Model, opt.Enumerate))
+		o.groups = o.table.Groups
 	}
-	return mappings, nil
+	if len(o.groups) == 0 {
+		return order{}, errors.New("explore: no mappings to evaluate")
+	}
+	return o, nil
 }
 
 // CheckEnumerate refuses enumeration options whose virtual-pipeline cap
@@ -316,7 +323,7 @@ func CheckEnumerate(m *transformer.Model, en parallel.EnumerateOptions) error {
 // list wins; otherwise every mapping parallel.Enumerate finds for sys, with
 // MaxTP and MaxPP defaulting to the model's head and layer counts. Options
 // that CheckEnumerate refuses yield nil. An empty result is left to the
-// caller to report.
+// caller to report. A Space holds the same order by degree group instead.
 func MappingList(m *transformer.Model, sys *hardware.System, explicit []parallel.Mapping, en parallel.EnumerateOptions) []parallel.Mapping {
 	if CheckEnumerate(m, en) != nil {
 		return nil
@@ -324,38 +331,45 @@ func MappingList(m *transformer.Model, sys *hardware.System, explicit []parallel
 	if len(explicit) > 0 {
 		return explicit
 	}
+	return parallel.Enumerate(sys, enumerateCaps(m, en))
+}
+
+// enumerateCaps defaults the enumeration's MaxTP and MaxPP to the model's
+// head and layer counts.
+func enumerateCaps(m *transformer.Model, en parallel.EnumerateOptions) parallel.EnumerateOptions {
 	if en.MaxTP == 0 {
 		en.MaxTP = m.Heads
 	}
 	if en.MaxPP == 0 {
 		en.MaxPP = m.Layers
 	}
-	return parallel.Enumerate(sys, en)
+	return en
 }
 
 // Cells reports the size of the canonical cell enumeration for a scenario
 // and options — the domain of Options.CursorLo/CursorHi — without
-// evaluating anything, for callers that need only the size. Shard
+// evaluating anything, for callers that need only the size. It counts the
+// enumeration's degree-group table and lists no mapping. Shard
 // coordinators have already resolved a Space and size their fan-out with
 // Space.Cells instead. Unlike NewSpace it compiles no session, so it also
 // sizes scenarios that would not compile.
 func Cells(sc Scenario, opt Options) (int64, error) {
 	sc.resolveSession()
-	mappings, err := resolveMappings(&sc, opt)
+	o, err := resolveOrder(&sc, opt)
 	if err != nil {
 		return 0, err
 	}
-	return int64(len(mappings)) * int64(len(opt.Batches)), nil
+	return o.len() * int64(len(opt.Batches)), nil
 }
 
 // Chunk size bounds for the executor. The floor keeps the per-chunk fixed
 // overhead — the cursor claim, three progress updates, the panic guard, the
-// search for the chunk's first degree-group run and, unless the worker
-// already holds that run, refilling its columns (a schedule and the
-// degree-group terms per batch position) — a small fraction of a chunk's
-// evaluation time (a cell costs roughly 100–300 ns of CPU on the walk, so
-// 128 cells take 13–40 µs). The ceiling keeps cancellation latency and load
-// imbalance bounded on huge shards.
+// search for the chunk's first degree group and, unless the worker already
+// holds that group, listing its mappings and refilling its columns (a
+// schedule and the degree-group terms per batch position) — a small
+// fraction of a chunk's evaluation time (a cell costs roughly 100–300 ns of
+// CPU on the walk, so 128 cells take 13–40 µs). The ceiling keeps
+// cancellation latency and load imbalance bounded on huge shards.
 const (
 	minChunk = 128
 	maxChunk = 8192
@@ -579,6 +593,15 @@ func rankOf(p *Point, idx int64) Rank {
 // per-chunk selections agree on every input. The server ranks its merge of
 // wire points with it too.
 func CompareRank(a, b Rank, id func(dst []byte, idx int64) []byte) int {
+	if c := compareKey(a, b); c != 0 {
+		return c
+	}
+	var ida, idb [96]byte
+	return breakTie(a, b, id(ida[:0], a.Index), id(idb[:0], b.Index))
+}
+
+// compareKey orders two ranks by bucket, then key.
+func compareKey(a, b Rank) int {
 	if a.Bucket != b.Bucket {
 		return a.Bucket - b.Bucket
 	}
@@ -588,8 +611,13 @@ func CompareRank(a, b Rank, id func(dst []byte, idx int64) []byte) int {
 		}
 		return 1
 	}
-	var ida, idb [96]byte
-	if c := bytes.Compare(id(ida[:0], a.Index), id(idb[:0], b.Index)); c != 0 {
+	return 0
+}
+
+// breakTie orders two ranks of equal bucket and key by their identities
+// ida and idb, then by index.
+func breakTie(a, b Rank, ida, idb []byte) int {
+	if c := bytes.Compare(ida, idb); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.Index, b.Index)

@@ -156,7 +156,7 @@ func TestSweepRecoversPartialPanics(t *testing.T) {
 		t.Fatalf("%d cells in chunks of %d: want an inner chunk", total, chunk)
 	}
 	group := func(mi int64) [5]int {
-		m := sp.Mappings()[mi]
+		m := sp.mapping(mi)
 		var seq int
 		if m.SequenceParallel {
 			seq = 1

@@ -43,7 +43,6 @@ func (k *keySink) take(gi int64, p *Point, r Rank) {
 	}
 	k.priced++
 	q := *p
-	k.s.identify(gi, &q)
 	var bd model.Breakdown
 	if err := k.s.sess.EvaluatePoint(q.Mapping, q.Batch, q.chosenNub, &bd); err != nil || !sameBits(bd, *p.Breakdown) {
 		fail("%v: row breakdown differs from EvaluatePoint (%v)", q, err)
@@ -155,7 +154,7 @@ func TestPooledRowAcrossSessions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(pts) == 0 || pts[0].Mapping != spB.Mappings()[0] {
+		if len(pts) == 0 || pts[0].Mapping != spB.mapping(0) {
 			t.Fatalf("sweep lost mapping 0's cells")
 		}
 		for _, p := range pts {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,25 +19,78 @@ import (
 )
 
 // Space is one sweep's canonical cell enumeration, resolved once: the
-// session (compiled when the scenario did not supply one), the ordered
-// mapping list and its degree-group runs. Cell gi is
-// (mappings[gi/len(Batches)], Batches[gi%len(Batches)]), exactly the order
+// session (compiled when the scenario did not supply one) and the ordered
+// mappings, held as their degree-group table. Cell gi is (mapping
+// gi/len(Batches), Batches[gi%len(Batches)]), exactly the order
 // Options.CursorLo/CursorHi index. Any number of [lo, hi) ranges can then be
 // priced against it without re-enumerating, through one worker-pool
 // executor with two sinks: Sweep keeps every point, Top keeps only the best
-// n. A Space is never written after NewSpace, so it is safe for concurrent
-// use; it never mutates a supplied session.
+// n. A Space stores no mapping list: a worker lists a group's mappings into
+// its scratch when its walk enters the group. A Space is never written
+// after NewSpace, so it is safe for concurrent use; it never mutates a
+// supplied session.
 type Space struct {
-	sc       Scenario
-	opt      Options
-	sess     *model.Session
-	aggs     *model.Aggregates // the Eq. 2 aggregate of each opt.Batches position
-	mappings []parallel.Mapping
-	// groups holds the first mapping index of each degree-group run, a
-	// maximal run of consecutive mappings with equal DP, PP, TP, CP and
-	// sequence parallelism, then len(mappings). Every mapping of a run
-	// shares each batch position's schedule and degree-group terms.
-	groups []int64
+	order
+	sc   Scenario
+	opt  Options
+	sess *model.Session
+	aggs *model.Aggregates // the Eq. 2 aggregate of each opt.Batches position
+}
+
+// order is a mapping order held by degree group: the canonical
+// enumeration's table, or the runs of an explicit list.
+type order struct {
+	table    *parallel.Table    // nil for an explicit list
+	explicit []parallel.Mapping // Options.Mappings; never written
+	// groups are table.Groups, or explicit's maximal runs of consecutive
+	// mappings with equal DP, PP, TP, CP and sequence parallelism, each
+	// one block (an A → B → A list is three runs). Every mapping of a
+	// group shares each batch position's schedule and degree-group terms.
+	groups []parallel.Group
+}
+
+// runs splits an explicit mapping list into its degree-group runs.
+func runs(list []parallel.Mapping) []parallel.Group {
+	var out []parallel.Group
+	var prev [5]int
+	for mi := range list {
+		d := degreeGroup(&list[mi])
+		if mi == 0 || d != prev {
+			out = append(out, parallel.Group{DP: d[0], PP: d[1], TP: d[2], CP: d[3], Blocks: 1, First: int64(mi)})
+			prev = d
+		}
+		out[len(out)-1].Splits++
+	}
+	return out
+}
+
+// len is the number of mappings in the order.
+func (o *order) len() int64 {
+	last := &o.groups[len(o.groups)-1]
+	return last.First + last.Len()
+}
+
+// group returns the index of the group holding mapping mi.
+func (o *order) group(mi int64) int {
+	return sort.Search(len(o.groups), func(g int) bool { return o.groups[g].First > mi }) - 1
+}
+
+// appendGroup appends the mappings of group g to dst.
+func (o *order) appendGroup(dst []parallel.Mapping, g int) []parallel.Mapping {
+	if o.table != nil {
+		return o.table.AppendGroup(dst, g)
+	}
+	gr := &o.groups[g]
+	return append(dst, o.explicit[gr.First:gr.First+gr.Len()]...)
+}
+
+// mapping returns mapping mi, derived from the table: only cells laid out
+// one at a time (a panicking cell's retry) need it.
+func (o *order) mapping(mi int64) parallel.Mapping {
+	if o.table != nil {
+		return o.table.At(mi)
+	}
+	return o.explicit[mi]
 }
 
 // schedule is one (degrees, batch) cell's microbatch choice.
@@ -51,7 +105,7 @@ type schedule struct {
 }
 
 // errUnfillable stands in for a pipeline-unfillable cell's diagnosis while
-// the executor passes it around; identify formats the real error for the
+// the executor passes it around; explain formats the real error for the
 // cells that are kept.
 var errUnfillable = errors.New("explore: pipeline cannot fill")
 
@@ -61,7 +115,7 @@ var errUnfillable = errors.New("explore: pipeline cannot fill")
 // later Sweep or Top call.
 func NewSpace(sc Scenario, opt Options) (*Space, error) {
 	sc.resolveSession()
-	mappings, err := resolveMappings(&sc, opt)
+	o, err := resolveOrder(&sc, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -81,17 +135,7 @@ func NewSpace(sc Scenario, opt Options) (*Space, error) {
 			return nil, err
 		}
 	}
-	var groups []int64
-	var prev [5]int
-	for mi := range mappings {
-		if g := degreeGroup(&mappings[mi]); mi == 0 || g != prev {
-			groups, prev = append(groups, int64(mi)), g
-		}
-	}
-	return &Space{
-		sc: sc, opt: opt, sess: sess, aggs: sess.Aggregates(opt.Batches), mappings: mappings,
-		groups: append(groups, int64(len(mappings))),
-	}, nil
+	return &Space{order: o, sc: sc, opt: opt, sess: sess, aggs: sess.Aggregates(opt.Batches)}, nil
 }
 
 // degreeGroup is what a cell's schedule and degree-group terms read of its
@@ -144,11 +188,7 @@ func (s *Space) schedule(dp, pp, b int) schedule {
 }
 
 // Cells is the size of the enumeration: the domain of Sweep and Top ranges.
-func (s *Space) Cells() int64 { return int64(len(s.mappings)) * int64(len(s.opt.Batches)) }
-
-// Mappings is the space's ordered mapping list: cell gi prices
-// Mappings()[gi/len(Batches)]. Callers must not modify it.
-func (s *Space) Mappings() []parallel.Mapping { return s.mappings }
+func (s *Space) Cells() int64 { return s.len() * int64(len(s.opt.Batches)) }
 
 // Session is the compiled session the space prices against: the scenario's
 // own when it supplied one.
@@ -163,27 +203,45 @@ func (s *Space) span() (lo, hi int64) {
 	return s.opt.CursorLo, s.opt.CursorHi
 }
 
-// at lays out cell gi into p: its identity and schedule, a
-// pipeline-unfillable cell marked with errUnfillable. The schedule is
-// chosen again, by the function the executor's walk uses.
-func (s *Space) at(gi int64, p *Point) {
-	nb := int64(len(s.opt.Batches))
-	mp, b := &s.mappings[gi/nb], s.opt.Batches[gi%nb]
-	d := degreeGroup(mp)
-	c := s.schedule(d[0], d[1], b)
+// lay lays out the cell of mapping mp at batch position bi into p: its
+// identity and schedule, a pipeline-unfillable cell marked with
+// errUnfillable. dp and pp are the DP and PP degrees of mp's group. The
+// schedule is chosen again, by the function the executor's walk uses.
+func (s *Space) lay(p *Point, mp *parallel.Mapping, dp, pp int, bi int64) {
+	b := s.opt.Batches[bi]
+	c := s.schedule(dp, pp, b)
 	*p = Point{Mapping: *mp, Batch: b, Microbatches: c.ub, Fits: true, chosenNub: c.nub}
 	if c.unfillable {
 		p.Err = errUnfillable
 	}
 }
 
-// identify writes cell gi's mapping and batch into p and formats the error
-// of a pipeline-unfillable cell, which carries errUnfillable until then.
-// The executor prices cells without their identity, writing only their
-// schedule; sinks identify the cells they keep.
-func (s *Space) identify(gi int64, p *Point) {
+// at lays out cell gi into p alone, deriving its mapping from the table.
+func (s *Space) at(gi int64, p *Point) {
 	nb := int64(len(s.opt.Batches))
-	p.Mapping, p.Batch = s.mappings[gi/nb], s.opt.Batches[gi%nb]
+	mp, gr := s.mapping(gi/nb), &s.groups[s.group(gi/nb)]
+	s.lay(p, &mp, gr.DP, gr.PP, gi%nb)
+}
+
+// layout lays out the cells [lo, hi) in order, listing each group's
+// mappings once, and hands each to fn in one scratch point.
+func (s *Space) layout(lo, hi int64, fn func(gi int64, p *Point)) {
+	nb := int64(len(s.opt.Batches))
+	var maps []parallel.Mapping
+	var p Point
+	for gi, g := lo, s.group(lo/nb); gi < hi; g++ {
+		gr := &s.groups[g]
+		maps = s.appendGroup(maps[:0], g)
+		for end := min(hi, (gr.First+gr.Len())*nb); gi < end; gi++ {
+			s.lay(&p, &maps[gi/nb-gr.First], gr.DP, gr.PP, gi%nb)
+			fn(gi, &p)
+		}
+	}
+}
+
+// explain formats the error of a pipeline-unfillable cell, which carries
+// errUnfillable while the executor passes it around.
+func explain(p *Point) {
 	if p.Err == errUnfillable {
 		p.Err = fmt.Errorf(
 			"explore: %v B=%d infeasible: pipeline depth %d exceeds per-replica batch %d, no microbatch count satisfies N_ub >= N_PP",
@@ -197,18 +255,11 @@ func (s *Space) points(lo, hi int64) ([]Point, error) {
 		return nil, err
 	}
 	pts := make([]Point, hi-lo)
-	for i := range pts {
-		s.at(lo+int64(i), &pts[i])
-		s.identify(lo+int64(i), &pts[i])
-	}
+	s.layout(lo, hi, func(gi int64, p *Point) {
+		explain(p)
+		pts[gi-lo] = *p
+	})
 	return pts, nil
-}
-
-// appendID appends cell gi's Point.String identity to b.
-func (s *Space) appendID(b []byte, gi int64) []byte {
-	var p Point
-	s.at(gi, &p)
-	return p.appendID(b)
 }
 
 // Sweep prices the cells [lo, hi) and returns every point in cell order,
@@ -219,7 +270,7 @@ func (s *Space) Sweep(ctx context.Context, lo, hi int64) ([]Point, error) {
 	if err := s.checkRange(lo, hi); err != nil {
 		return nil, err
 	}
-	k := &pointSink{s: s, lo: lo, pts: make([]Point, hi-lo), bds: make([]model.Breakdown, hi-lo), inf: math.Inf(1)}
+	k := &pointSink{lo: lo, pts: make([]Point, hi-lo), bds: make([]model.Breakdown, hi-lo), inf: math.Inf(1)}
 	if s.sc.Memory != nil {
 		k.fps = make([]memkit.Footprint, hi-lo)
 	}
@@ -258,7 +309,8 @@ func (s *Space) Top(ctx context.Context, lo, hi int64, n int) (top []Point, comp
 	}
 	var sinks []*topSink
 	cut, cancelled := s.run(ctx, lo, hi, func() sink {
-		k := &topSink{s: s, keepInvalid: s.opt.KeepInvalid, best: bestN[topEntry]{n: n, cmp: s.rank}, incumbent: math.Inf(1)}
+		k := &topSink{keepInvalid: s.opt.KeepInvalid, best: bestN[topEntry]{n: n}, incumbent: math.Inf(1)}
+		k.best.cmp = k.rank
 		if n <= 0 {
 			k.incumbent = math.Inf(-1) // nothing enters the heap
 		}
@@ -273,7 +325,7 @@ func (s *Space) Top(ctx context.Context, lo, hi int64, n int) (top []Point, comp
 		completed += k.completed
 		all = append(all, k.best.h...)
 	}
-	slices.SortFunc(all, s.rank)
+	slices.SortFunc(all, sinks[0].rank) // every entry is kept, none offered
 	all = all[:min(n, len(all))]
 	if len(all) > 0 {
 		top = make([]Point, len(all))
@@ -285,11 +337,10 @@ func (s *Space) Top(ctx context.Context, lo, hi int64, n int) (top []Point, comp
 }
 
 // sink receives one worker's finished cells. take is handed the cell's
-// global index, a scratch point carrying the outcome — Err, Fits, the
-// schedule and a Breakdown and Footprint that point into worker memory the
-// next cell overwrites — but not necessarily its identity, and the cell's
-// Rank: a sink keeps a cell by copying it out and identifying the copy
-// (Space.keep). limit points at the rank key above which the sink has no
+// global index, a scratch point carrying its identity and outcome — Err,
+// Fits, the schedule and a Breakdown and Footprint that point into worker
+// memory the next cell overwrites — and the cell's Rank: a sink keeps a
+// cell by copying it out (keep). limit points at the rank key above which the sink has no
 // use for a cell; the walk reads it before each cell, and does not price
 // or hand on a cell whose column floor is above it.
 type sink interface {
@@ -300,7 +351,6 @@ type sink interface {
 // pointSink is Sweep's sink: every cell lands at its index, one sink
 // shared by all workers (their cells are disjoint).
 type pointSink struct {
-	s   *Space
 	lo  int64
 	pts []Point
 	bds []model.Breakdown
@@ -316,13 +366,13 @@ func (k *pointSink) take(gi int64, p *Point, _ Rank) {
 	if k.fps != nil {
 		fp = &k.fps[i]
 	}
-	k.s.keep(gi, p, &k.pts[i], &k.bds[i], fp)
+	keep(p, &k.pts[i], &k.bds[i], fp)
 }
 
-// keep copies cell gi's scratch point p into dst, with p's Breakdown and
-// Footprint copied into bd and fp (nil when the scenario has no memory
-// model), so dst never aliases worker memory, and identifies dst.
-func (s *Space) keep(gi int64, p, dst *Point, bd *model.Breakdown, fp *memkit.Footprint) {
+// keep copies a scratch point p into dst, with p's Breakdown and Footprint
+// copied into bd and fp (nil when the scenario has no memory model), so dst
+// never aliases worker memory, and explains dst's error.
+func keep(p, dst *Point, bd *model.Breakdown, fp *memkit.Footprint) {
 	*dst = *p
 	if p.Breakdown != nil {
 		*bd = *p.Breakdown
@@ -332,13 +382,12 @@ func (s *Space) keep(gi int64, p, dst *Point, bd *model.Breakdown, fp *memkit.Fo
 		*fp = *p.Footprint
 		dst.Footprint = fp
 	}
-	s.identify(gi, dst)
+	explain(dst)
 }
 
 // topSink is Top's per-worker sink: the n best cells it was handed, each
 // in a survivor slot reused on eviction.
 type topSink struct {
-	s           *Space
 	keepInvalid bool
 	completed   int
 	best        bestN[topEntry]
@@ -346,11 +395,14 @@ type topSink struct {
 	// cells that evaluated and fit, +Inf before, −Inf when n ≤ 0. A cell
 	// whose key is above it cannot enter best.
 	incumbent float64
+	// offered is the scratch point of the cell take is offering best.
+	offered *Point
 }
 
 func (k *topSink) limit() *float64 { return &k.incumbent }
 
-// topEntry is a kept cell's ranking key, indexed by cell, and its copy.
+// topEntry is a cell's ranking key, indexed by cell, and its copy, nil
+// while the cell is offered.
 type topEntry struct {
 	Rank
 	sv *survivor
@@ -370,7 +422,7 @@ func (k *topSink) take(gi int64, p *Point, r Rank) {
 	}
 	k.completed++
 	e := topEntry{Rank: r}
-	if !k.best.admits(e) {
+	if k.offered = p; !k.best.admits(e) {
 		return
 	}
 	if len(k.best.h) < k.best.n {
@@ -378,34 +430,51 @@ func (k *topSink) take(gi int64, p *Point, r Rank) {
 	} else {
 		e.sv = k.best.h[0].sv // the evicted cell's slot
 	}
-	k.s.keep(gi, p, &e.sv.p, &e.sv.bd, &e.sv.fp)
+	keep(p, &e.sv.p, &e.sv.bd, &e.sv.fp)
 	k.best.push(e)
 	if h := k.best.h; len(h) == k.best.n && h[0].Bucket == 0 {
 		k.incumbent = h[0].Key
 	}
 }
 
-// rank is CompareRank over cells. The cell index orders cells exactly as
-// their points' positions in Sweep's result do, so Top and TopByTime agree.
-func (s *Space) rank(a, b topEntry) int { return CompareRank(a.Rank, b.Rank, s.appendID) }
+// rank is CompareRank over cells, reading an identity off the kept cell's
+// survivor or the offered cell's scratch point. The cell index orders
+// cells exactly as their points' positions in Sweep's result do, so Top
+// and TopByTime agree.
+func (k *topSink) rank(a, b topEntry) int {
+	if c := compareKey(a.Rank, b.Rank); c != 0 {
+		return c
+	}
+	var ida, idb [96]byte
+	return breakTie(a.Rank, b.Rank, k.point(a).appendID(ida[:0]), k.point(b).appendID(idb[:0]))
+}
+
+// point is the point an entry's identity is read from.
+func (k *topSink) point(e topEntry) *Point {
+	if e.sv == nil {
+		return k.offered
+	}
+	return &e.sv.p
+}
 
 // worker is one pool goroutine's scratch: the prepared row of the mapping
-// its walk is on, the columns of the degree-group run it is in, the
-// breakdown and footprint the current cell prices into, and the scratch
+// its walk is on, the mappings and columns of the degree group it is in,
+// the breakdown and footprint the current cell prices into, and the scratch
 // point handed to sinks. Workers are pooled across calls, so a shard's
 // chunk loop does not reallocate them per chunk.
 type worker struct {
 	row  model.Row
-	mi   int64    // the mapping index row holds; -1 for none
-	g    int      // the group run cols holds; -1 for none
-	cols []column // per batch position
+	mi   int64              // the mapping index row holds; -1 for none
+	g    int                // the group maps and cols hold; -1 for none
+	maps []parallel.Mapping // the group's mappings
+	cols []column           // per batch position
 	bd   model.Breakdown
 	fp   memkit.Footprint
 	p    Point
 }
 
-// column is one batch position of a degree-group run: the schedule every
-// mapping of the run shares there and the model's degree-group terms. The
+// column is one batch position of a degree group: the schedule every
+// mapping of the group shares there and the model's degree-group terms. The
 // zero value is empty; each half fills on the first cell that needs it.
 type column struct {
 	set   bool // sched holds the position's schedule
@@ -428,7 +497,7 @@ func getWorker() *worker {
 // worker, before any starts). Workers claim chunked index ranges off an
 // atomic cursor instead of receiving per-index channel sends, cutting
 // synchronization traffic and false sharing on adjacent cells, and price
-// each chunk by degree-group run (evalChunk).
+// each chunk by degree group (evalChunk).
 //
 // It returns the number of cells the walk cut against their sinks' limits
 // (finished, but never handed to a sink). A cancelled context stops
@@ -511,30 +580,30 @@ func (s *Space) run(ctx context.Context, lo, hi int64, sinkFor func() sink) (cut
 	prog.CancelLatencyNanos.Store(lat)
 	// Every claimed chunk was priced whole, so the claims cover exactly
 	// [lo, cursor) and the tail starts there.
-	p := new(Point)
-	for gi := min(cursor.Load(), hi); gi < hi; gi++ {
-		if s.at(gi, p); p.Err != nil {
+	s.layout(min(cursor.Load(), hi), hi, func(gi int64, p *Point) {
+		if p.Err != nil {
 			sinks[0].take(gi, p, rankOf(p, gi))
 		}
-	}
+	})
 	return cut, cancelled
 }
 
 // evalChunk prices the cells [start, end) and hands each to k in cell
 // order, returning the number of failed cells and of cells cut against
 // k's limit, which are not handed on. The walk is mapping-major,
-// nested as degree-group run → mapping → batch position: the worker
-// empties its columns when the walk enters a group run, prepares a
-// mapping's row once when the walk reaches it, then prices each of its
-// cells against that row, the position's column and the space's positional
-// aggregates into one scratch breakdown. A sink ranks the cell from its
-// outcome and copies out only what it keeps.
+// nested as degree group → mapping → batch position: the worker lists the
+// group's mappings and empties its columns when the walk enters a group,
+// prepares a mapping's row once when the walk reaches it, then prices each
+// of its cells against that row, the position's column and the space's
+// positional aggregates into one scratch breakdown. A sink ranks the cell
+// from its outcome and copies out only what it keeps.
 //
 // Pricing runs panic-isolated: a degenerate user-supplied efficiency model
 // must not take down the worker pool. A panic stops priceCells at the cell
-// that raised it; that one cell is re-priced alone through evalPointSafe,
-// which turns the panic into its Err, and the walk resumes after it, so a
-// poisoned cell never costs its row-mates their results.
+// that raised it; that one cell is laid out again and re-priced alone
+// through evalPointSafe, which turns the panic into its Err, and the walk
+// resumes after it, so a poisoned cell never costs its row-mates their
+// results.
 func (s *Space) evalChunk(w *worker, start, end int64, k sink) (failed, cut int) {
 	for gi := start; gi < end; gi++ {
 		if gi = s.priceCells(w, gi, end, k, &failed, &cut); gi < end {
@@ -550,17 +619,18 @@ func (s *Space) evalChunk(w *worker, start, end int64, k sink) (failed, cut int)
 	return failed, cut
 }
 
-// priceCells prices the cells [gi, end) through the worker's columns and
-// row and hands them to k, each ranked off the key its pricing returned,
+// priceCells prices the cells [gi, end) through the worker's group and row
+// and hands them to k, each ranked off the key its pricing returned,
 // except the cells the kernel cuts against k's limit, which it counts in
 // cut. It returns end, or the index of a cell whose pricing panicked; that
 // cell is not handed on. A column's schedule and its model terms each fill
-// on the first cell of the run that needs them; the model writes its terms
-// only once the efficiency model returns. PrepareRow fills the row in place, so
-// w.mi is cleared before it and names the row only once it returns: a
-// panicking preparation leaves no half-built row in use. Only the scratch
-// point's outcome and schedule fields are reset per cell; its identity
-// fields go stale, since sinks identify their copies.
+// on the first cell of the group that needs them; the model writes its
+// terms only once the efficiency model returns. PrepareRow fills the row in
+// place, so w.mi is cleared before it and names the row only once it
+// returns: a panicking preparation leaves no half-built row in use. The
+// walk writes the scratch point's identity, its mapping once per mapping
+// and its batch once per cell, and resets its outcome and schedule fields
+// per cell; sinks copy the identity from it.
 func (s *Space) priceCells(w *worker, gi, end int64, k sink, failed, cut *int) (stop int64) {
 	defer func() {
 		if recover() != nil {
@@ -569,26 +639,24 @@ func (s *Space) priceCells(w *worker, gi, end int64, k sink, failed, cut *int) (
 	}()
 	nb := int64(len(s.opt.Batches))
 	mi, bi := gi/nb, gi%nb
-	g, found := slices.BinarySearch(s.groups, mi)
-	if !found {
-		g-- // mi is inside the run that starts before it
-	}
 	p, limit := &w.p, k.limit()
-	for ; gi < end; g++ {
+	for g := s.group(mi); gi < end; g++ {
+		gr := &s.groups[g]
 		if g != w.g {
+			w.maps = s.appendGroup(w.maps[:0], g)
 			w.cols = append(w.cols[:0], make([]column, nb)...)
 			w.g = g
 		}
-		d := degreeGroup(&s.mappings[s.groups[g]]) // the run's DP and PP, for its schedules
-		for ; mi < s.groups[g+1] && gi < end; mi, bi = mi+1, 0 {
-			mp := &s.mappings[mi]
+		for last := gr.First + gr.Len(); mi < last && gi < end; mi, bi = mi+1, 0 {
+			mp := &w.maps[mi-gr.First]
+			p.Mapping = *mp
 			for ; bi < nb && gi < end; gi, bi = gi+1, bi+1 {
 				c := &w.cols[bi]
 				if !c.set {
-					c.sched, c.set = s.schedule(d[0], d[1], s.opt.Batches[bi]), true
+					c.sched, c.set = s.schedule(gr.DP, gr.PP, s.opt.Batches[bi]), true
 				}
 				p.Breakdown, p.Footprint, p.Fits, p.Err = nil, nil, true, nil
-				p.Microbatches, p.chosenNub = c.sched.ub, c.sched.nub
+				p.Batch, p.Microbatches, p.chosenNub = s.opt.Batches[bi], c.sched.ub, c.sched.nub
 				var key float64
 				if c.sched.unfillable {
 					p.Err = errUnfillable
@@ -606,7 +674,6 @@ func (s *Space) priceCells(w *worker, gi, end int64, k sink, failed, cut *int) (
 					if p.Err == nil {
 						p.Breakdown = &w.bd
 						if s.sc.Memory != nil {
-							s.identify(gi, p) // the memory model needs the cell's identity
 							estimateMemorySafe(p, &w.fp, &s.sc)
 						}
 					}

@@ -98,7 +98,8 @@ func deg(d int) int {
 }
 
 // walkSink checks every cell the executor hands it against a fresh layout
-// of the cell (Layout's schedule) and Session.EvaluatePoint: the schedule,
+// of the cell (Layout's schedule) and Session.EvaluatePoint: the identity,
+// the schedule,
 // the error text, the breakdown bits and the rank. It records which cells
 // it was handed and which priced, in slices the run's sinks share (their
 // cells are disjoint). Workers call it, so it reports with Errorf.
@@ -124,6 +125,10 @@ func (k *walkSink) take(gi int64, p *Point, r Rank) {
 	}
 	var want Point
 	k.s.at(gi, &want)
+	if p.Mapping != want.Mapping || p.Batch != want.Batch {
+		k.fail("cell %d: walk identity %v B=%d, layout's %v", gi, p.Mapping, p.Batch, want)
+		return
+	}
 	if p.Microbatches != want.Microbatches || p.chosenNub != want.chosenNub {
 		k.fail("%v: walk schedule m=%d nub %d, layout's m=%d nub %d", want, p.Microbatches, p.chosenNub, want.Microbatches, want.chosenNub)
 		return
@@ -275,17 +280,17 @@ func TestSpaceWalkMatchesEvaluatePoint(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if runs := len(sp.groups) - 1; list == "explicit" && runs != 4 {
-					t.Fatalf("explicit A → C → B → A list: %d group runs %v, want 4", runs, sp.groups)
+				if runs := len(sp.groups); list == "explicit" && runs != 4 {
+					t.Fatalf("explicit A → C → B → A list: %d group runs %+v, want 4", runs, sp.groups)
 				}
-				// The widest group run, cut one cell in from each end.
+				// The widest group, cut one cell in from each end.
 				nb, g := int64(len(batches)), 0
-				for i := range len(sp.groups) - 1 {
-					if sp.groups[i+1]-sp.groups[i] > sp.groups[g+1]-sp.groups[g] {
+				for i := range sp.groups {
+					if sp.groups[i].Len() > sp.groups[g].Len() {
 						g = i
 					}
 				}
-				lo, hi := sp.groups[g]*nb+1, sp.groups[g+1]*nb-1
+				lo, hi := sp.groups[g].First*nb+1, (sp.groups[g].First+sp.groups[g].Len())*nb-1
 				name := fmt.Sprintf("scenario %d target %d %s", si, target, list)
 				for _, r := range [][2]int64{{0, sp.Cells()}, {lo, hi}, {lo, lo + 1}, {lo + nb, sp.Cells()}} {
 					f.walkPair(t, si, opt, r[0], r[1], 3)
@@ -303,9 +308,9 @@ func TestSpaceWalkMatchesEvaluatePoint(t *testing.T) {
 				priced := walk(t, sp, 0, sp.Cells(), false)
 				calls := f.calls.Load() - before
 				var want int64
-				for g := range len(sp.groups) - 1 {
+				for _, gr := range sp.groups {
 					for bi := range nb {
-						for mi := sp.groups[g]; mi < sp.groups[g+1]; mi++ {
+						for mi := gr.First; mi < gr.First+gr.Len(); mi++ {
 							if priced[mi*nb+bi] {
 								want++
 								break

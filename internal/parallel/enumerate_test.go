@@ -132,23 +132,51 @@ func cpSplits(dpShare, maxCP int, pow2 bool) [][2]int {
 	return out
 }
 
-// checkAgainstSort fails t unless Enumerate returns enumerateBySort's list.
+// checkAgainstSort fails t unless Enumerate returns enumerateBySort's list
+// and NewTable's groups hold it: consecutive, each a run of one (TP, PP,
+// DP, CP) with Splits × Blocks mappings, AppendGroup listing the run and
+// At(i) returning mapping i.
 func checkAgainstSort(t *testing.T, sys *hardware.System, opt EnumerateOptions) {
 	t.Helper()
 	got, want := Enumerate(sys, opt), enumerateBySort(sys, opt)
-	if slices.Equal(got, want) {
-		return
+	if !slices.Equal(got, want) {
+		for i := range min(len(got), len(want)) {
+			if got[i] != want[i] {
+				t.Fatalf("%dx%d %+v: mapping %d is %v, want %v", sys.Nodes, sys.AccelsPerNode, opt, i, got[i], want[i])
+			}
+		}
+		t.Fatalf("%dx%d %+v: %d mappings, want %d", sys.Nodes, sys.AccelsPerNode, opt, len(got), len(want))
 	}
-	for i := range min(len(got), len(want)) {
-		if got[i] != want[i] {
-			t.Fatalf("%dx%d %+v: mapping %d is %v, want %v", sys.Nodes, sys.AccelsPerNode, opt, i, got[i], want[i])
+	tab := NewTable(sys, opt)
+	if tab.Len() != int64(len(want)) {
+		t.Fatalf("%dx%d %+v: table holds %d mappings, want %d", sys.Nodes, sys.AccelsPerNode, opt, tab.Len(), len(want))
+	}
+	var next int64
+	for g := range tab.Groups {
+		gr := tab.Groups[g]
+		if gr.First != next || gr.Splits <= 0 || gr.Blocks <= 0 {
+			t.Fatalf("%dx%d %+v: group %d is %+v after %d mappings", sys.Nodes, sys.AccelsPerNode, opt, g, gr, next)
+		}
+		next += gr.Len()
+		ms := tab.AppendGroup([]Mapping{{}}, g)[1:]
+		if !slices.Equal(ms, want[gr.First:next]) {
+			t.Fatalf("%dx%d %+v: group %d %+v lists %v, want %v", sys.Nodes, sys.AccelsPerNode, opt, g, gr, ms, want[gr.First:next])
+		}
+		for _, m := range ms {
+			if m.TP() != gr.TP || m.PP() != gr.PP || m.DP() != gr.DP || m.CP() != gr.CP {
+				t.Fatalf("%dx%d %+v: group %+v lists %v", sys.Nodes, sys.AccelsPerNode, opt, gr, m)
+			}
 		}
 	}
-	t.Fatalf("%dx%d %+v: %d mappings, want %d", sys.Nodes, sys.AccelsPerNode, opt, len(got), len(want))
+	for i := range want {
+		if m := tab.At(int64(i)); m != want[i] {
+			t.Fatalf("%dx%d %+v: At(%d) = %v, want %v", sys.Nodes, sys.AccelsPerNode, opt, i, m, want[i])
+		}
+	}
 }
 
-// TestEnumerateMatchesSort requires the canonical-order walk to equal the
-// sort-based reference over a grid that covers 12- and 16-accelerator
+// TestEnumerateMatchesSort requires the canonical-order walk and its group
+// table to equal the sort-based reference over a grid that covers 12- and 16-accelerator
 // nodes (where the byte order of intra degrees differs from their numeric
 // order), non-power-of-two node counts, TP/PP caps, every CP and VPP cap
 // from 0 to 8, and the SP/EP flags.
@@ -173,10 +201,10 @@ func TestEnumerateMatchesSort(t *testing.T) {
 	}
 }
 
-// FuzzEnumerate checks Enumerate against enumerateBySort on random
-// systems and options: accelerators per node 1..32, nodes 1..256, MaxTP
-// and MaxPP 0..64, MaxCP and MaxVPP 0..8; flags bit 0 sets
-// SequenceParallel and bit 1 ExpertParallel. The seed corpus under
+// FuzzEnumerate checks Enumerate and its group table against
+// enumerateBySort on random systems and options: accelerators per node
+// 1..32, nodes 1..256, MaxTP and MaxPP 0..64, MaxCP and MaxVPP 0..8; flags
+// bit 0 sets SequenceParallel and bit 1 ExpertParallel. The seed corpus under
 // testdata/fuzz/FuzzEnumerate holds the Case Study I CP/VPP space, 12- and
 // 16-accelerator nodes with byte-ordered intra degrees, a non-power-of-two
 // node count and an empty power-of-two space.

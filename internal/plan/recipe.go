@@ -115,19 +115,18 @@ func Tune(req TuneRequest) (*Recipe, error) {
 		return nil, err
 	}
 	batch := req.GlobalBatch
-	space, err := explore.NewSpace(explore.Scenario{
-		Model:    req.Model,
-		System:   req.System,
-		Training: model.Training{NumBatches: req.NumBatches},
-		Eff:      req.Eff,
-	}, explore.Options{
-		Batches:   []int{batch},
-		Enumerate: parallel.EnumerateOptions{PowerOfTwo: true},
-	})
+	eff := req.Eff
+	if eff == nil {
+		eff = efficiency.Default()
+	}
+	base, err := model.Compile(req.Model, req.System, model.Training{NumBatches: req.NumBatches}, eff)
 	if err != nil {
 		return nil, err
 	}
-	base := space.Session()
+	mappings := explore.MappingList(req.Model, req.System, nil, parallel.EnumerateOptions{PowerOfTwo: true})
+	if len(mappings) == 0 {
+		return nil, errors.New("plan: no mappings to tune")
+	}
 	zero3, err := compileZeRO3(base, batch)
 	if err != nil {
 		return nil, err
@@ -138,7 +137,7 @@ func Tune(req TuneRequest) (*Recipe, error) {
 		best        *Recipe
 		bestRank    cellRank
 	)
-	for _, mp := range space.Mappings() {
+	for _, mp := range mappings {
 		if batch%mp.DP() != 0 {
 			continue
 		}
