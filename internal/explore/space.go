@@ -298,11 +298,12 @@ func (s *Space) Sweep(ctx context.Context, lo, hi int64) ([]Point, error) {
 //
 // A worker does not price a cell that cannot enter its heap: once the heap
 // holds n cells that evaluated and fit, a cell whose column compute floor
-// (model.Column.Floor) is above the worst of their keys is cut. A cut cell
-// counts as completed, and Progress.Cut counts it. The one case where
-// this differs from Sweep: a cell that would have failed pricing with a
-// non-finite time, but whose floor is above the cut, counts as completed
-// instead of failed (and is not in Progress.Failed).
+// (model.Column.Floor) is above the worst of their keys is cut; in an
+// enumerated space, before the walk touches its point or its mapping's row.
+// A cut cell counts as completed, and Progress.Cut counts it. The one case
+// where this differs from Sweep: a cell that would have failed pricing
+// with a non-finite time, but whose floor is above the cut, counts as
+// completed instead of failed (and is not in Progress.Failed).
 func (s *Space) Top(ctx context.Context, lo, hi int64, n int) (top []Point, completed int, err error) {
 	if err := s.checkRange(lo, hi); err != nil {
 		return nil, 0, err
@@ -593,10 +594,11 @@ func (s *Space) run(ctx context.Context, lo, hi int64, sinkFor func() sink) (cut
 // k's limit, which are not handed on. The walk is mapping-major,
 // nested as degree group → mapping → batch position: the worker lists the
 // group's mappings and empties its columns when the walk enters a group,
-// prepares a mapping's row once when the walk reaches it, then prices each
-// of its cells against that row, the position's column and the space's
-// positional aggregates into one scratch breakdown. A sink ranks the cell
-// from its outcome and copies out only what it keeps.
+// cuts a cell at its column when the column's floor rules it out,
+// prepares a mapping's row once on its first cell that is not cut, then
+// prices each such cell against that row, the position's column and the
+// space's positional aggregates into one scratch breakdown. A sink ranks
+// the cell from its outcome and copies out only what it keeps.
 //
 // Pricing runs panic-isolated: a degenerate user-supplied efficiency model
 // must not take down the worker pool. A panic stops priceCells at the cell
@@ -621,16 +623,21 @@ func (s *Space) evalChunk(w *worker, start, end int64, k sink) (failed, cut int)
 
 // priceCells prices the cells [gi, end) through the worker's group and row
 // and hands them to k, each ranked off the key its pricing returned,
-// except the cells the kernel cuts against k's limit, which it counts in
-// cut. It returns end, or the index of a cell whose pricing panicked; that
-// cell is not handed on. A column's schedule and its model terms each fill
-// on the first cell of the group that needs them; the model writes its
-// terms only once the efficiency model returns. PrepareRow fills the row in
+// except the cells whose column cuts at k's limit (model.Column.Cuts),
+// which it counts in cut. It returns end, or the index of a cell whose
+// pricing panicked; that cell is not handed on. A column's schedule and
+// its model terms each fill on the first cell of the group that needs
+// them; the model writes its terms only once the efficiency model returns.
+// The cut comes first, before the walk touches the cell's point or row: a
+// table mapping tiles, so its fit verdict is its group's and its VPP's
+// (Session.Fits), and a mapping whose every cell is cut prepares no row.
+// An explicit list's cells take the verdict from their row, and
+// PriceRowCell cuts them by the same rule. PrepareRow fills the row in
 // place, so w.mi is cleared before it and names the row only once it
 // returns: a panicking preparation leaves no half-built row in use. The
-// walk writes the scratch point's identity, its mapping once per mapping
-// and its batch once per cell, and resets its outcome and schedule fields
-// per cell; sinks copy the identity from it.
+// walk writes the scratch point's identity, its mapping on the mapping's
+// first cell that is not cut and its batch once per cell, and resets its
+// outcome and schedule fields per cell; sinks copy the identity from it.
 func (s *Space) priceCells(w *worker, gi, end int64, k sink, failed, cut *int) (stop int64) {
 	defer func() {
 		if recover() != nil {
@@ -649,11 +656,19 @@ func (s *Space) priceCells(w *worker, gi, end int64, k sink, failed, cut *int) (
 		}
 		for last := gr.First + gr.Len(); mi < last && gi < end; mi, bi = mi+1, 0 {
 			mp := &w.maps[mi-gr.First]
-			p.Mapping = *mp
+			fits := s.table != nil && s.sess.Fits(gr.TP, gr.PP, gr.CP, mp.VPP)
+			named := false // p holds mp's identity
 			for ; bi < nb && gi < end; gi, bi = gi+1, bi+1 {
 				c := &w.cols[bi]
 				if !c.set {
 					c.sched, c.set = s.schedule(gr.DP, gr.PP, s.opt.Batches[bi]), true
+				}
+				if fits && c.terms.Cuts(*limit) {
+					*cut++
+					continue
+				}
+				if !named {
+					p.Mapping, named = *mp, true
 				}
 				p.Breakdown, p.Footprint, p.Fits, p.Err = nil, nil, true, nil
 				p.Batch, p.Microbatches, p.chosenNub = s.opt.Batches[bi], c.sched.ub, c.sched.nub

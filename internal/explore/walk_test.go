@@ -326,6 +326,58 @@ func TestSpaceWalkMatchesEvaluatePoint(t *testing.T) {
 	}
 }
 
+// TestGroupFitMatchesRow pins what the walk's early cut relies on: for
+// every mapping of the fixture's enumerated spaces (CP and VPP up to 4, so
+// groups whose later VPP blocks overrun the 8 layers, and groups whose TP
+// overruns the heads), the fit verdict taken from its group's degrees and
+// its own VPP (Session.Fits) is PrepareRow's. The row's verdict is read off
+// one cell at batch DP·PP under the default schedule, which always
+// validates (one sample per microbatch), so that cell fails exactly when
+// the row carries a run or fit error.
+func TestGroupFitMatchesRow(t *testing.T) {
+	f := newWalkFixture(t)
+	var fit, unfit, mixed int
+	for si, sc := range f.scs {
+		for _, sp := range []bool{false, true} {
+			s, err := NewSpace(sc, Options{Batches: []int{64}, Enumerate: parallel.EnumerateOptions{
+				PowerOfTwo: true, MaxCP: 4, MaxVPP: 4, SequenceParallel: sp, ExpertParallel: true,
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var maps []parallel.Mapping
+			var row model.Row
+			var bd model.Breakdown
+			for g := range s.groups {
+				gr := &s.groups[g]
+				aggs := s.sess.Aggregates([]int{gr.DP * gr.PP})
+				maps = s.appendGroup(maps[:0], g)
+				var sawFit, sawUnfit bool
+				for _, mp := range maps {
+					s.sess.PrepareRow(&row, &mp)
+					_, _, rowErr := s.sess.PriceRowCell(&row, new(model.Column), aggs, 0, 0, math.Inf(1), &bd)
+					got := s.sess.Fits(gr.TP, gr.PP, gr.CP, mp.VPP)
+					if got != (rowErr == nil) {
+						t.Fatalf("scenario %d SP %v: %v in group %+v: group verdict fits = %v, PrepareRow's %v", si, sp, mp, *gr, got, rowErr)
+					}
+					if got {
+						fit, sawFit = fit+1, true
+					} else {
+						unfit, sawUnfit = unfit+1, true
+					}
+				}
+				if sawFit && sawUnfit {
+					mixed++
+				}
+			}
+		}
+	}
+	if fit == 0 || unfit == 0 || mixed == 0 {
+		t.Fatalf("fixture lost its point: %d mappings fit, %d do not, %d groups hold both", fit, unfit, mixed)
+	}
+	t.Logf("%d mappings fit, %d do not; %d groups hold both", fit, unfit, mixed)
+}
+
 // FuzzSpaceWalk sweeps random spaces through the group walk: a scenario of
 // the fixture, a microbatch target, one or two workers, failed cells kept
 // or dropped, a top n, one to three batches (duplicates, zero, negative

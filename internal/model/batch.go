@@ -160,15 +160,17 @@ func (s *Session) Aggregates(batches []int) *Aggregates {
 // them; every later cell of the scope reads them.
 //
 // limit is the key above which the caller has no use for the cell. A cell
-// that passes the run, schedule and fit checks but whose column floor
-// (Column.Floor) is above limit is cut: PriceRowCell returns the floor and
-// cut = true without pricing communication, bubble or breakdown, and out is
-// untouched. A failing cell is never cut. +Inf prices every cell.
+// that passes the run, schedule and fit checks but whose column cuts at
+// limit (Column.Cuts: its floor is above limit) is cut: PriceRowCell
+// returns the floor and cut = true without pricing communication, bubble
+// or breakdown, and out is untouched. A failing cell is never cut. +Inf
+// prices every cell. A sweep walk asks col.Cuts itself before preparing a
+// row when it knows the fit verdict (Session.Fits); this catches the rest.
 func (s *Session) PriceRowCell(r *Row, col *Column, a *Aggregates, bi, nub int, limit float64, out *Breakdown) (key float64, cut bool, err error) {
 	if err := s.fillColumn(&r.run, a.batches[bi], nub, a.aggs[bi], col); err != nil {
 		return 0, false, err
 	}
-	if col.floor > limit {
+	if col.Cuts(limit) {
 		return col.floor, true, nil
 	}
 	key, err = s.priceRest(&r.run, col, &r.comm, false, out)

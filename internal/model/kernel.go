@@ -27,7 +27,8 @@ import (
 // sweep hands in the Column its walk scopes to one degree group and batch
 // position, and a Row keeps the forward communication of its mapping's
 // last microbatch size; a point prices both from empty. PriceRowCell runs
-// the rest only for a cell whose column floor does not rule it out. Every
+// the rest only for a cell its column does not cut (Column.Cuts), which a
+// sweep walk asks first, with a row-free fit verdict (Session.Fits). Every
 // Eq. 2 aggregate comes from the session's one memo (aggMemo), which is the
 // only state a compiled session writes after Compile.
 
@@ -93,19 +94,28 @@ func (a allReduce) time(latTerms, elems, bits float64) float64 {
 // length, and a virtual pipeline only over PP > 1 with a chunk per layer.
 // It takes the normalized degree products (vpp at least 1).
 func checkFit(m *transformer.Model, tp, pp, cp, vpp int) error {
-	switch {
-	case tp > m.Heads:
-		return &fitError{fitHeads, tp, m.Heads, 0}
-	case pp > m.Layers:
-		return &fitError{fitLayers, pp, m.Layers, 0}
-	case cp > m.SeqLen:
-		return &fitError{fitSeqLen, cp, m.SeqLen, 0}
-	case vpp > 1 && pp <= 1:
-		return &fitError{fitVPPNoPP, vpp, 0, 0}
-	case vpp > 1 && pp*vpp > m.Layers:
-		return &fitError{fitVPPLayers, pp, vpp, m.Layers}
+	if e := fitCheck(m, tp, pp, cp, vpp); e.bound != fitOK {
+		err := e // only a failure allocates
+		return &err
 	}
 	return nil
+}
+
+// fitCheck is checkFit's verdict by value: a bare yes or no allocates nothing.
+func fitCheck(m *transformer.Model, tp, pp, cp, vpp int) fitError {
+	switch {
+	case tp > m.Heads:
+		return fitError{fitHeads, tp, m.Heads, 0}
+	case pp > m.Layers:
+		return fitError{fitLayers, pp, m.Layers, 0}
+	case cp > m.SeqLen:
+		return fitError{fitSeqLen, cp, m.SeqLen, 0}
+	case vpp > 1 && pp <= 1:
+		return fitError{fitVPPNoPP, vpp, 0, 0}
+	case vpp > 1 && pp*vpp > m.Layers:
+		return fitError{fitVPPLayers, pp, vpp, m.Layers}
+	}
+	return fitError{}
 }
 
 // fitError is a checkFit failure: the bound that failed and the numbers its
@@ -119,7 +129,8 @@ type fitError struct {
 type fitBound uint8
 
 const (
-	fitHeads fitBound = iota
+	fitOK fitBound = iota
+	fitHeads
 	fitLayers
 	fitSeqLen
 	fitVPPNoPP
@@ -311,6 +322,17 @@ type Column struct {
 // rank key below it, bit for bit. The failure overhead depends only on the
 // worker count, a degree-group product, so the floor is the column's.
 func (c *Column) Floor() float64 { return c.floor }
+
+// Cuts reports whether the column cuts its cells that pass the run and fit
+// checks at limit: it has priced its terms and its floor is above limit.
+func (c *Column) Cuts(limit float64) bool { return c.priced && c.floor > limit }
+
+// Fits is PrepareRow's model-fit verdict on a mapping with TP, PP and CP
+// degree products tp, pp and cp and VPP blocks vpp: it reads nothing else,
+// so a sweep takes it from a tiling mapping's degree group without a row.
+func (s *Session) Fits(tp, pp, cp, vpp int) bool {
+	return fitCheck(s.model, tp, pp, cp, vpp).bound == fitOK
+}
 
 // resolve fills e with the batch-schedule verdict of global batch g at raw
 // microbatch count nub on run's degrees: an inline of parallel.Batch's

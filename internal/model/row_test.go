@@ -214,3 +214,57 @@ func TestColumnFloorCut(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnCuts checks the one cut rule the sweep walk and PriceRowCell
+// share: a column cuts only once a cell has priced its terms, and then
+// exactly at limits below its floor. An empty column, one whose schedule
+// failed and one whose every cell fails the fit check never cut, even at
+// −Inf.
+func TestColumnCuts(t *testing.T) {
+	m := transformer.Megatron145B()
+	sys := hardware.CaseStudy1System()
+	s, err := Compile(&m, &sys, Training{NumBatches: 100}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if new(Column).Cuts(math.Inf(-1)) {
+		t.Error("an empty column cuts at −Inf")
+	}
+	for _, c := range []struct {
+		name  string
+		mp    parallel.Mapping
+		batch int
+	}{
+		{"schedule failed", parallel.Mapping{TPIntra: 8, PPInter: 2, DPInter: 64}, 100}, // DP 64 does not divide batch 100
+		{"TP over the heads", parallel.Mapping{TPIntra: 8, TPInter: 16, DPInter: 8}, 4096},
+		{"PP x VPP over the layers", parallel.Mapping{TPIntra: 8, PPInter: 64, DPInter: 2, VPP: 2}, 4096},
+	} {
+		var r Row
+		s.PrepareRow(&r, &c.mp)
+		var col Column
+		var bd Breakdown
+		if _, _, err := s.PriceRowCell(&r, &col, s.Aggregates([]int{c.batch}), 0, 0, math.Inf(1), &bd); err == nil {
+			t.Fatalf("%s: %v priced, want a failing cell", c.name, c.mp)
+		}
+		if col.Cuts(math.Inf(-1)) {
+			t.Errorf("%s: column cuts at −Inf", c.name)
+		}
+	}
+	mp := parallel.Mapping{TPIntra: 8, PPInter: 4, DPInter: 32}
+	var r Row
+	s.PrepareRow(&r, &mp)
+	var col Column
+	var bd Breakdown
+	if _, _, err := s.PriceRowCell(&r, &col, s.Aggregates([]int{8192}), 0, 0, math.Inf(1), &bd); err != nil {
+		t.Fatal(err)
+	}
+	floor := col.Floor()
+	for _, c := range []struct {
+		limit float64
+		want  bool
+	}{{floor, false}, {math.Nextafter(floor, 0), true}, {math.Inf(-1), true}, {math.Inf(1), false}} {
+		if got := col.Cuts(c.limit); got != c.want {
+			t.Errorf("filled column (floor %v) cuts at %v: %v, want %v", floor, c.limit, got, c.want)
+		}
+	}
+}
